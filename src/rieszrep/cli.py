@@ -26,6 +26,7 @@ from .preprocess import BlankImageError, bbox_compute, bbox_extract
 from .representation import (
     RieszConfig,
     extract_features,
+    feature_count,
     feature_paths,
     read_features_csv,
     write_features_csv,
@@ -58,7 +59,6 @@ _SCHEMA = {
     "model": (str, None),
     "output": (str, None),
     "out_dir": (str, None),
-    "jobs": (int, 1),
 }
 
 
@@ -153,10 +153,8 @@ def extract_matrix(images, config):
     the run continues.
     """
     cfg = riesz_config(config)
-    count = sum(cfg.angles**k for k in range(cfg.depth + 1))
-
-    def one(item):
-        index, img = item
+    rows = []
+    for index, img in enumerate(images):
         try:
             if config["bbox"]:
                 img = bbox_extract(
@@ -165,20 +163,10 @@ def extract_matrix(images, config):
                     threshold=config["threshold"],
                     enlarge=config["enlarge"],
                 )
-            return extract_features(img, cfg)
+            rows.append(extract_features(img, cfg))
         except BlankImageError as exc:
             log.warning("image %d flagged: %s", index, exc)
-            return np.full(count, np.nan)
-
-    jobs = config["jobs"]
-    items = list(enumerate(images))
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, items))  # map preserves input order
-    else:
-        rows = [one(item) for item in items]
+            rows.append(np.full(feature_count(cfg.depth, cfg.angles), np.nan))
     return np.array(rows)
 
 
@@ -381,7 +369,6 @@ def build_parser():
 
     p = sub.add_parser("extract", help="write a feature CSV")
     add_common(p), add_riesz(p), add_input(p), add_bbox(p)
-    p.add_argument("--jobs", type=int)
     p.add_argument("--output")
 
     p = sub.add_parser("bbox", help="write cropped graymaps")
@@ -402,7 +389,6 @@ def build_parser():
     p.add_argument("--features")
     p.add_argument("--manifest")
     p.add_argument("--limit", type=int)
-    p.add_argument("--jobs", type=int)
     p.add_argument("--model")
     p.add_argument("--output")
 

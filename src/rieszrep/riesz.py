@@ -13,30 +13,24 @@ with two discretization fixes that keep outputs exactly real:
   energy/reconstruction identities on even grids.
 
 Higher-order transforms are products of the first-order multipliers,
-so each output map costs a single FFT pair.
+so each transform here costs one forward and one inverse FFT (the
+feature hierarchy in ``representation`` shares and fuses them).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .image_core import as_image, fft2, freq_coords, ifft2
 
-_cache_lock = threading.Lock()
-_first_order_cache: dict = {}
 
-
+@functools.lru_cache(maxsize=None)
 def first_order_multipliers(height: int, width: int):
     """The pair (m1, m2) of first-order Riesz multipliers, cached per size."""
-    key = (height, width)
-    with _cache_lock:
-        cached = _first_order_cache.get(key)
-    if cached is not None:
-        return cached
     u1, u2 = freq_coords(height, width)
     mag = np.hypot(u1, u2)
     mag[0, 0] = 1.0  # avoid division at DC; value overwritten below
@@ -50,8 +44,6 @@ def first_order_multipliers(height: int, width: int):
     m2[0, 0] = 0.0
     m1.setflags(write=False)
     m2.setflags(write=False)
-    with _cache_lock:
-        _first_order_cache.setdefault(key, (m1, m2))
     return m1, m2
 
 

@@ -123,7 +123,7 @@ def test_extract_deterministic_bytes(tmp_path, rng):
     args = ["extract", "--images", str(ipath), "--labels", str(lpath), "--depth", "1"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--output", str(a)]) == 0
-    assert main(args + ["--output", str(b), "--jobs", "2"]) == 0
+    assert main(args + ["--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from rieszrep.representation import (
     RieszConfig,
@@ -17,7 +19,7 @@ from rieszrep.representation import (
     read_features_csv,
     write_features_csv,
 )
-from rieszrep.riesz import riesz_transform
+from rieszrep.riesz import first_order_multipliers, riesz_transform, steered_multiplier
 
 from conftest import block_average, lowpass_image
 
@@ -114,6 +116,102 @@ def test_hierarchy_map_counts(rng):
     f = rng.standard_normal((8, 8))
     assert len(build_hierarchy(f, RieszConfig(depth=3, angles=4))) == 85
     assert len(build_hierarchy(f, RieszConfig(depth=2, angles=8))) == 73
+
+
+def _two_inverse_features(f, cfg):
+    """Frozen copy of the original per-map algorithm: two inverse FFTs per angle."""
+    if cfg.presmooth_sigma is not None:
+        f = gaussian_presmooth(f, cfg.presmooth_sigma)
+    m1, m2 = first_order_multipliers(*f.shape)
+    phis = [k * math.pi / cfg.angles for k in range(cfg.angles)]
+    bank = [math.cos(phi) * m1 + math.sin(phi) * m2 for phi in phis]
+    pool = np.mean if cfg.pooling == "mean" else np.max
+    values = [pool(f)]
+    level = [f]
+    for _ in range(cfg.depth):
+        nxt = []
+        for g in level:
+            spec = np.fft.fft2(g)
+            for m in bank:
+                imag_part = np.fft.ifft2(m * spec).real
+                real_part = np.fft.ifft2(m * m * spec).real
+                nxt.append(cfg.scale_constant * np.hypot(real_part, imag_part))
+        values.extend(pool(g) for g in nxt)
+        level = nxt
+    return np.array(values)
+
+
+_ENGINE_CONFIGS = {
+    "K3M4": RieszConfig(depth=3, angles=4),
+    "K2M8": RieszConfig(depth=2, angles=8),
+    "max": RieszConfig(depth=2, angles=4, pooling="max"),
+    "C0.7-presmooth": RieszConfig(
+        depth=2, angles=4, scale_constant=0.7, presmooth_sigma=1.5
+    ),
+    "depth0": RieszConfig(depth=0),
+}
+
+
+@pytest.mark.parametrize("name", list(_ENGINE_CONFIGS))
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (1, 7), (7, 1), (2, 2), (3, 5), (17, 13), (31, 64), (64, 64)]
+)
+def test_engine_matches_two_inverse_algorithm(rng, shape, name):
+    cfg = _ENGINE_CONFIGS[name]
+    f = rng.standard_normal(shape)
+    expected = _two_inverse_features(f, cfg)
+    got = extract_features(f, cfg)
+    # the 2x2 grid has structurally zero features that differ at 1e-17
+    assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+    maps = build_hierarchy(f, cfg)
+    pool = np.mean if cfg.pooling == "mean" else np.max
+    pooled = [pool(maps[p]) for p in feature_paths(cfg.depth, cfg.angles)]
+    assert_allclose(pooled, got, rtol=1e-12, atol=0)
+
+
+def test_engine_outputs_do_not_alias_reused_buffers(rng):
+    f, g = rng.standard_normal((2, 16, 12))
+    cfg = RieszConfig(depth=2, angles=4)
+    maps, layer = build_hierarchy(f, cfg), layer_S(f, cfg)
+    saved_maps = {p: m.copy() for p, m in maps.items()}
+    saved_layer = [m.copy() for m in layer]
+    extract_features(g, cfg), build_hierarchy(g, cfg), layer_S(g, cfg)
+    for p, m in maps.items():
+        assert_array_equal(m, saved_maps[p])
+    for a, b in zip(layer, saved_layer):
+        assert_array_equal(a, b)
+    maps[(3, 1)][:] = -1.0
+    layer[2][:] = -1.0
+    for p, m in build_hierarchy(f, cfg).items():
+        assert_array_equal(m, saved_maps[p])
+    for a, b in zip(layer_S(f, cfg), saved_layer):
+        assert_array_equal(a, b)
+
+
+def test_non_hermitian_multiplier_rejected_at_bank_build(monkeypatch, rng):
+    import rieszrep.representation as representation
+
+    def rotated(phi, height, width):
+        return 1j * steered_multiplier(phi, height, width)
+
+    monkeypatch.setattr(representation, "steered_multiplier", rotated)
+    representation._fused_bank.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="not Hermitian"):
+            extract_features(rng.standard_normal((9, 11)), RieszConfig(depth=1))
+    finally:
+        representation._fused_bank.cache_clear()
+
+
+@pytest.mark.parametrize("kind", ["1e308", "normal*1e307"])
+def test_overflowing_image_rejected(rng, kind):
+    if kind == "1e308":
+        f = np.full((8, 8), 1e308)
+    else:
+        f = rng.standard_normal((8, 8)) * 1e307
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="non-finite samples"):
+            extract_features(f, RieszConfig())
 
 
 def test_pool_global():
