@@ -16,6 +16,7 @@ from .classify import (
 from .image_core import (
     FormatError,
     LabeledDataset,
+    NonFiniteImageError,
     fft2,
     ifft2,
     load_gray_image,

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classify, verify
-from .image_core import load_gray_image, load_idx, save_gray_pgm
+from .image_core import NonFiniteImageError, load_gray_image, load_idx, save_gray_pgm
 from .preprocess import BlankImageError, bbox_compute, bbox_extract
 from .representation import (
     RieszConfig,
@@ -149,8 +149,9 @@ def load_input_images(config):
 def extract_matrix(images, config):
     """Feature matrix for a list of images; flagged rows are all-NaN.
 
-    Per-image bounding-box failures are logged with the image index and
-    the run continues.
+    Blank images (no bounding box) and images whose samples or feature
+    maps are not finite are logged with the image index and the run
+    continues.
     """
     cfg = riesz_config(config)
     rows = []
@@ -164,7 +165,7 @@ def extract_matrix(images, config):
                     enlarge=config["enlarge"],
                 )
             rows.append(extract_features(img, cfg))
-        except BlankImageError as exc:
+        except (BlankImageError, NonFiniteImageError) as exc:
             log.warning("image %d flagged: %s", index, exc)
             rows.append(np.full(feature_count(cfg.depth, cfg.angles), np.nan))
     return np.array(rows)
@@ -316,7 +317,7 @@ def cmd_verify(config, inject_fault=None) -> int:
     return 1 if failed else 0
 
 
-def cmd_bench(config, sizes=(64, 128, 256)) -> int:
+def cmd_bench(config, sizes=(24, 64, 128, 256)) -> int:
     cfg = riesz_config(config)
     rng = np.random.default_rng(config["seed"])
     print("size,stage,seconds_per_image")
@@ -430,7 +431,7 @@ def main(argv=None) -> int:
         log.error("config error: %s", exc)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        log.error("%s", exc)
+        log.error("%s", exc, exc_info=args.verbose)
         return 1
 
 

@@ -20,6 +20,10 @@ class FormatError(ValueError):
     """Raised for malformed input files (IDX, graymap, matrix text)."""
 
 
+class NonFiniteImageError(ValueError):
+    """An image, or a feature map computed from it, holds nan or inf."""
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     images: list  # of 2d float64 arrays
@@ -42,7 +46,7 @@ def as_image(a) -> np.ndarray:
     if img.ndim != 2 or img.shape[0] < 1 or img.shape[1] < 1:
         raise ValueError(f"expected a 2d image grid, got shape {img.shape}")
     if not np.all(np.isfinite(img)):
-        raise ValueError("image contains non-finite samples")
+        raise NonFiniteImageError("image contains non-finite samples")
     return img
 
 

@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from rieszrep.cli import data_path, load_config_file, main
 
@@ -169,6 +170,40 @@ def test_extract_blank_image_flagged(tmp_path, rng):
     assert np.isnan(matrix[0]).all()
     assert not np.isnan(matrix[1]).any()
     assert list(labels) == [7, 3]
+
+
+def test_extract_non_finite_image_flagged(tmp_path, rng, caplog):
+    from rieszrep.representation import read_features_csv
+
+    def write_matrix(path, img):
+        rows = [" ".join(format(v, ".17g") for v in row) for row in img]
+        path.write_text(f"{img.shape[0]} {img.shape[1]}\n" + "\n".join(rows) + "\n")
+
+    d = tmp_path / "imgs"
+    d.mkdir()
+    write_matrix(d / "a.txt", rng.random((8, 8)))
+    write_matrix(d / "c.txt", rng.random((8, 8)))
+    clean = tmp_path / "clean.csv"
+    assert main(["extract", "--image-dir", str(d), "--output", str(clean)]) == 0
+    write_matrix(d / "b.txt", np.full((8, 8), 1e308))  # the FFT overflows
+    out = tmp_path / "f.csv"
+    with np.errstate(all="ignore"):
+        assert main(["extract", "--image-dir", str(d), "--output", str(out)]) == 0
+    matrix, _, _ = read_features_csv(out)
+    expected, _, _ = read_features_csv(clean)
+    assert np.isnan(matrix[1]).all()
+    assert_array_equal(matrix[[0, 2]], expected)
+    assert "image 1 flagged: image contains non-finite samples" in caplog.text
+
+
+@pytest.mark.parametrize("verbose", [False, True])
+def test_runtime_error_traceback_only_when_verbose(tmp_path, caplog, verbose):
+    argv = ["train", "--features", str(tmp_path / "missing.csv"), "--output", "m.txt"]
+    assert main(["-v"] * verbose + argv) == 1
+    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert "missing.csv" in record.getMessage()
+    assert bool(record.exc_info) == verbose
+    assert ("Traceback" in caplog.text) == verbose
 
 
 def test_data_dir_resolution(tmp_path, monkeypatch):

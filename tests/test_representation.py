@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import rieszrep.representation as representation
+from rieszrep.image_core import NonFiniteImageError
 from rieszrep.representation import (
     RieszConfig,
     base_response,
@@ -169,9 +171,43 @@ def test_engine_matches_two_inverse_algorithm(rng, shape, name):
     assert_allclose(pooled, got, rtol=1e-12, atol=0)
 
 
-def test_engine_outputs_do_not_alias_reused_buffers(rng):
+_GROUPING_CONFIGS = {
+    "K3M4-mean": RieszConfig(depth=3, angles=4),
+    "K2M8-max": RieszConfig(depth=2, angles=8, pooling="max"),
+    "K1": RieszConfig(depth=1),
+    "K0": RieszConfig(depth=0),
+    "C2.5": RieszConfig(depth=2, angles=4, scale_constant=2.5),
+}
+
+
+@pytest.mark.parametrize("name", list(_GROUPING_CONFIGS))
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (1, 9), (2, 2), (13, 10), (25, 7), (26, 18), (49, 35), (128, 128)]
+)
+def test_engine_outputs_independent_of_group_size(monkeypatch, rng, shape, name):
+    # a budget of 1 byte gives one parent per group, 1 << 40 one group per level
+    cfg = _GROUPING_CONFIGS[name]
+    f = rng.standard_normal(shape)
+    pool = np.mean if cfg.pooling == "mean" else np.max
+    results = []
+    for budget in (1, representation._BATCH_BYTES, 1 << 40):
+        monkeypatch.setattr(representation, "_BATCH_BYTES", budget)
+        maps = build_hierarchy(f, cfg)
+        pooled = [pool(maps[p]) for p in feature_paths(cfg.depth, cfg.angles)]
+        results.append((extract_features(f, cfg), np.array(pooled), layer_S(f, cfg)))
+    for features, pooled, layer in results[1:]:
+        assert_array_equal(features, results[0][0])
+        assert_array_equal(pooled, results[0][1])
+        assert_array_equal(np.array(layer), np.array(results[0][2]))
+
+
+@pytest.mark.parametrize("parents_per_group", [1, 3, 16])
+def test_engine_outputs_do_not_alias_reused_buffers(monkeypatch, rng, parents_per_group):
+    # 16 x 12 with M=4 has a 12 KiB bank; 3 parents per group leaves a
+    # partial last group on the 16 parents of level 3
     f, g = rng.standard_normal((2, 16, 12))
-    cfg = RieszConfig(depth=2, angles=4)
+    cfg = RieszConfig(depth=3, angles=4)
+    monkeypatch.setattr(representation, "_BATCH_BYTES", parents_per_group * 4 * 16 * 12 * 16)
     maps, layer = build_hierarchy(f, cfg), layer_S(f, cfg)
     saved_maps = {p: m.copy() for p, m in maps.items()}
     saved_layer = [m.copy() for m in layer]
@@ -181,6 +217,7 @@ def test_engine_outputs_do_not_alias_reused_buffers(rng):
     for a, b in zip(layer, saved_layer):
         assert_array_equal(a, b)
     maps[(3, 1)][:] = -1.0
+    maps[(0, 2, 1)][:] = -1.0
     layer[2][:] = -1.0
     for p, m in build_hierarchy(f, cfg).items():
         assert_array_equal(m, saved_maps[p])
@@ -189,8 +226,6 @@ def test_engine_outputs_do_not_alias_reused_buffers(rng):
 
 
 def test_non_hermitian_multiplier_rejected_at_bank_build(monkeypatch, rng):
-    import rieszrep.representation as representation
-
     def rotated(phi, height, width):
         return 1j * steered_multiplier(phi, height, width)
 
@@ -210,7 +245,7 @@ def test_overflowing_image_rejected(rng, kind):
     else:
         f = rng.standard_normal((8, 8)) * 1e307
     with np.errstate(all="ignore"):
-        with pytest.raises(ValueError, match="non-finite samples"):
+        with pytest.raises(NonFiniteImageError, match="non-finite samples"):
             extract_features(f, RieszConfig())
 
 
