@@ -185,12 +185,14 @@ _GROUPING_CONFIGS = {
     "shape", [(1, 1), (1, 9), (2, 2), (13, 10), (25, 7), (26, 18), (49, 35), (128, 128)]
 )
 def test_engine_outputs_independent_of_group_size(monkeypatch, rng, shape, name):
-    # a budget of 1 byte gives one parent per group, 1 << 40 one group per level
+    # a budget of 1 byte gives one parent per group, 1 << 40 one group per
+    # level, three banks a partial last group on levels of 4 or more parents
     cfg = _GROUPING_CONFIGS[name]
     f = rng.standard_normal(shape)
     pool = np.mean if cfg.pooling == "mean" else np.max
+    three_banks = 3 * cfg.angles * f.size * 16
     results = []
-    for budget in (1, representation._BATCH_BYTES, 1 << 40):
+    for budget in (1, representation._BATCH_BYTES, 1 << 40, three_banks):
         monkeypatch.setattr(representation, "_BATCH_BYTES", budget)
         maps = build_hierarchy(f, cfg)
         pooled = [pool(maps[p]) for p in feature_paths(cfg.depth, cfg.angles)]
@@ -201,28 +203,29 @@ def test_engine_outputs_independent_of_group_size(monkeypatch, rng, shape, name)
         assert_array_equal(np.array(layer), np.array(results[0][2]))
 
 
-@pytest.mark.parametrize("parents_per_group", [1, 3, 16])
-def test_engine_outputs_do_not_alias_reused_buffers(monkeypatch, rng, parents_per_group):
+def test_engine_outputs_do_not_alias_reused_buffers(monkeypatch, rng):
     # 16 x 12 with M=4 has a 12 KiB bank; 3 parents per group leaves a
     # partial last group on the 16 parents of level 3
     f, g = rng.standard_normal((2, 16, 12))
     cfg = RieszConfig(depth=3, angles=4)
-    monkeypatch.setattr(representation, "_BATCH_BYTES", parents_per_group * 4 * 16 * 12 * 16)
-    maps, layer = build_hierarchy(f, cfg), layer_S(f, cfg)
-    saved_maps = {p: m.copy() for p, m in maps.items()}
-    saved_layer = [m.copy() for m in layer]
-    extract_features(g, cfg), build_hierarchy(g, cfg), layer_S(g, cfg)
-    for p, m in maps.items():
-        assert_array_equal(m, saved_maps[p])
-    for a, b in zip(layer, saved_layer):
-        assert_array_equal(a, b)
-    maps[(3, 1)][:] = -1.0
-    maps[(0, 2, 1)][:] = -1.0
-    layer[2][:] = -1.0
-    for p, m in build_hierarchy(f, cfg).items():
-        assert_array_equal(m, saved_maps[p])
-    for a, b in zip(layer_S(f, cfg), saved_layer):
-        assert_array_equal(a, b)
+    for parents_per_group in (1, 3, 16):
+        budget = parents_per_group * 4 * 16 * 12 * 16
+        monkeypatch.setattr(representation, "_BATCH_BYTES", budget)
+        maps, layer = build_hierarchy(f, cfg), layer_S(f, cfg)
+        saved_maps = {p: m.copy() for p, m in maps.items()}
+        saved_layer = [m.copy() for m in layer]
+        extract_features(g, cfg), build_hierarchy(g, cfg), layer_S(g, cfg)
+        for p, m in maps.items():
+            assert_array_equal(m, saved_maps[p])
+        for a, b in zip(layer, saved_layer):
+            assert_array_equal(a, b)
+        maps[(3, 1)][:] = -1.0
+        maps[(0, 2, 1)][:] = -1.0
+        layer[2][:] = -1.0
+        for p, m in build_hierarchy(f, cfg).items():
+            assert_array_equal(m, saved_maps[p])
+        for a, b in zip(layer_S(f, cfg), saved_layer):
+            assert_array_equal(a, b)
 
 
 def test_non_hermitian_multiplier_rejected_at_bank_build(monkeypatch, rng):
