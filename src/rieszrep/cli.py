@@ -157,14 +157,17 @@ def extract_matrix(images, config):
     rows = []
     for index, img in enumerate(images):
         try:
-            if config["bbox"]:
-                img = bbox_extract(
-                    img,
-                    pad=config["pad"],
-                    threshold=config["threshold"],
-                    enlarge=config["enlarge"],
-                )
-            rows.append(extract_features(img, cfg))
+            # an overflowing image is flagged once, below, not also by
+            # numpy's floating-point warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                if config["bbox"]:
+                    img = bbox_extract(
+                        img,
+                        pad=config["pad"],
+                        threshold=config["threshold"],
+                        enlarge=config["enlarge"],
+                    )
+                rows.append(extract_features(img, cfg))
         except (BlankImageError, NonFiniteImageError) as exc:
             log.warning("image %d flagged: %s", index, exc)
             rows.append(np.full(feature_count(cfg.depth, cfg.angles), np.nan))
@@ -198,7 +201,7 @@ def cmd_bbox(config) -> int:
                 threshold=config["threshold"],
                 enlarge=config["enlarge"],
             )
-        except BlankImageError as exc:
+        except (BlankImageError, NonFiniteImageError) as exc:
             log.warning("image %d skipped: %s", i, exc)
             continue
         crop = padded[box.row0 : box.row1, box.col0 : box.col1]

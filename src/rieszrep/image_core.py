@@ -1,6 +1,9 @@
 """Image containers, DFT conventions, and dataset ingestion.
 
-All images are 2d float64 numpy arrays (row-major, finite values).
+All images are 2d float64 numpy arrays (row-major).  ``as_image``
+rejects non-finite samples; only the matrix-text loader lets them
+through, so that extraction can flag the image instead of the load
+aborting.
 The DFT convention is fixed globally: unnormalized forward transform,
 1/(H*W) on the inverse, DC coefficient at index (0, 0), no fftshift.
 """
@@ -156,7 +159,9 @@ def load_gray_image(path) -> np.ndarray:
     """Load a P2/P5 portable graymap or a plain matrix text file.
 
     Graymap values are scaled to [0, 1] by the declared maxval; matrix
-    text files ("rows cols" header then samples) are taken verbatim.
+    text files ("rows cols" header then samples) are taken verbatim,
+    nan and inf included, so that extraction can flag such an image
+    by its index instead of the load aborting the whole run.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -215,11 +220,13 @@ def load_gray_image(path) -> np.ndarray:
         values = [float(t) for t in tokens[2:]]
     except ValueError as exc:
         raise FormatError(f"{path}: unsupported image format") from exc
+    if rows < 1 or cols < 1:
+        raise FormatError(f"{path}: expected a 2d image grid, got {rows}x{cols}")
     if len(values) != rows * cols:
         raise FormatError(
             f"{path}: expected {rows * cols} samples, found {len(values)}"
         )
-    return as_image(np.array(values).reshape(rows, cols))
+    return np.array(values).reshape(rows, cols)
 
 
 def save_gray_pgm(path, img: np.ndarray, maxval: int = 255):

@@ -14,7 +14,8 @@ with two discretization fixes that keep outputs exactly real:
 
 Higher-order transforms are products of the first-order multipliers,
 so each transform here costs one forward and one inverse FFT (the
-feature hierarchy in ``representation`` shares and fuses them).
+feature hierarchy in ``representation`` computes R1, R2, R11, R12 and
+R22 once per map and steers them).
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -172,12 +173,13 @@ def test_extract_blank_image_flagged(tmp_path, rng):
     assert list(labels) == [7, 3]
 
 
+def write_matrix(path, img):
+    rows = [" ".join(format(v, ".17g") for v in row) for row in img]
+    path.write_text(f"{img.shape[0]} {img.shape[1]}\n" + "\n".join(rows) + "\n")
+
+
 def test_extract_non_finite_image_flagged(tmp_path, rng, caplog):
     from rieszrep.representation import read_features_csv
-
-    def write_matrix(path, img):
-        rows = [" ".join(format(v, ".17g") for v in row) for row in img]
-        path.write_text(f"{img.shape[0]} {img.shape[1]}\n" + "\n".join(rows) + "\n")
 
     d = tmp_path / "imgs"
     d.mkdir()
@@ -194,6 +196,39 @@ def test_extract_non_finite_image_flagged(tmp_path, rng, caplog):
     assert np.isnan(matrix[1]).all()
     assert_array_equal(matrix[[0, 2]], expected)
     assert "image 1 flagged: image contains non-finite samples" in caplog.text
+
+
+def test_extract_nan_matrix_text_flagged(tmp_path, rng, caplog):
+    from rieszrep.representation import read_features_csv
+
+    d = tmp_path / "imgs"
+    d.mkdir()
+    write_matrix(d / "a.txt", rng.random((8, 8)))
+    clean = tmp_path / "clean.csv"
+    assert main(["extract", "--image-dir", str(d), "--output", str(clean)]) == 0
+    (d / "b.txt").write_text("2 2\nnan 1\n0 1\n")
+    out = tmp_path / "f.csv"
+    assert main(["extract", "--image-dir", str(d), "--output", str(out)]) == 0
+    matrix, _, _ = read_features_csv(out)
+    expected, _, _ = read_features_csv(clean)
+    assert matrix.shape == (2, expected.shape[1])
+    assert np.isnan(matrix[1]).all()
+    assert_array_equal(matrix[[0]], expected)
+    assert "image 1 flagged: image contains non-finite samples" in caplog.text
+
+
+def test_flagged_image_logs_once_without_warnings(tmp_path, caplog):
+    d = tmp_path / "imgs"
+    d.mkdir()
+    write_matrix(d / "a.txt", np.full((8, 8), 1e308))  # the FFT overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["extract", "--image-dir", str(d), "--output", str(tmp_path / "f.csv")])
+    assert code == 0
+    flagged = [r for r in caplog.records if "flagged" in r.getMessage()]
+    assert [r.getMessage() for r in flagged] == [
+        "image 0 flagged: image contains non-finite samples"
+    ]
 
 
 @pytest.mark.parametrize("verbose", [False, True])
@@ -229,6 +264,17 @@ def test_bbox_command(tmp_path, rng):
     assert written == ["crop_00000.pgm", "crop_00002.pgm"]  # blank skipped
     crop = load_gray_image(out_dir / "crop_00000.pgm")
     assert crop.max() > 0.5
+
+
+def test_bbox_command_skips_non_finite_image(tmp_path, caplog):
+    d = tmp_path / "imgs"
+    d.mkdir()
+    write_matrix(d / "a.txt", synthetic_digit(32))
+    (d / "b.txt").write_text("2 2\nnan 1\n0 1\n")
+    out_dir = tmp_path / "crops"
+    assert main(["bbox", "--image-dir", str(d), "--out-dir", str(out_dir)]) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == ["crop_00000.pgm"]
+    assert "image 1 skipped: image contains non-finite samples" in caplog.text
 
 
 def test_train_eval_round_trip(tmp_path, rng, capsys):

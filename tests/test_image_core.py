@@ -170,6 +170,20 @@ def test_load_gray_matrix_text(tmp_path):
     assert_allclose(load_gray_image(path), [[0, 0.5, 1], [1, 0.25, 0]])
 
 
+def test_load_gray_matrix_text_keeps_non_finite(tmp_path):
+    path = tmp_path / "img.txt"
+    path.write_text("2 2\nnan 1\ninf 0\n")
+    img = load_gray_image(path)
+    assert img.shape == (2, 2)
+    assert np.isnan(img[0, 0]) and np.isinf(img[1, 0])
+    path.write_text("0 0\n")
+    with pytest.raises(FormatError, match="2d image grid"):
+        load_gray_image(path)
+    path.write_text("2 2\nnan 1\n0\n")
+    with pytest.raises(FormatError, match="samples"):
+        load_gray_image(path)
+
+
 def test_pgm_round_trip(tmp_path, rng):
     img = rng.random((5, 7))
     path = tmp_path / "x.pgm"

@@ -21,7 +21,7 @@ from rieszrep.representation import (
     read_features_csv,
     write_features_csv,
 )
-from rieszrep.riesz import first_order_multipliers, riesz_transform, steered_multiplier
+from rieszrep.riesz import first_order_multipliers, riesz_transform
 
 from conftest import block_average, lowpass_image
 
@@ -151,6 +151,7 @@ _ENGINE_CONFIGS = {
         depth=2, angles=4, scale_constant=0.7, presmooth_sigma=1.5
     ),
     "depth0": RieszConfig(depth=0),
+    "K1M16": RieszConfig(depth=1, angles=16),
 }
 
 
@@ -229,16 +230,25 @@ def test_engine_outputs_do_not_alias_reused_buffers(monkeypatch, rng):
 
 
 def test_non_hermitian_multiplier_rejected_at_bank_build(monkeypatch, rng):
-    def rotated(phi, height, width):
-        return 1j * steered_multiplier(phi, height, width)
+    # i*m1 and i*m2 are anti-Hermitian while their squares and product
+    # stay Hermitian, so only a check of all five multipliers catches it
+    def rotated(height, width):
+        m1, m2 = first_order_multipliers(height, width)
+        return 1j * m1, 1j * m2
 
-    monkeypatch.setattr(representation, "steered_multiplier", rotated)
-    representation._fused_bank.cache_clear()
+    monkeypatch.setattr(representation, "first_order_multipliers", rotated)
+    representation._basis_bank.cache_clear()
     try:
         with pytest.raises(ValueError, match="not Hermitian"):
             extract_features(rng.standard_normal((9, 11)), RieszConfig(depth=1))
     finally:
-        representation._fused_bank.cache_clear()
+        representation._basis_bank.cache_clear()
+
+
+def test_depth_zero_builds_no_bank(rng):
+    before = representation._basis_bank.cache_info().currsize
+    extract_features(rng.standard_normal((37, 41)), RieszConfig(depth=0))
+    assert representation._basis_bank.cache_info().currsize == before
 
 
 @pytest.mark.parametrize("kind", ["1e308", "normal*1e307"])
