@@ -174,7 +174,7 @@ def extract_matrix(images, config):
     return np.array(rows)
 
 
-def cmd_extract(config) -> int:
+def cmd_extract(config, args) -> int:
     if not config["output"]:
         raise ConfigError("extract requires 'output'")
     images, labels = load_input_images(config)
@@ -187,7 +187,7 @@ def cmd_extract(config) -> int:
     return 0
 
 
-def cmd_bbox(config) -> int:
+def cmd_bbox(config, args) -> int:
     if not config["out_dir"]:
         raise ConfigError("bbox requires 'out_dir'")
     images, _ = load_input_images(config)
@@ -233,7 +233,7 @@ def _train_model(matrix, labels, config):
     raise ConfigError(f"unknown classifier {config['classifier']!r}")
 
 
-def cmd_train(config) -> int:
+def cmd_train(config, args) -> int:
     if not config["features"] or not config["output"]:
         raise ConfigError("train requires 'features' and 'output'")
     matrix, _, labels = read_features_csv(config["features"])
@@ -266,7 +266,7 @@ def _parse_manifest(path):
     return shards
 
 
-def cmd_eval(config) -> int:
+def cmd_eval(config, args) -> int:
     if not config["model"]:
         raise ConfigError("eval requires 'model'")
     model = classify.load_model(data_path(config["model"]))
@@ -309,8 +309,8 @@ def cmd_eval(config) -> int:
     return 0
 
 
-def cmd_verify(config, inject_fault=None) -> int:
-    results = verify.run_all(seed=config["seed"], inject_fault=inject_fault)
+def cmd_verify(config, args) -> int:
+    results = verify.run_all(seed=config["seed"], inject_fault=args.inject_fault)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -320,7 +320,7 @@ def cmd_verify(config, inject_fault=None) -> int:
     return 1 if failed else 0
 
 
-def cmd_bench(config, sizes=(24, 64, 128, 256)) -> int:
+def cmd_bench(config, args=None, sizes=(24, 64, 128, 256)) -> int:
     cfg = riesz_config(config)
     rng = np.random.default_rng(config["seed"])
     print("size,stage,seconds_per_image")
@@ -372,14 +372,17 @@ def build_parser():
         p.add_argument("--enlarge", type=float)
 
     p = sub.add_parser("extract", help="write a feature CSV")
+    p.set_defaults(handler=cmd_extract)
     add_common(p), add_riesz(p), add_input(p), add_bbox(p)
     p.add_argument("--output")
 
     p = sub.add_parser("bbox", help="write cropped graymaps")
+    p.set_defaults(handler=cmd_bbox)
     add_common(p), add_input(p), add_bbox(p)
     p.add_argument("--out-dir", dest="out_dir")
 
     p = sub.add_parser("train", help="train a classifier from a feature CSV")
+    p.set_defaults(handler=cmd_train)
     add_common(p)
     p.add_argument("--features")
     p.add_argument("--classifier", choices=("pca", "svm"))
@@ -389,6 +392,7 @@ def build_parser():
     p.add_argument("--output")
 
     p = sub.add_parser("eval", help="evaluate a model")
+    p.set_defaults(handler=cmd_eval)
     add_common(p), add_riesz(p), add_bbox(p)
     p.add_argument("--features")
     p.add_argument("--manifest")
@@ -397,10 +401,12 @@ def build_parser():
     p.add_argument("--output")
 
     p = sub.add_parser("verify", help="run the numerical property suite")
+    p.set_defaults(handler=cmd_verify)
     add_common(p)
-    p.add_argument("--inject-fault", dest="inject_fault", choices=("dc-not-zeroed",))
+    p.add_argument("--inject-fault", dest="inject_fault", choices=tuple(verify.FAULTS))
 
     p = sub.add_parser("bench", help="time the pipeline stages")
+    p.set_defaults(handler=cmd_bench)
     add_common(p), add_riesz(p)
 
     return parser
@@ -417,19 +423,7 @@ def main(argv=None) -> int:
         if getattr(args, "print_config", False):
             for key in sorted(config):
                 print(f"{key} = {config[key]}")
-        if args.command == "extract":
-            return cmd_extract(config)
-        if args.command == "bbox":
-            return cmd_bbox(config)
-        if args.command == "train":
-            return cmd_train(config)
-        if args.command == "eval":
-            return cmd_eval(config)
-        if args.command == "verify":
-            return cmd_verify(config, inject_fault=args.inject_fault)
-        if args.command == "bench":
-            return cmd_bench(config)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.handler(config, args)
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return 2

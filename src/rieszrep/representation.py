@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image_core import NonFiniteImageError, as_image, fft2, freq_coords, ifft2
-from .riesz import first_order_multipliers, steered_multiplier
+from .riesz import SHAPE_CACHE_SIZE, first_order_multipliers, steered_multiplier
 
 _POOLINGS = ("mean", "max")
 
@@ -98,7 +98,7 @@ def parse_path_label(label: str):
     return tuple(int(t) for t in inner.split(","))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def _basis_bank(height: int, width: int) -> np.ndarray:
     """Read-only (5, H, W//2+1) half spectra of m1^2, m2^2, m1*m2, m1, m2.
 

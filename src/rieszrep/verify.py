@@ -1,9 +1,19 @@
 """Executable property suite over seeded random inputs.
 
-Each property is a named check with a tolerance and a measured value;
-the CLI `verify` subcommand runs all of them and exits nonzero if any
-fails.  A fault-injection hook (bypassing the DC zeroing of the
-multipliers) exists so the suite itself can be tested.
+``PROPERTIES`` is the one registry of the numerical contract: a tuple
+of ``(name, tolerance, measure)`` entries, where ``measure(rng,
+multiplier)`` returns the worst deviation found and the property holds
+when that value is at most the tolerance.  ``riesz verify`` and the
+acceptance tests both run this tuple, so each property has a single
+implementation, at a single size and case count.
+
+Each property draws from its own generator, seeded with
+``(seed, position in PROPERTIES)``, so one property measured alone
+(``check``) gives the same value as in a full ``run_all``.
+
+``FAULTS`` maps a fault name to a broken stand-in for
+``riesz.riesz_multiplier``; the properties that build multipliers use
+the one they are given, so the suite itself can be tested.
 """
 
 from __future__ import annotations
@@ -35,10 +45,6 @@ def _random_image(rng, height=32, width=32, mean_free=False):
     return f
 
 
-def _relative(err, ref):
-    return float(err / ref) if ref > 0 else float(err)
-
-
 def _faulty_multiplier(order, height, width):
     # DC left at the raw formula value instead of 0 (division by |u|=1 stub)
     m = riesz.riesz_multiplier(order, height, width).copy()
@@ -46,136 +52,185 @@ def _faulty_multiplier(order, height, width):
     return m
 
 
-def run_all(seed: int = 0, inject_fault: str | None = None):
-    """Run every property; returns a list of PropertyResult."""
-    rng = np.random.default_rng(seed)
-    results = []
+FAULTS = {"dc-not-zeroed": _faulty_multiplier}
 
-    multiplier = riesz.riesz_multiplier
-    if inject_fault == "dc-not-zeroed":
-        multiplier = _faulty_multiplier
-    elif inject_fault is not None:
-        raise ValueError(f"unknown fault {inject_fault!r}")
+# shifts for the translation properties, wrapping past the 32x32 grid
+_SHIFTS = ((1, 0), (5, 9), (7, 13), (31, 31))
 
-    # DFT round trip and Parseval
+
+def _dft_round_trip(rng, multiplier):
     worst = 0.0
     for h, w in ((8, 8), (31, 17), (64, 64)):
         f = _random_image(rng, h, w)
         worst = max(worst, np.linalg.norm(ifft2(fft2(f)) - f) / np.linalg.norm(f))
-    results.append(PropertyResult("dft-round-trip", 1e-10, worst))
+    return float(worst)
+
+
+def _dft_parseval(rng, multiplier):
     f = _random_image(rng, 33, 16)
     spec = fft2(f)
-    par = abs(np.sum(f**2) - np.sum(np.abs(spec) ** 2) / f.size) / np.sum(f**2)
-    results.append(PropertyResult("dft-parseval", 1e-10, float(par)))
+    return float(abs(np.sum(f**2) - np.sum(np.abs(spec) ** 2) / f.size) / np.sum(f**2))
 
-    # energy identity / reconstruction (Theorems on the DC-free part)
-    worst_e = worst_r = 0.0
-    for _ in range(5):
-        f = _random_image(rng, 32, 32, mean_free=True)
+
+def _energy_identity(rng, multiplier):
+    # the identity holds on the DC-free part, hence mean-free images
+    worst = 0.0
+    for _ in range(20):
+        f = _random_image(rng, 64, 64, mean_free=True)
         for n_total in (1, 2):
             lhs, rhs = riesz.energy_identity(f, n_total)
-            worst_e = max(worst_e, abs(lhs - rhs) / rhs)
+            worst = max(worst, abs(lhs - rhs) / rhs)
+    return float(worst)
+
+
+def _order_reconstruction(rng, multiplier):
+    worst = 0.0
+    for _ in range(20):
+        f = _random_image(rng, 64, 64, mean_free=True)
+        for n_total in (1, 2):
             comps = [
                 (order, riesz.riesz_transform(f, order))
                 for order in riesz.enumerate_orders(n_total)
             ]
             rec = riesz.reconstruct_from_order(comps)
-            worst_r = max(worst_r, np.linalg.norm(rec - f) / np.linalg.norm(f))
-    results.append(PropertyResult("energy-identity", 1e-8, worst_e))
-    results.append(PropertyResult("order-reconstruction", 1e-8, worst_r))
+            worst = max(worst, np.linalg.norm(rec - f) / np.linalg.norm(f))
+    return float(worst)
 
-    # all-pass of the first-order pair (unit energy off DC, zero at DC)
+
+def _all_pass(rng, multiplier):
+    # unit energy of the first-order pair off DC, zero at DC
     m1 = multiplier((1, 0), 64, 64)
     m2 = multiplier((0, 1), 64, 64)
     energy = np.abs(m1) ** 2 + np.abs(m2) ** 2
     expected = np.ones_like(energy)
     expected[0, 0] = 0.0
-    results.append(
-        PropertyResult("all-pass", 1e-12, float(np.abs(energy - expected).max()))
-    )
+    return float(np.abs(energy - expected).max())
 
-    # zero integral of the base-filter impulse response (DC of both parts)
-    worst_z = 0.0
+
+def _zero_integral(rng, multiplier):
+    # DC of both parts of the base-filter impulse response, and of R1
+    worst = 0.0
     for h, w in ((33, 33), (64, 64)):
         impulse = np.zeros((h, w))
         impulse[0, 0] = 1.0
         for k in range(4):
             real_part, imag_part = representation.base_response(impulse, k, 4)
-            worst_z = max(worst_z, abs(real_part.sum()), abs(imag_part.sum()))
-        dc = abs(multiplier((1, 0), h, w)[0, 0])
-        worst_z = max(worst_z, float(dc))
-    results.append(PropertyResult("zero-integral", 1e-8, worst_z))
+            worst = max(worst, abs(real_part.sum()), abs(imag_part.sum()))
+        worst = max(worst, abs(multiplier((1, 0), h, w)[0, 0]))
+    return float(worst)
 
-    # steered Hilbert norm bounds (8 random angles)
-    worst_h = 0.0
-    for _ in range(8):
-        phi = rng.uniform(0, 2 * np.pi)
-        f = _random_image(rng, 32, 32, mean_free=True)
-        e = np.sum(f**2)
-        h1 = np.sum(riesz.hilbert_steered(f, phi) ** 2)
-        h1b = np.sum(riesz.hilbert_steered(f, phi + np.pi / 2) ** 2)
-        h2 = np.sum(riesz.hilbert2_steered(f, phi) ** 2)
-        worst_h = max(worst_h, (h1 + h1b) / e - 1.0, h2 / e - 1.0)
-    results.append(PropertyResult("steered-norm-bound", 1e-10, worst_h))
 
-    # contraction up to order 3
-    worst_c = 0.0
+def _steered_norm_bound(rng, multiplier):
+    worst = -np.inf
+    for phi in rng.uniform(0, 2 * np.pi, size=8):
+        for _ in range(20):
+            f = _random_image(rng, 32, 32, mean_free=True)
+            e = np.sum(f**2)
+            pair = np.sum(riesz.hilbert_steered(f, phi) ** 2) + np.sum(
+                riesz.hilbert_steered(f, phi + np.pi / 2) ** 2
+            )
+            second = np.sum(riesz.hilbert2_steered(f, phi) ** 2)
+            worst = max(worst, pair / e - 1.0, second / e - 1.0)
+    return float(worst)
+
+
+def _contraction(rng, multiplier):
+    worst = 0.0
     f = _random_image(rng, 32, 32)
     for n_total in (1, 2, 3):
         for order in riesz.enumerate_orders(n_total):
             ratio = np.linalg.norm(riesz.riesz_transform(f, order)) / np.linalg.norm(f)
-            worst_c = max(worst_c, ratio - 1.0)
-    results.append(PropertyResult("contraction", 1e-10, worst_c))
+            worst = max(worst, ratio - 1.0)
+    return float(worst)
 
-    # translation equivariance of R^n and invariance of the pooled features
+
+def _translation_equivariance(rng, multiplier):
     f = _random_image(rng, 32, 32)
-    shift = (int(rng.integers(1, 31)), int(rng.integers(1, 31)))
-    g = np.roll(f, shift, axis=(0, 1))
-    err = np.linalg.norm(
-        riesz.riesz_transform(g, (1, 1))
-        - np.roll(riesz.riesz_transform(f, (1, 1)), shift, axis=(0, 1))
-    )
-    results.append(
-        PropertyResult(
-            "translation-equivariance", 1e-10, _relative(err, np.linalg.norm(f))
-        )
-    )
+    worst = 0.0
+    for order in ((1, 0), (0, 1), (1, 1), (2, 0)):
+        ref = riesz.riesz_transform(f, order)
+        for shift in _SHIFTS:
+            moved = riesz.riesz_transform(np.roll(f, shift, axis=(0, 1)), order)
+            err = np.linalg.norm(moved - np.roll(ref, shift, axis=(0, 1)))
+            worst = max(worst, err / np.linalg.norm(f))
+    return float(worst)
+
+
+def _shift_invariant_features(rng, multiplier):
+    f = _random_image(rng, 32, 32)
     cfg = RieszConfig(depth=2, angles=4)
     pf = extract_features(f, cfg)
-    pg = extract_features(g, cfg)
-    results.append(
-        PropertyResult(
-            "shift-invariant-features",
-            1e-10,
-            _relative(np.abs(pf - pg).max(), np.abs(pf).max()),
-        )
-    )
+    worst = 0.0
+    for shift in _SHIFTS:
+        pg = extract_features(np.roll(f, shift, axis=(0, 1)), cfg)
+        worst = max(worst, np.abs(pf - pg).max() / np.abs(pf).max())
+    return float(worst)
 
-    # layer nonexpansiveness with C = 1/M
-    cfg_ne = RieszConfig(depth=1, angles=4, scale_constant=0.25)
-    worst_n = 0.0
-    for _ in range(20):
+
+def _layer_nonexpansive(rng, multiplier):
+    # with C = 1/M one layer is nonexpansive
+    cfg = RieszConfig(depth=1, angles=4, scale_constant=0.25)
+    worst = -np.inf
+    for _ in range(100):
         f = _random_image(rng, 16, 16)
         g = _random_image(rng, 16, 16)
         num = sum(
-            np.sum((a - b) ** 2)
-            for a, b in zip(layer_S(f, cfg_ne), layer_S(g, cfg_ne))
+            np.sum((a - b) ** 2) for a, b in zip(layer_S(f, cfg), layer_S(g, cfg))
         )
-        worst_n = max(worst_n, num / np.sum((f - g) ** 2) - 1.0)
-    results.append(PropertyResult("layer-nonexpansive", 1e-10, worst_n))
+        worst = max(worst, num / np.sum((f - g) ** 2) - 1.0)
+    return float(worst)
 
-    # approximate scale equivariance on a low-pass family
-    worst_s = 0.0
+
+def _scale_equivariance(rng, multiplier):
+    # approximate: 2x2 block averaging commutes with R and with the
+    # K=3/M=4 features up to the low-pass family's aliasing
+    cfg = RieszConfig(depth=3, angles=4)
+    worst = 0.0
     for _ in range(3):
-        f = lowpass_image(rng, 64, 64, cutoff=0.1)
+        f = lowpass_image(rng, 128, 128, cutoff=0.1)
         coarse = block_average(f)
         for order in ((1, 0), (0, 1)):
             a = riesz.riesz_transform(coarse, order)
             b = block_average(riesz.riesz_transform(f, order))
-            worst_s = max(worst_s, np.linalg.norm(a - b) / np.linalg.norm(b))
-    results.append(PropertyResult("scale-equivariance", 0.05, worst_s))
+            worst = max(worst, np.linalg.norm(a - b) / np.linalg.norm(b))
+        pa = extract_features(coarse, cfg)
+        pb = extract_features(f, cfg)
+        worst = max(worst, np.abs(pa - pb).max() / np.abs(pb).max())
+    return float(worst)
 
-    return results
+
+PROPERTIES = (
+    ("dft-round-trip", 1e-10, _dft_round_trip),
+    ("dft-parseval", 1e-10, _dft_parseval),
+    ("energy-identity", 1e-8, _energy_identity),
+    ("order-reconstruction", 1e-8, _order_reconstruction),
+    ("all-pass", 1e-12, _all_pass),
+    ("zero-integral", 1e-8, _zero_integral),
+    ("steered-norm-bound", 1e-10, _steered_norm_bound),
+    ("contraction", 1e-10, _contraction),
+    ("translation-equivariance", 1e-10, _translation_equivariance),
+    ("shift-invariant-features", 1e-10, _shift_invariant_features),
+    ("layer-nonexpansive", 1e-10, _layer_nonexpansive),
+    ("scale-equivariance", 0.05, _scale_equivariance),
+)
+
+
+def check(index: int, seed: int = 0, inject_fault: str | None = None):
+    """Measure ``PROPERTIES[index]`` on its own generator; a PropertyResult."""
+    if inject_fault is None:
+        multiplier = riesz.riesz_multiplier
+    elif inject_fault in FAULTS:
+        multiplier = FAULTS[inject_fault]
+    else:
+        raise ValueError(f"unknown fault {inject_fault!r}")
+    name, tolerance, measure = PROPERTIES[index]
+    rng = np.random.default_rng([seed, index])
+    return PropertyResult(name, tolerance, measure(rng, multiplier))
+
+
+def run_all(seed: int = 0, inject_fault: str | None = None):
+    """Run every property in registry order; returns a list of PropertyResult."""
+    return [check(index, seed, inject_fault) for index in range(len(PROPERTIES))]
 
 
 def lowpass_image(rng, height, width, cutoff=0.1):

@@ -7,22 +7,6 @@ def rng():
     return np.random.default_rng(1234)
 
 
-def lowpass_image(rng, height, width, cutoff=0.1):
-    spec = rng.standard_normal((height, width)) + 1j * rng.standard_normal(
-        (height, width)
-    )
-    u1 = np.fft.fftfreq(height)[:, None]
-    u2 = np.fft.fftfreq(width)[None, :]
-    spec = np.where(np.hypot(u1, u2) < cutoff, spec, 0)
-    f = np.fft.ifft2(spec).real
-    return f / np.linalg.norm(f)
-
-
-def block_average(f):
-    h, w = f.shape
-    return f[: h - h % 2, : w - w % 2].reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
-
-
 def synthetic_digit(size=112):
     """Smooth stroke-like blob standing in for a handwritten digit."""
     y, x = np.mgrid[0:size, 0:size] / size

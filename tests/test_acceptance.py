@@ -1,6 +1,9 @@
 """End-to-end acceptance checks, one test per criterion.
 
-Each test prints a single ``ACCEPTANCE <name>: PASS|FAIL`` line before
+The numerical properties are the ``rieszrep.verify.PROPERTIES``
+registry, measured exactly as ``riesz verify`` measures them: one
+parametrised ``test_property`` case each, apart from three that keep a
+named test of their own.  Each test prints a single ``ACCEPTANCE <name>: PASS|FAIL`` line before
 asserting, so the full scorecard is visible in the pytest output.  The
 two dataset reproductions look for data under ``RIESZ_DATA_DIR`` (see
 README) and skip with a warning when the data is not installed.
@@ -22,18 +25,7 @@ from rieszrep.representation import (
     extract_features,
     feature_paths,
 )
-from rieszrep.riesz import (
-    energy_identity,
-    enumerate_orders,
-    first_order_multipliers,
-    hilbert2_steered,
-    hilbert_steered,
-    reconstruct_from_order,
-    riesz_transform,
-)
-from rieszrep.representation import base_response, layer_S
-
-from conftest import block_average, lowpass_image
+from rieszrep.verify import PROPERTIES, check
 
 MNIST_SCALES = ("0.5", "1", "2", "4")
 KTH_SEEDS = (42, 21, 10, 5, 0)
@@ -71,123 +63,35 @@ def test_feature_count_exactness():
     )
 
 
-def test_energy_identity_parseval():
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(20):
-        f = rng.standard_normal((64, 64))
-        f -= f.mean()
-        for n_total in (1, 2):
-            lhs, rhs = energy_identity(f, n_total)
-            worst = max(worst, abs(lhs - rhs) / rhs)
-    _report("energy-identity", worst <= 1e-8, f"worst relative error {worst:.2e}")
+def _check_property(index):
+    r = check(index)
+    _report(r.name, r.passed, f"measured {r.measured:.2e}, tolerance {r.tolerance:g}")
 
 
-def test_order_reconstruction():
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(20):
-        f = rng.standard_normal((64, 64))
-        f -= f.mean()
-        for n_total in (1, 2):
-            comps = [
-                (order, riesz_transform(f, order))
-                for order in enumerate_orders(n_total)
-            ]
-            rec = reconstruct_from_order(comps)
-            worst = max(worst, np.linalg.norm(rec - f) / np.linalg.norm(f))
-    _report("reconstruction", worst <= 1e-8, f"worst relative error {worst:.2e}")
+def _index(name):
+    return [n for n, _, _ in PROPERTIES].index(name)
 
 
-def test_steered_norm_bounds():
-    rng = np.random.default_rng(7)
-    worst = -np.inf
-    for phi in rng.uniform(0, 2 * np.pi, size=8):
-        for _ in range(20):
-            f = rng.standard_normal((32, 32))
-            f -= f.mean()
-            e = np.sum(f**2)
-            pair = np.sum(hilbert_steered(f, phi) ** 2) + np.sum(
-                hilbert_steered(f, phi + np.pi / 2) ** 2
-            )
-            second = np.sum(hilbert2_steered(f, phi) ** 2)
-            worst = max(worst, pair / e - 1.0, second / e - 1.0)
-    _report("steered-norm-bounds", worst <= 1e-10, f"worst slack {worst:.2e}")
+# Properties with a test of their own below; the rest run as ``test_property``.
+_OWN_TEST = ("all-pass", "zero-integral", "scale-equivariance")
+_SHARED = [i for i, (name, _, _) in enumerate(PROPERTIES) if name not in _OWN_TEST]
 
 
-def test_kernel_zero_integral():
-    worst = 0.0
-    for shape in ((33, 33), (64, 64)):
-        impulse = np.zeros(shape)
-        impulse[0, 0] = 1.0
-        for k in range(4):
-            real_part, imag_part = base_response(impulse, k, 4)
-            worst = max(worst, abs(real_part.sum()), abs(imag_part.sum()))
-    _report("zero-integral", worst <= 1e-8, f"worst kernel sum {worst:.2e}")
+@pytest.mark.parametrize("index", _SHARED, ids=[PROPERTIES[i][0] for i in _SHARED])
+def test_property(index):
+    _check_property(index)
 
 
 def test_all_pass():
-    m1, m2 = first_order_multipliers(64, 64)
-    energy = np.abs(m1) ** 2 + np.abs(m2) ** 2
-    energy[0, 0] = 1.0
-    worst = float(np.abs(energy - 1.0).max())
-    _report("all-pass", worst <= 1e-12, f"worst |energy-1| {worst:.2e}")
+    _check_property(_index("all-pass"))
 
 
-def test_translation_equivariance_and_invariance():
-    rng = np.random.default_rng(3)
-    f = rng.standard_normal((32, 32))
-    worst_eq = 0.0
-    for order in ((1, 0), (0, 1), (1, 1), (2, 0)):
-        ref = riesz_transform(f, order)
-        for shift in ((1, 0), (7, 13), (31, 31)):
-            moved = riesz_transform(np.roll(f, shift, axis=(0, 1)), order)
-            err = np.linalg.norm(moved - np.roll(ref, shift, axis=(0, 1)))
-            worst_eq = max(worst_eq, err / np.linalg.norm(f))
-    cfg = RieszConfig(depth=2, angles=4)
-    pf = extract_features(f, cfg)
-    pg = extract_features(np.roll(f, (5, 9), axis=(0, 1)), cfg)
-    worst_inv = np.abs(pf - pg).max() / np.abs(pf).max()
-    _report(
-        "translation",
-        worst_eq <= 1e-10 and worst_inv <= 1e-10,
-        f"equivariance {worst_eq:.2e}, feature invariance {worst_inv:.2e}",
-    )
-
-
-def test_layer_nonexpansive():
-    rng = np.random.default_rng(11)
-    cfg = RieszConfig(depth=1, angles=4, scale_constant=0.25)
-    worst = -np.inf
-    for _ in range(100):
-        f = rng.standard_normal((16, 16))
-        g = rng.standard_normal((16, 16))
-        num = sum(
-            np.sum((a - b) ** 2) for a, b in zip(layer_S(f, cfg), layer_S(g, cfg))
-        )
-        worst = max(worst, num / np.sum((f - g) ** 2) - 1.0)
-    _report("layer-nonexpansive", worst <= 1e-10, f"worst slack {worst:.2e}")
+def test_kernel_zero_integral():
+    _check_property(_index("zero-integral"))
 
 
 def test_scale_equivariance():
-    rng = np.random.default_rng(19)
-    worst_r = worst_phi = 0.0
-    cfg = RieszConfig(depth=3, angles=4)
-    for _ in range(3):
-        f = lowpass_image(rng, 128, 128, cutoff=0.1)
-        coarse = block_average(f)
-        for order in ((1, 0), (0, 1)):
-            a = riesz_transform(coarse, order)
-            b = block_average(riesz_transform(f, order))
-            worst_r = max(worst_r, np.linalg.norm(a - b) / np.linalg.norm(b))
-        pa = extract_features(coarse, cfg)
-        pb = extract_features(f, cfg)
-        worst_phi = max(worst_phi, np.abs(pa - pb).max() / np.abs(pb).max())
-    _report(
-        "scale-equivariance",
-        worst_r <= 0.05 and worst_phi <= 0.05,
-        f"transform {worst_r:.3f}, features {worst_phi:.3f}",
-    )
+    _check_property(_index("scale-equivariance"))
 
 
 # ---------------------------------------------------------------------------

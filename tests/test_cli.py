@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from rieszrep.cli import data_path, load_config_file, main
+from rieszrep.verify import FAULTS
 
 from conftest import synthetic_digit
 
@@ -51,10 +52,14 @@ def test_verify_all_pass(capsys):
 
 
 def test_verify_fault_injection(capsys):
-    assert main(["verify", "--inject-fault", "dc-not-zeroed"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL all-pass" in out
-    assert "FAIL zero-integral" in out
+    # each fault must fail exactly these properties and no others
+    expected = {"dc-not-zeroed": {"all-pass", "zero-integral"}}
+    assert set(expected) == set(FAULTS)
+    for fault, failing in expected.items():
+        assert main(["verify", "--inject-fault", fault]) == 1
+        out = capsys.readouterr().out
+        failed = {l.split()[1].rstrip(":") for l in out.splitlines() if l.startswith("FAIL")}
+        assert failed == failing
 
 
 def test_config_file_unknown_key(tmp_path):

@@ -3,8 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rieszrep.preprocess import BlankImageError, bbox_compute, bbox_extract, rescale
+from rieszrep.verify import lowpass_image
 
-from conftest import lowpass_image, synthetic_digit
+from conftest import synthetic_digit
 
 
 def test_blank_image_raises():

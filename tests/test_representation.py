@@ -22,8 +22,7 @@ from rieszrep.representation import (
     write_features_csv,
 )
 from rieszrep.riesz import first_order_multipliers, riesz_transform
-
-from conftest import block_average, lowpass_image
+from rieszrep.verify import block_average, lowpass_image
 
 
 def test_config_validation():
@@ -246,9 +245,22 @@ def test_non_hermitian_multiplier_rejected_at_bank_build(monkeypatch, rng):
 
 
 def test_depth_zero_builds_no_bank(rng):
-    before = representation._basis_bank.cache_info().currsize
+    before = representation._basis_bank.cache_info().misses
     extract_features(rng.standard_normal((37, 41)), RieszConfig(depth=0))
-    assert representation._basis_bank.cache_info().currsize == before
+    assert representation._basis_bank.cache_info().misses == before
+
+
+def test_shape_caches_are_bounded(rng):
+    cfg = RieszConfig(depth=1)
+    for i in range(40):
+        extract_features(rng.standard_normal((8 + i, 9)), cfg)
+    bank = representation._basis_bank(47, 9)
+    pair = first_order_multipliers(47, 9)
+    extract_features(rng.standard_normal((47, 9)), cfg)
+    assert representation._basis_bank(47, 9) is bank
+    assert first_order_multipliers(47, 9) is pair
+    assert representation._basis_bank.cache_info().currsize <= 32
+    assert first_order_multipliers.cache_info().currsize <= 32
 
 
 @pytest.mark.parametrize("kind", ["1e308", "normal*1e307"])

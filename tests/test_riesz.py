@@ -17,8 +17,7 @@ from rieszrep.riesz import (
     riesz_multiplier,
     riesz_transform,
 )
-
-from conftest import block_average, lowpass_image
+from rieszrep.verify import block_average, lowpass_image
 
 
 def test_multiplier_axis_value():
