@@ -171,6 +171,88 @@ def test_svm_label_permutation_symmetry(rng):
     assert np.array_equal(permuted, perm[base])
 
 
+# Fixed 30x4 problem for the frozen Pegasos trajectory below.
+_FROZEN_X = np.array(
+    [
+        [1.719, 0.194, 2.493, 0.576],
+        [-0.223, 0.565, -0.098, 0.046],
+        [-1.479, 1.354, -1.136, -0.721],
+        [1.892, -0.758, 0.639, -0.079],
+        [1.043, -0.581, 1.207, -0.18],
+        [1.14, -1.521, -0.259, 0.402],
+        [0.964, 1.921, 1.307, -1.437],
+        [-0.038, -0.723, 1.731, 0.688],
+        [3.569, -0.309, -1.51, 1.277],
+        [-0.127, -0.111, -1.128, 0.359],
+        [-0.88, -0.547, 0.083, 0.712],
+        [-1.902, 2.04, 0.04, -0.374],
+        [1.66, -1.826, -0.636, 1.079],
+        [-0.496, 0.438, -1.212, 0.686],
+        [-2.318, -0.025, 0.158, -1.161],
+        [-0.075, -0.724, -0.535, 0.435],
+        [0.574, 0.134, -1.036, -0.053],
+        [2.398, 0.451, 1.094, -0.625],
+        [-1.656, -1.047, 0.358, 0.249],
+        [1.232, -0.297, 0.349, 0.052],
+        [-0.995, -1.622, 0.825, 0.49],
+        [-2.582, -0.357, 0.792, -1.336],
+        [2.206, -0.332, 1.278, 0.544],
+        [0.211, -0.37, 0.229, 1.256],
+        [-0.379, -0.436, -0.605, 0.098],
+        [2.126, -0.47, -0.767, 0.125],
+        [0.579, 0.067, 0.991, -0.858],
+        [0.937, 0.723, 0.21, 1.492],
+        [1.151, -1.516, -1.411, 0.133],
+        [-0.643, 1.094, -0.054, 0.277],
+    ]
+)
+
+# (labels, reg) -> (weights, biases) of svm_fit(_FROZEN_X, labels, reg,
+# epochs=7, seed=5), recorded from the original per-step Pegasos loop
+_FROZEN_SVM = {
+    'three': (
+        np.arange(30) % 3,
+        0.01,
+        [
+            [-0.8290322580645154, -0.43838709677419413, 0.6183870967741936, 0.20645161290322483],
+            [0.2700000000000009, -0.22193548387096762, -1.3654838709677426, -0.0019354838709669808],
+            [0.30290322580644957, 1.092903225806452, 0.5761290322580646, -0.11838709677419386],
+        ],
+        [-1.1468074680706497, -0.9402179950257865, -1.1286021383024063],
+    ),
+    'two': (
+        np.arange(30) % 2,
+        0.01,
+        [
+            [-0.7325806451612925, -1.8335483870967744, 0.1525806451612905, -1.7400000000000002],
+            [0.7325806451612925, 1.8335483870967744, -0.1525806451612905, 1.7400000000000002],
+        ],
+        [-0.1319992678170373, 0.1319992678170373],
+    ),
+    'noreg': (
+        np.arange(30) % 3,
+        0.0,
+        [
+            [-3.0959999999999983, 0.03899999999999837, 0.514999999999999, -0.1640000000000029],
+            [-0.19800000000000084, -1.3230000000000017, -4.238999999999998, -0.08999999999999864],
+            [-1.5189999999999988, 1.860000000000001, 1.56, -0.5919999999999993],
+        ],
+        [-2.0, -1.0, -2.0],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FROZEN_SVM))
+def test_svm_fit_frozen_trajectory(case):
+    """The seeded Pegasos trajectory itself, not only its behaviour."""
+    labels, reg, weights, biases = _FROZEN_SVM[case]
+    model = svm_fit(_FROZEN_X, labels, reg=reg, epochs=7, seed=5)
+    weights = np.array(weights)
+    assert np.array_equal(model.biases, biases)
+    err = np.abs(model.weights - weights).max()
+    assert err <= 1e-12 * np.abs(weights).max()
+
+
 def test_svm_single_class_rejected():
     with pytest.raises(ValueError):
         svm_fit(np.ones((4, 2)), np.zeros(4, dtype=int))
