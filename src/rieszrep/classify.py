@@ -4,7 +4,16 @@ Two classifiers are provided: a nearest-subspace PCA classifier
 (per-class mean plus principal subspace, smallest projection residual
 wins) operating on raw features, and a linear one-vs-rest max-margin
 classifier trained by seeded stochastic subgradient descent on
-hinge loss + L2, operating on max-abs normalized features.
+hinge loss + L2 (Pegasos), operating on max-abs normalized features.
+
+The SGD loop never shrinks the weights.  With step size
+eta_t = 1/(reg*t + 1) the per-step shrink factors telescope,
+1 - eta_t*reg = eta_t/eta_{t-1}, so the weights after step t are
+w_t = eta_t * v_t, where v_t is the plain sum of s*x over the margin
+violations so far.  ``svm_fit`` keeps A = [v | b] as one
+(classes, dim+1) array and stages each epoch's permuted samples as rows
+[x, 1/eta_{t-1}], so one matrix-vector product gives every class's
+margin test s*(w.x + b) < 1 scaled by 1/eta_{t-1}.
 
 Ties are always broken toward the smallest class id.  Models
 round-trip bit-exactly through a plain-text serialization.
@@ -25,6 +34,21 @@ def _as_matrix(X) -> np.ndarray:
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError(f"expected a non-empty 2d feature matrix, got {X.shape}")
     return X
+
+
+def _as_labels(y, rows: int) -> np.ndarray:
+    """Class ids as int64, one per sample; rejects negative or fractional ids."""
+    y = np.asarray(y)
+    if y.shape != (rows,):
+        raise ValueError(f"expected {rows} labels, got shape {y.shape}")
+    if y.dtype.kind not in "biuf":
+        raise ValueError(f"labels must be integers, got dtype {y.dtype}")
+    if y.dtype.kind == "f" and not np.all(np.isfinite(y) & (np.round(y) == y)):
+        raise ValueError("labels must be integers")
+    y = y.astype(np.int64)
+    if y.min() < 0:
+        raise ValueError(f"labels must be non-negative, got {y.min()}")
+    return y
 
 
 @dataclass(frozen=True)
@@ -56,7 +80,7 @@ class PcaClassModel:
 def pca_fit(X, y, components: int) -> PcaClassModel:
     """Per-class mean and top-d principal directions via thin SVD."""
     X = _as_matrix(X)
-    y = np.asarray(y, dtype=np.int64)
+    y = _as_labels(y, X.shape[0])
     if components < 1:
         raise ValueError("component count must be >= 1")
     class_count = int(y.max()) + 1
@@ -122,10 +146,22 @@ def svm_fit(
     Step size 1/(reg * t + 1): same 1/(reg*t) asymptotics, but bounded
     early steps so the unregularized bias stays stable.  The bias is
     updated on margin violations but not shrunk.  Training order is
-    fully determined by the seed.
+    fully determined by the seed: one ``rng.permutation(n)`` per epoch.
+
+    Step t tests the staged row r = [x, 1/eta_{t-1}] against A = [v | b]:
+    class c violates when s_c * (A_c . r) < 1/eta_{t-1}, which is
+    s_c * (w_c . x + b_c) < 1 for w = eta_{t-1} * v.  The row's last slot
+    is then set to eta_t and A += u (outer) r with u = s * violated, so
+    v gains u*x and b gains eta_t*u, the bias step of plain Pegasos.  The
+    returned weights are eta_T * v.
     """
     X = _as_matrix(X)
-    y = np.asarray(y, dtype=np.int64)
+    y = _as_labels(y, X.shape[0])
+    reg = float(reg)
+    if not (np.isfinite(reg) and reg >= 0):
+        raise ValueError(f"reg must be finite and >= 0, got {reg}")
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     class_count = int(y.max()) + 1
     if class_count < 2:
         raise ValueError("need at least 2 classes")
@@ -133,25 +169,37 @@ def svm_fit(
         X = normalizer.apply(X)
     n, dim = X.shape
     signs = np.where(y[:, None] == np.arange(class_count)[None, :], 1.0, -1.0)
-    w = np.zeros((class_count, dim))
-    b = np.zeros(class_count)
+    A = np.zeros((class_count, dim + 1))
+    # the outer product u (outer) r runs as a (classes, 1) @ (1, dim+1)
+    # np.dot into a reused buffer: one product per entry, so exact, and
+    # cheaper than a broadcast multiply
+    staged = np.empty((n, 1, dim + 1))
+    rows = staged[:, 0]
+    u_col = np.empty((class_count, 1))
+    u = u_col[:, 0]
+    outer = np.empty_like(A)
     rng = np.random.default_rng(seed)
     t = 0
     for _ in range(epochs):
-        for i in rng.permutation(n):
-            t += 1
-            eta = 1.0 / (reg * t + 1.0)
-            x = X[i]
-            s = signs[i]
-            margin = s * (w @ x + b)
-            w *= 1.0 - eta * reg
-            violated = margin < 1.0
-            if np.any(violated):
-                upd = eta * s * violated
-                w += upd[:, None] * x[None, :]
-                b += upd
+        order = rng.permutation(n)
+        steps = np.arange(t + 1, t + n + 1, dtype=np.float64)
+        rows[:, :dim] = X[order]
+        rows[:, dim] = reg * (steps - 1.0) + 1.0
+        etas = (1.0 / (reg * steps + 1.0)).tolist()
+        for r, r_row, s, eta in zip(rows, staged, signs[order], etas):
+            np.multiply(s, s * A.dot(r) < r[dim], out=u)
+            r[dim] = eta
+            np.dot(u_col, r_row, out=outer)
+            A += outer
+        t += n
+    weights = A[:, :dim] * (1.0 / (reg * t + 1.0))
     return SvmModel(
-        weights=w, biases=b, reg=reg, epochs=epochs, seed=seed, normalizer=normalizer
+        weights=weights,
+        biases=A[:, dim].copy(),
+        reg=reg,
+        epochs=epochs,
+        seed=seed,
+        normalizer=normalizer,
     )
 
 

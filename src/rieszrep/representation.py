@@ -284,30 +284,41 @@ def write_features_csv(path, matrix, paths, labels=None):
 
 
 def read_features_csv(path):
-    """Read a feature CSV; returns (matrix, paths, labels-or-None)."""
+    """Read a feature CSV; returns (matrix, paths, labels-or-None).
+
+    The header goes through the ``csv`` module, since path labels such
+    as ``"[0,1]"`` are quoted and contain commas; the numeric rows go
+    through numpy's C parser.  Blank lines are skipped.  A ragged row,
+    a field that is not a number, a width that differs from the header
+    or a label that is not an integer raises ``ValueError``.
+    """
     import csv
 
     with open(path, newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty feature file") from None
-        has_labels = bool(header) and header[-1] == "label"
-        paths = [parse_path_label(h) for h in (header[:-1] if has_labels else header)]
-        rows, labels = [], []
-        for row in reader:
-            if not row:
-                continue
-            if has_labels:
-                rows.append([float(v) for v in row[:-1]])
-                labels.append(int(row[-1]))
-            else:
-                rows.append([float(v) for v in row])
-    if not rows:
-        raise ValueError(f"{path}: feature file has no data rows")
-    matrix = np.array(rows)
-    return matrix, paths, (np.array(labels) if has_labels else None)
+        line = fh.readline()
+        if not line:
+            raise ValueError(f"{path}: empty feature file")
+        header = next(csv.reader([line]))
+        # np.loadtxt warns on an empty input; find a data row first
+        start = fh.tell()
+        if not any(row.strip() for row in iter(fh.readline, "")):
+            raise ValueError(f"{path}: feature file has no data rows")
+        fh.seek(start)
+        data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    if data.shape[1] != len(header):
+        raise ValueError(
+            f"{path}: {data.shape[1]} columns in the data rows, {len(header)} in the header"
+        )
+    has_labels = bool(header) and header[-1] == "label"
+    paths = [parse_path_label(h) for h in (header[:-1] if has_labels else header)]
+    if not has_labels:
+        return data, paths, None
+    column = data[:, -1]
+    integral = np.isfinite(column) & (np.round(column) == column)
+    if not integral.all():
+        row = int(np.argmin(integral))
+        raise ValueError(f"{path}: data row {row + 1}: label {float(column[row])!r} is not an integer")
+    return data[:, :-1], paths, column.astype(np.int64)
 
 
 def gaussian_presmooth(f: np.ndarray, sigma: float) -> np.ndarray:

@@ -253,6 +253,45 @@ def test_svm_fit_frozen_trajectory(case):
     assert err <= 1e-12 * np.abs(weights).max()
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"reg": -0.01}, "reg"),
+        ({"reg": float("nan")}, "reg"),
+        ({"reg": float("inf")}, "reg"),
+        ({"epochs": 0}, "epochs"),
+    ],
+)
+def test_svm_rejects_bad_hyperparameters(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        svm_fit(_FROZEN_X, np.arange(30) % 3, **kwargs)
+
+
+@pytest.mark.parametrize("fit", [svm_fit, lambda X, y: pca_fit(X, y, 1)])
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (np.where(np.arange(30) < 3, -1, np.arange(30) % 3), "non-negative"),
+        (np.where(np.arange(30) == 4, 1.5, np.arange(30) % 3), "integers"),
+        (np.where(np.arange(30) == 4, np.nan, np.arange(30) % 3), "integers"),
+        (np.arange(29) % 3, "30 labels"),
+        ((np.arange(30) % 3).astype(str), "integers"),
+    ],
+    ids=["negative", "fractional", "nan", "count", "text"],
+)
+def test_fit_rejects_bad_labels(fit, labels, message):
+    with pytest.raises(ValueError, match=message):
+        fit(_FROZEN_X, labels)
+
+
+def test_fit_accepts_integral_float_labels():
+    labels = np.arange(30) % 3
+    a = svm_fit(_FROZEN_X, labels.astype(float), reg=0.01, epochs=2)
+    b = svm_fit(_FROZEN_X, labels, reg=0.01, epochs=2)
+    assert np.array_equal(a.weights, b.weights)
+    assert np.array_equal(a.biases, b.biases)
+
+
 def test_svm_single_class_rejected():
     with pytest.raises(ValueError):
         svm_fit(np.ones((4, 2)), np.zeros(4, dtype=int))

@@ -329,6 +329,49 @@ def test_train_deterministic_model_bytes(tmp_path, rng):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _write_labelled_features(path, matrix, labels):
+    from rieszrep.representation import feature_paths, write_features_csv
+
+    write_features_csv(path, matrix, feature_paths(1, 4)[: matrix.shape[1]], labels)
+
+
+@pytest.mark.parametrize(
+    "extra, labels",
+    [
+        (["--reg=-0.01"], [0, 1] * 5),
+        (["--reg", "nan"], [0, 1] * 5),
+        (["--epochs", "0"], [0, 1] * 5),
+        ([], [-1] + [0, 1] * 4 + [1]),
+    ],
+    ids=["negative-reg", "nan-reg", "zero-epochs", "negative-label"],
+)
+def test_train_rejects_bad_inputs_as_config_error(tmp_path, rng, caplog, extra, labels):
+    features = tmp_path / "f.csv"
+    _write_labelled_features(features, rng.standard_normal((10, 3)), labels)
+    model = tmp_path / "m.txt"
+    assert main(["train", "--features", str(features), "--output", str(model), *extra]) == 2
+    assert "config error" in caplog.text
+    assert not model.exists()
+
+
+def test_train_drops_non_finite_rows(tmp_path, rng, caplog):
+    matrix = rng.standard_normal((12, 3))
+    labels = [0, 1] * 6
+    clean, dirty = tmp_path / "clean.csv", tmp_path / "dirty.csv"
+    _write_labelled_features(clean, matrix, labels)
+    matrix = np.vstack([matrix, [[np.inf, 0.0, 1.0], [np.nan, 1.0, 0.0]]])
+    _write_labelled_features(dirty, matrix, labels + [0, 1])
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    assert main(["train", "--features", str(clean), "--output", str(a)]) == 0
+    caplog.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--features", str(dirty), "--output", str(b)]) == 0
+    dropped = [r.getMessage() for r in caplog.records if "dropping" in r.getMessage()]
+    assert dropped == ["dropping 2 non-finite rows"]
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_eval_manifest(tmp_path, rng, capsys, monkeypatch):
     images, labels = _two_class_images(rng, per_class=8)
     _write_idx_pair(tmp_path, images, labels, stem="s1")
@@ -369,11 +412,14 @@ def test_bench_output(capsys):
 
     config = resolve_config(Args())
     config["depth"] = 1
-    assert cmd_bench(config, sizes=(16,)) == 0
+    assert cmd_bench(config, sizes=(16,), train_rows=40) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "size,stage,seconds_per_image"
     assert lines[1].startswith("16,fft2,")
     assert lines[2].startswith("16,features,")
+    assert lines[3].startswith("40x85,train,")
+    assert float(lines[3].split(",")[2]) > 0
+    assert len(lines) == 4
 
 
 def test_pipeline_scale_commutation_smoke(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -381,3 +382,48 @@ def test_features_csv_no_labels(tmp_path, rng):
     write_features_csv(out, rng.standard_normal((2, 1)), paths)
     _, _, labels = read_features_csv(out)
     assert labels is None
+
+
+@pytest.mark.parametrize("labels", [None, [3, 0, 1, 2]])
+def test_features_csv_round_trip_bit_exact(tmp_path, rng, labels):
+    paths = feature_paths(2, 4)  # labels such as "[0,1]" are quoted in the header
+    matrix = rng.standard_normal((4, len(paths))) * np.logspace(-300, 300, len(paths))
+    matrix[1] = np.nan  # a flagged image
+    matrix[2, :3] = [0.0, -0.0, 5e-324]
+    out = tmp_path / "f.csv"
+    write_features_csv(out, matrix, paths, labels)
+    assert '"[0,1]"' in out.read_text().splitlines()[0]
+    back, back_paths, back_labels = read_features_csv(out)
+    assert back_paths == list(paths)
+    assert back.tobytes() == matrix.tobytes()
+    if labels is None:
+        assert back_labels is None
+    else:
+        assert back_labels.dtype == np.int64 and list(back_labels) == labels
+
+
+def test_features_csv_header_only(tmp_path):
+    out = tmp_path / "f.csv"
+    write_features_csv(out, np.empty((0, 1)), feature_paths(0, 4), labels=[])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no data rows"):
+            read_features_csv(out)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["1.0,0", "2.0,1.5"], "not an integer"),
+        (["1.0,0", "2.0,nan"], "not an integer"),
+        (["1.0,0", "2.0"], "number of columns"),
+        (["1.0,0", "2.0,x"], "could not convert"),
+        (["1.0,2.0,0", "1.0,2.0,1"], "header"),
+    ],
+    ids=["fractional-label", "nan-label", "ragged", "text", "width"],
+)
+def test_features_csv_malformed_rows(tmp_path, rows, message):
+    out = tmp_path / "f.csv"
+    out.write_text("\r\n".join(['"[]"' + ",label", *rows]) + "\r\n", encoding="ascii")
+    with pytest.raises(ValueError, match=message):
+        read_features_csv(out)
