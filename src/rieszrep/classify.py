@@ -228,9 +228,7 @@ def predict(model, X) -> np.ndarray:
 def evaluate(model, X, y):
     """Accuracy and per-class confusion matrix (rows = true class)."""
     X = _as_matrix(X)
-    y = np.asarray(y, dtype=np.int64)
-    if len(y) == 0:
-        raise ValueError("empty test set")
+    y = _as_labels(y, X.shape[0])
     pred = predict(model, X)
     class_count = int(max(y.max(), pred.max())) + 1
     confusion = np.zeros((class_count, class_count), dtype=np.int64)

@@ -210,7 +210,7 @@ _FROZEN_X = np.array(
 # (labels, reg) -> (weights, biases) of svm_fit(_FROZEN_X, labels, reg,
 # epochs=7, seed=5), recorded from the original per-step Pegasos loop
 _FROZEN_SVM = {
-    'three': (
+    "three": (
         np.arange(30) % 3,
         0.01,
         [
@@ -220,7 +220,7 @@ _FROZEN_SVM = {
         ],
         [-1.1468074680706497, -0.9402179950257865, -1.1286021383024063],
     ),
-    'two': (
+    "two": (
         np.arange(30) % 2,
         0.01,
         [
@@ -229,7 +229,7 @@ _FROZEN_SVM = {
         ],
         [-0.1319992678170373, 0.1319992678170373],
     ),
-    'noreg': (
+    "noreg": (
         np.arange(30) % 3,
         0.0,
         [
@@ -267,7 +267,7 @@ def test_svm_rejects_bad_hyperparameters(kwargs, message):
         svm_fit(_FROZEN_X, np.arange(30) % 3, **kwargs)
 
 
-@pytest.mark.parametrize("fit", [svm_fit, lambda X, y: pca_fit(X, y, 1)])
+@pytest.mark.parametrize("fit", [svm_fit, lambda X, y: pca_fit(X, y, 1)], ids=["svm", "pca"])
 @pytest.mark.parametrize(
     "labels, message",
     [
@@ -373,6 +373,15 @@ def test_evaluate_hand_counted():
 def test_evaluate_empty_rejected():
     with pytest.raises(ValueError):
         evaluate(None, np.zeros((1, 2)), np.array([], dtype=int))
+
+
+def test_evaluate_rejects_negative_label():
+    from rieszrep.classify import SvmModel
+
+    model = SvmModel(weights=np.eye(2), biases=np.zeros(2), reg=1e-4, epochs=1, seed=0)
+    # numpy indexing would count label -1 in the last confusion row
+    with pytest.raises(ValueError, match="non-negative"):
+        evaluate(model, np.eye(2), np.array([-1, 1]))
 
 
 def test_model_round_trip_svm(tmp_path, rng):
