@@ -26,6 +26,7 @@ from .image_core import (
 from .preprocess import BlankImageError, bbox_extract, rescale
 from .representation import (
     RieszConfig,
+    Workspace,
     base_response,
     build_hierarchy,
     extract_features,

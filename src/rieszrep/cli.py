@@ -25,6 +25,7 @@ from .image_core import NonFiniteImageError, load_gray_image, load_idx, save_gra
 from .preprocess import BlankImageError, bbox_compute, bbox_extract
 from .representation import (
     RieszConfig,
+    Workspace,
     extract_features,
     feature_count,
     feature_paths,
@@ -151,9 +152,13 @@ def extract_matrix(images, config):
 
     Blank images (no bounding box) and images whose samples or feature
     maps are not finite are logged with the image index and the run
-    continues.
+    continues.  One ``Workspace`` lends the engine's buffers from each
+    image to the next while the shape repeats.  No images give a
+    (0, feature count) matrix.
     """
     cfg = riesz_config(config)
+    width = feature_count(cfg.depth, cfg.angles)
+    workspace = Workspace()
     rows = []
     for index, img in enumerate(images):
         try:
@@ -167,17 +172,21 @@ def extract_matrix(images, config):
                         threshold=config["threshold"],
                         enlarge=config["enlarge"],
                     )
-                rows.append(extract_features(img, cfg))
+                rows.append(extract_features(img, cfg, workspace=workspace))
         except (BlankImageError, NonFiniteImageError) as exc:
             log.warning("image %d flagged: %s", index, exc)
-            rows.append(np.full(feature_count(cfg.depth, cfg.angles), np.nan))
-    return np.array(rows)
+            rows.append(np.full(width, np.nan))
+    return np.array(rows).reshape(len(rows), width)
 
 
 def cmd_extract(config, args) -> int:
     if not config["output"]:
         raise ConfigError("extract requires 'output'")
     images, labels = load_input_images(config)
+    if len(images) == 0:
+        source = config["images"] or config["image_dir"]
+        limit = "" if config["limit"] is None else f" after limit {config['limit']}"
+        raise ConfigError(f"no input images to extract from {source}{limit}")
     matrix = extract_matrix(images, config)
     cfg = riesz_config(config)
     write_features_csv(
@@ -237,16 +246,22 @@ def _train_model(matrix, labels, config):
     raise ConfigError(f"unknown classifier {config['classifier']!r}")
 
 
+def _finite_rows(matrix, labels):
+    """The rows of ``matrix`` (and their labels) that hold no NaN or inf."""
+    keep = np.isfinite(matrix).all(axis=1)
+    if not keep.all():
+        log.warning("dropping %d non-finite rows", int((~keep).sum()))
+    return matrix[keep], labels[keep]
+
+
 def cmd_train(config, args) -> int:
     if not config["features"] or not config["output"]:
         raise ConfigError("train requires 'features' and 'output'")
     matrix, _, labels = read_features_csv(config["features"])
     if labels is None:
         raise ConfigError("training features must carry a label column")
-    keep = np.isfinite(matrix).all(axis=1)
-    if not keep.all():
-        log.warning("dropping %d non-finite rows", int((~keep).sum()))
-    model = _train_model(matrix[keep], labels[keep], config)
+    matrix, labels = _finite_rows(matrix, labels)
+    model = _train_model(matrix, labels, config)
     classify.save_model(model, config["output"])
     log.info("wrote model to %s", config["output"])
     return 0
@@ -285,15 +300,13 @@ def cmd_eval(config, args) -> int:
                 images = images[: config["limit"]]
                 labels = labels[: config["limit"]]
             matrix = extract_matrix(images, config)
-            keep = ~np.isnan(matrix).any(axis=1)
-            acc, confusion = classify.evaluate(model, matrix[keep], labels[keep])
+            acc, confusion = classify.evaluate(model, *_finite_rows(matrix, labels))
             report_rows.append((f"{scale:g}", acc, confusion))
     elif config["features"]:
         matrix, _, labels = read_features_csv(config["features"])
         if labels is None:
             raise ConfigError("evaluation features must carry a label column")
-        keep = ~np.isnan(matrix).any(axis=1)
-        acc, confusion = classify.evaluate(model, matrix[keep], labels[keep])
+        acc, confusion = classify.evaluate(model, *_finite_rows(matrix, labels))
         report_rows.append(("all", acc, confusion))
     else:
         raise ConfigError("eval requires 'features' or 'manifest'")
@@ -328,22 +341,28 @@ def cmd_bench(config, args=None, sizes=(24, 64, 128, 256), train_rows=2000) -> i
     """Seconds per image for ``fft2`` and ``features`` at each size, then
     seconds per ``svm_fit`` (reg 0.01, 50 epochs) on a seeded
     ``train_rows`` x 85, 10-class synthetic set, on the row ``<rows>x85,train``.
+
+    ``fft2`` is the mean of 3 calls on one image.  ``features`` is the
+    mean over 4 consecutive images of the size run through
+    ``extract_matrix`` without bbox cropping, as ``extract`` runs them,
+    so the engine's buffers are lent from image to image; the filter
+    caches are warmed first.
     """
     cfg = riesz_config(config)
+    run = dict(config, bbox=False)
     rng = np.random.default_rng(config["seed"])
     print("size,stage,seconds_per_image")
     for size in sizes:
-        f = rng.standard_normal((size, size))
-        for stage, fn in (
-            ("fft2", lambda: np.fft.fft2(f)),
-            ("features", lambda: extract_features(f, cfg)),
-        ):
-            fn()  # warm multiplier caches
-            reps = 3
-            start = time.perf_counter()
-            for _ in range(reps):
-                fn()
-            print(f"{size},{stage},{(time.perf_counter() - start) / reps:.6f}")
+        stack = rng.standard_normal((4, size, size))
+        np.fft.fft2(stack[0])
+        start = time.perf_counter()
+        for _ in range(3):
+            np.fft.fft2(stack[0])
+        print(f"{size},fft2,{(time.perf_counter() - start) / 3:.6f}")
+        extract_features(stack[0], cfg)  # warm the filter caches
+        start = time.perf_counter()
+        extract_matrix(stack, run)
+        print(f"{size},features,{(time.perf_counter() - start) / len(stack):.6f}")
     centers = rng.standard_normal((10, 85))
     labels = np.arange(train_rows) % 10
     X = centers[labels] + rng.standard_normal((train_rows, 85))

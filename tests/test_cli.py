@@ -1,3 +1,4 @@
+import argparse
 import struct
 import warnings
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from rieszrep.cli import data_path, load_config_file, main
+from rieszrep.cli import data_path, load_config_file, main, resolve_config
 from rieszrep.verify import FAULTS
 
 from conftest import synthetic_digit
@@ -23,6 +24,10 @@ def _write_idx_pair(directory, images, labels, stem="set"):
         fh.write(struct.pack(">ii", 0x801, len(labels)))
         fh.write(bytes(labels))
     return ipath, lpath
+
+
+def _default_config(**overrides):
+    return dict(resolve_config(argparse.Namespace(config=None)), **overrides)
 
 
 def _two_class_images(rng, per_class=12, size=16):
@@ -132,6 +137,68 @@ def test_extract_deterministic_bytes(tmp_path, rng):
     assert main(args + ["--output", str(a)]) == 0
     assert main(args + ["--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_extract_batch_matches_single_image_bytes(tmp_path, rng):
+    # a same-shape IDX stack lends the engine's buffers from image to
+    # image; each row must equal the CSV of that image extracted alone
+    images = rng.random((6, 20, 16))
+    labels = [0, 1, 2, 0, 1, 2]
+    riesz = ["--depth", "2", "--angles", "8"]
+    ipath, lpath = _write_idx_pair(tmp_path, images, labels)
+    batch = tmp_path / "batch.csv"
+    assert main(["extract", "--images", str(ipath), "--labels", str(lpath), *riesz,
+                 "--output", str(batch)]) == 0
+    expected = []
+    for i in range(len(images)):
+        ipath, lpath = _write_idx_pair(tmp_path, images[i : i + 1], labels[i : i + 1], stem=f"one{i}")
+        single = tmp_path / f"one{i}.csv"
+        assert main(["extract", "--images", str(ipath), "--labels", str(lpath), *riesz,
+                     "--output", str(single)]) == 0
+        header, row = single.read_bytes().splitlines(keepends=True)
+        expected += [header] * (i == 0) + [row]
+    assert batch.read_bytes() == b"".join(expected)
+
+
+def test_extract_matrix_shape_sequence_matches_single_calls(rng):
+    # shapes A A A B A A B B with an overflowing image inside the first A run
+    from rieszrep.cli import extract_matrix
+    from rieszrep.representation import RieszConfig, extract_features
+
+    config = _default_config(depth=2, angles=4)
+    shapes = [(24, 20), (24, 20), (24, 20), (17, 31), (24, 20), (24, 20), (17, 31), (17, 31)]
+    images = [rng.random(shape) for shape in shapes]
+    images[1] = np.full(shapes[1], 1e308)
+    with np.errstate(all="ignore"):
+        matrix = extract_matrix(images, config)
+    cfg = RieszConfig(depth=2, angles=4)
+    assert matrix.shape == (8, 21)
+    assert np.isnan(matrix[1]).all()
+    for i in (0, 2, 3, 4, 5, 6, 7):
+        assert_array_equal(matrix[i], extract_features(images[i], cfg))
+
+
+def test_extract_matrix_of_no_images_has_feature_width():
+    from rieszrep.cli import extract_matrix
+
+    assert extract_matrix([], _default_config()).shape == (0, 85)
+    assert extract_matrix(np.empty((0, 8, 8)), _default_config(depth=2, angles=8)).shape == (0, 73)
+
+
+@pytest.mark.parametrize("trigger", ["empty-idx", "limit-0"])
+def test_extract_without_images_is_config_error(tmp_path, rng, caplog, trigger):
+    if trigger == "empty-idx":
+        ipath, lpath = _write_idx_pair(tmp_path, np.empty((0, 8, 8)), [])
+        extra = []
+    else:
+        ipath, lpath = _write_idx_pair(tmp_path, rng.random((2, 8, 8)), [0, 1])
+        extra = ["--limit", "0"]
+    out = tmp_path / "f.csv"
+    code = main(["extract", "--images", str(ipath), "--labels", str(lpath), *extra,
+                 "--output", str(out)])
+    assert code == 2
+    assert f"no input images to extract from {ipath}" in caplog.text
+    assert not out.exists()
 
 
 def test_extract_image_dir(tmp_path, rng):
@@ -372,6 +439,25 @@ def test_train_drops_non_finite_rows(tmp_path, rng, caplog):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_eval_drops_non_finite_rows(tmp_path, rng, capsys, caplog):
+    matrix = np.array([[2.0, 0.1, 0.0], [-2.0, 0.0, 0.1], [1.5, 0.2, 0.1], [-1.5, 0.1, 0.2]])
+    labels = [1, 0, 1, 0]
+    features, model = tmp_path / "f.csv", tmp_path / "m.txt"
+    _write_labelled_features(features, np.vstack([matrix] * 4), labels * 4)
+    assert main(["train", "--features", str(features), "--reg", "0.01",
+                 "--output", str(model)]) == 0
+    matrix[2, 1] = np.inf
+    _write_labelled_features(features, matrix, labels)
+    caplog.clear()
+    capsys.readouterr()
+    assert main(["eval", "--features", str(features), "--model", str(model)]) == 0
+    out = capsys.readouterr().out
+    confusion = [[int(v) for v in line.split()] for line in out.splitlines()[-2:]]
+    assert np.sum(confusion) == 3
+    dropped = [r.getMessage() for r in caplog.records if "dropping" in r.getMessage()]
+    assert dropped == ["dropping 1 non-finite rows"]
+
+
 def test_eval_manifest(tmp_path, rng, capsys, monkeypatch):
     images, labels = _two_class_images(rng, per_class=8)
     _write_idx_pair(tmp_path, images, labels, stem="s1")
@@ -420,6 +506,28 @@ def test_bench_output(capsys):
     assert lines[3].startswith("40x85,train,")
     assert float(lines[3].split(",")[2]) > 0
     assert len(lines) == 4
+
+
+def test_bench_features_row_runs_images_through_one_workspace(capsys, monkeypatch):
+    import rieszrep.cli as cli
+
+    workspaces = []
+    original = cli.extract_features
+
+    def spy(f, cfg, *, workspace=None):
+        workspaces.append(workspace)
+        return original(f, cfg, workspace=workspace)
+
+    monkeypatch.setattr(cli, "extract_features", spy)
+    config = _default_config(depth=1, bbox=True)  # bench times fixed sizes, never crops
+    assert cli.cmd_bench(config, sizes=(16,), train_rows=40) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].startswith("16,features,")
+    assert float(lines[2].split(",")[2]) > 0
+    timed = workspaces[1:]  # the first call warms the caches
+    assert len(timed) == 4 and timed[0] is not None
+    assert all(w is timed[0] for w in timed)
+    assert timed[0]._buffers is not None
 
 
 def test_pipeline_scale_commutation_smoke(tmp_path):

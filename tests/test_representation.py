@@ -9,6 +9,7 @@ import rieszrep.representation as representation
 from rieszrep.image_core import NonFiniteImageError
 from rieszrep.representation import (
     RieszConfig,
+    Workspace,
     base_response,
     build_hierarchy,
     extract_features,
@@ -227,6 +228,72 @@ def test_engine_outputs_do_not_alias_reused_buffers(monkeypatch, rng):
             assert_array_equal(m, saved_maps[p])
         for a, b in zip(layer_S(f, cfg), saved_layer):
             assert_array_equal(a, b)
+        # the second same-shape call keeps the buffers, the third reuses them
+        workspace = Workspace()
+        features = [extract_features(x, cfg, workspace=workspace) for x in (f, g, f)]
+        saved_features = [v.copy() for v in features]
+        maps = build_hierarchy(f, cfg)
+        extract_features(g, cfg, workspace=workspace)
+        assert workspace._buffers is not None
+        for p, m in maps.items():
+            assert_array_equal(m, saved_maps[p])
+        for a, b in zip(features, saved_features):
+            assert_array_equal(a, b)
+
+
+_SEQUENCE_CONFIGS = {
+    "K3M4": RieszConfig(depth=3, angles=4),
+    "K2M8-max": RieszConfig(depth=2, angles=8, pooling="max"),
+    "C0.7-presmooth": RieszConfig(depth=2, angles=4, scale_constant=0.7, presmooth_sigma=1.5),
+    "K1": RieszConfig(depth=1),
+}
+
+
+@pytest.mark.parametrize("name", list(_SEQUENCE_CONFIGS))
+def test_workspace_sequence_matches_independent_calls(rng, name):
+    # shapes A A A B A A B B, the second A overflowing: buffers are kept
+    # from the second consecutive image of a shape until the shape changes
+    cfg = _SEQUENCE_CONFIGS[name]
+    shapes = [(24, 20), (24, 20), (24, 20), (17, 31), (24, 20), (24, 20), (17, 31), (17, 31)]
+    images = [rng.standard_normal(shape) for shape in shapes]
+    images[1] = np.full(shapes[1], 1e308)
+    workspace = Workspace()
+    kept = []
+    for i, f in enumerate(images):
+        if i == 1:
+            with np.errstate(all="ignore"), pytest.raises(NonFiniteImageError):
+                extract_features(f, cfg, workspace=workspace)
+        else:
+            got = extract_features(f, cfg, workspace=workspace)
+            assert_array_equal(got, extract_features(f, cfg))
+        kept.append(workspace._buffers)
+    assert [b is not None for b in kept] == [False, True, True, False, False, True, False, True]
+    assert kept[2] is kept[1]
+
+
+def test_workspace_buffers_prefilled_with_nan(rng):
+    cfg = RieszConfig(depth=3, angles=4)
+    f, g = rng.standard_normal((2, 19, 22))
+    workspace = Workspace()
+    extract_features(f, cfg, workspace=workspace)
+    extract_features(f, cfg, workspace=workspace)
+    spec, basis_spec, basis, steered, levels = workspace._buffers
+    for buffer in (spec, basis_spec, basis, steered, *levels):
+        buffer.fill(np.nan)
+    assert_array_equal(extract_features(g, cfg, workspace=workspace), extract_features(g, cfg))
+
+
+def test_workspace_follows_batch_budget_changes(monkeypatch, rng):
+    # the group size is part of the key: buffers kept for one parent per
+    # group must not be lent to a call that groups a whole level
+    cfg = RieszConfig(depth=3, angles=4)
+    images = rng.standard_normal((8, 16, 12))
+    three_banks = 3 * cfg.angles * 16 * 12 * 16
+    budgets = (1, 1, 1 << 40, 1 << 40, 1 << 40, three_banks, three_banks, 1)
+    workspace = Workspace()
+    for f, budget in zip(images, budgets):
+        monkeypatch.setattr(representation, "_BATCH_BYTES", budget)
+        assert_array_equal(extract_features(f, cfg, workspace=workspace), extract_features(f, cfg))
 
 
 def test_non_hermitian_multiplier_rejected_at_bank_build(monkeypatch, rng):
