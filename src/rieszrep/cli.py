@@ -290,6 +290,7 @@ def cmd_eval(config, args) -> int:
         raise ConfigError("eval requires 'model'")
     model = classify.load_model(data_path(config["model"]))
     report_rows = []
+    empty_shards = 0
     if config["manifest"]:
         for scale, images_path, labels_path in _parse_manifest(
             data_path(config["manifest"])
@@ -299,8 +300,17 @@ def cmd_eval(config, args) -> int:
             if config["limit"] is not None:
                 images = images[: config["limit"]]
                 labels = labels[: config["limit"]]
-            matrix = extract_matrix(images, config)
-            acc, confusion = classify.evaluate(model, *_finite_rows(matrix, labels))
+            matrix, labels = _finite_rows(extract_matrix(images, config), labels)
+            if len(matrix) == 0:
+                # the other shards are still evaluated and reported
+                log.error(
+                    "scale %g: no images left to evaluate in %s (none, or all blank or flagged)",
+                    scale,
+                    images_path,
+                )
+                empty_shards += 1
+                continue
+            acc, confusion = classify.evaluate(model, matrix, labels)
             report_rows.append((f"{scale:g}", acc, confusion))
     elif config["features"]:
         matrix, _, labels = read_features_csv(config["features"])
@@ -323,7 +333,7 @@ def cmd_eval(config, args) -> int:
             fh.write("scale,accuracy\n")
             for name, acc, _ in report_rows:
                 fh.write(f"{name},{acc:.6f}\n")
-    return 0
+    return 1 if empty_shards else 0
 
 
 def cmd_verify(config, args) -> int:
@@ -337,10 +347,16 @@ def cmd_verify(config, args) -> int:
     return 1 if failed else 0
 
 
-def cmd_bench(config, args=None, sizes=(24, 64, 128, 256), train_rows=2000) -> int:
+def cmd_bench(
+    config, args=None, sizes=(24, 64, 128, 256, (97, 67)), train_rows=2000
+) -> int:
     """Seconds per image for ``fft2`` and ``features`` at each size, then
     seconds per ``svm_fit`` (reg 0.01, 50 epochs) on a seeded
     ``train_rows`` x 85, 10-class synthetic set, on the row ``<rows>x85,train``.
+
+    A size is a square's side or a (height, width) pair, printed as
+    ``<height>x<width>``.  97x67 is the shape of a scale-4 digit crop:
+    both axes prime, its width on the engine's DFT-matrix path.
 
     ``fft2`` is the mean of 3 calls on one image.  ``features`` is the
     mean over 4 consecutive images of the size run through
@@ -353,16 +369,19 @@ def cmd_bench(config, args=None, sizes=(24, 64, 128, 256), train_rows=2000) -> i
     rng = np.random.default_rng(config["seed"])
     print("size,stage,seconds_per_image")
     for size in sizes:
-        stack = rng.standard_normal((4, size, size))
+        square = isinstance(size, int)
+        height, width = (size, size) if square else size
+        name = size if square else f"{height}x{width}"
+        stack = rng.standard_normal((4, height, width))
         np.fft.fft2(stack[0])
         start = time.perf_counter()
         for _ in range(3):
             np.fft.fft2(stack[0])
-        print(f"{size},fft2,{(time.perf_counter() - start) / 3:.6f}")
+        print(f"{name},fft2,{(time.perf_counter() - start) / 3:.6f}")
         extract_features(stack[0], cfg)  # warm the filter caches
         start = time.perf_counter()
         extract_matrix(stack, run)
-        print(f"{size},features,{(time.perf_counter() - start) / len(stack):.6f}")
+        print(f"{name},features,{(time.perf_counter() - start) / len(stack):.6f}")
     centers = rng.standard_normal((10, 85))
     labels = np.arange(train_rows) % 10
     X = centers[labels] + rng.standard_normal((train_rows, 85))

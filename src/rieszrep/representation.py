@@ -19,10 +19,16 @@ each response as second-order + i * first-order part, so the amplitude
 is the complex modulus.  Per image that is sum_{k<K} M^k real forward
 and 5 * sum_{k<K} M^k real inverse 2d transforms: 63 complex-FFT
 equivalents for K=3, M=4 and 27 for K=2, M=8 (105 and 81 with one
-complex inverse per angle).  The parent maps of a level go through
-numpy's FFT in cache-sized groups, four one-axis FFT calls per group,
-so a 25x17 crop with K=3, M=4 costs one group per level (12 calls per
-image), while a 128x128 image with M=8 goes one parent per group.
+complex inverse per angle).  The parent maps of a level are
+transformed in cache-sized groups, four one-axis transform calls per
+group, so a 25x17 crop with K=3, M=4 costs one group per level (12
+calls per image), while a 128x128 image with M=8 goes one parent per
+group.  The complex (height) axis always goes through numpy's FFT.  The
+real (width) axis does too for a 7-smooth width of 64 or more; any
+other width up to 256 is transformed by products with a cached real
+DFT matrix (``_real_dft``): pocketfft takes 4-9x longer on a prime
+length than on a neighbouring smooth one, and a bounding-box crop has
+whatever width the digit gives it.
 
 Feature maps are ordered depth-major, then lexicographically by the
 sequence of rotation indices, so the empty path (the raw input) comes
@@ -116,6 +122,56 @@ def _basis_bank(height: int, width: int) -> np.ndarray:
     return bank
 
 
+@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _real_dft(width: int):
+    """Read-only real DFT matrices for the last axis, or None for pocketfft.
+
+    Returns (forward, inverse) with h = W//2+1: forward is (W, 2h), so
+    ``x @ forward`` holds ``np.fft.rfft(x)`` as interleaved re/im
+    columns; inverse is (2h, W), so ``spec.view(float64) @ inverse`` is
+    ``np.fft.irfft(spec, n=W)``.  The inverse weights bins 1..(W-1)//2
+    by 2 and DC and (for even W) Nyquist by 1, and ignores their
+    imaginary parts, as ``irfft`` does.
+
+    pocketfft runs a slow generic pass for each prime factor above 5 of
+    the length; one matrix product costs about W multiply-adds per
+    output whatever W factors into.  So the matrix is used for every
+    W < 64, where it always won, and for 64 <= W <= 256 with a prime
+    factor above 7.  Forward, per row, on a 2-vCPU x86 host with numpy
+    2.4.6 and OpenBLAS: 0.24 against 2.7 us at W=67, 2.0 against 8.6 us
+    at 251.  A 7-smooth W >= 64 stays with pocketfft, which wins from
+    W=128 on (0.60 against 0.76 us), and so does W > 256, where the
+    matrices grow as W^2 and the matrix loses again by W=1021 (38.5
+    against 26.5 us); below the cap a pair is at most about 1 MB.
+    """
+    rest = width
+    for p in (2, 3, 5, 7):
+        while rest % p == 0:
+            rest //= p
+    if width > 256 or (width >= 64 and rest == 1):
+        return None
+    half, even = width // 2 + 1, width % 2 == 0
+    # twiddles indexed by (j*k) mod W keep every angle below 2*pi; the
+    # DC and Nyquist twiddles are exactly 1 and -1, so the imaginary
+    # rows of those bins in the inverse are exactly zero, not 1e-16
+    twiddle = np.exp(-2j * np.pi * np.arange(width) / width)
+    weight = np.full(half, 2.0 / width)
+    weight[0] = 1.0 / width
+    if even:
+        twiddle[width // 2] = -1.0
+        weight[-1] = 1.0 / width
+    forward = twiddle[np.outer(np.arange(width), np.arange(half)) % width]
+    # x[j] = sum_k w_k (Re X_k cos(2 pi jk/W) - Im X_k sin(2 pi jk/W))
+    inverse = np.empty((half, 2, width))
+    inverse[:, 0] = weight[:, None] * forward.real.T
+    inverse[:, 1] = weight[:, None] * forward.imag.T
+    forward = forward.view(np.float64)
+    inverse = inverse.reshape(2 * half, width)
+    forward.setflags(write=False)
+    inverse.setflags(write=False)
+    return forward, inverse
+
+
 @functools.lru_cache(maxsize=None)
 def _steering(angles: int) -> np.ndarray:
     """Read-only (M, 5, 2) weights that steer the basis to the angles k*pi/M.
@@ -171,11 +227,12 @@ def _level_chunks(
 
     Each level's parent maps are transformed g at a time, with
     g = min(max(1, _BATCH_BYTES // (16*M*H*W)), M^(depth-1)): one real
-    forward FFT over (g, H, W) into a half spectrum, one multiply by the
-    broadcast basis bank into (g, 5, H, W//2+1), one in-place inverse
-    along axis -2 and one real inverse along axis -1 into a contiguous
-    (g, 5, H, W) buffer.  That gives R11, R22, R12, R1 and R2 of every
-    parent: five real inverse transforms per parent whatever M is.  One
+    forward transform along axis -1 over (g, H, W) into a half spectrum,
+    one complex FFT along axis -2, one multiply by the broadcast basis
+    bank into (g, 5, H, W//2+1), one in-place inverse FFT along axis -2
+    and one real inverse along axis -1 into a contiguous (g, 5, H, W)
+    buffer.  That gives R11, R22, R12, R1 and R2 of every parent: five
+    real inverse transforms per parent whatever M is.  One
     matrix product of the transposed basis with the steering weights
     then writes each angle's second-order response as real part and
     first-order response as imaginary part of a (g, M, H*W) complex
@@ -185,6 +242,16 @@ def _level_chunks(
     follow.  Yields one (g*M, H, W) chunk per group.  Deepest-level
     chunks share one buffer, valid until the next chunk, unless
     ``keep_last``.
+
+    The two real transforms are ``np.fft.rfft`` and ``np.fft.irfft``
+    unless ``_real_dft`` has matrices for the width (below 64, or up to
+    256 with a prime factor above 7; see there why).  Then each is one
+    ``np.matmul`` of the (g, H, W) or (g, 5, H, 2h) stack by the matrix,
+    reading and writing the complex buffers as interleaved re/im floats.
+    numpy makes one GEMM per (H, .) slice, so every product has the same
+    shape whatever g is and the maps stay bit-identical across group
+    sizes; one product over the stack flattened to (g*H) rows made them
+    differ by up to 6e-16 relative.
 
     On small crops numpy's per-call overhead dominates, so grouping
     parents cuts the time; on large maps one whole level per call was
@@ -207,7 +274,7 @@ def _level_chunks(
         return
     height, width = f.shape
     angles = config.angles
-    bank, weights = _basis_bank(height, width), _steering(angles)
+    bank, weights, dft = _basis_bank(height, width), _steering(angles), _real_dft(width)
     group = min(max(1, _BATCH_BYTES // (16 * angles * f.size)), angles ** (depth - 1))
 
     def allocate():
@@ -236,11 +303,17 @@ def _level_chunks(
             n = len(parents)
             out = nxt[:n] if reuse else nxt[start : start + n]
             s, b, r, c = spec[:n], basis_spec[:n], basis[:n], steered[:n]
-            np.fft.rfft(parents, axis=-1, out=s)
+            if dft is None:
+                np.fft.rfft(parents, axis=-1, out=s)
+            else:
+                np.matmul(parents, dft[0], out=s.view(np.float64))
             np.fft.fft(s, axis=-2, out=s)
             np.multiply(bank, s[:, None], out=b)
             np.fft.ifft(b, axis=-2, out=b)
-            np.fft.irfft(b, n=width, axis=-1, out=r)
+            if dft is None:
+                np.fft.irfft(b, n=width, axis=-1, out=r)
+            else:
+                np.matmul(b.view(np.float64), dft[1], out=r)
             # (n, 1, H*W, 5) @ (M, 5, 2) -> (n, M, H*W, 2) = real, imag
             np.matmul(
                 r.reshape(n, 1, 5, -1).swapaxes(-1, -2),
@@ -308,14 +381,20 @@ def extract_features(f: np.ndarray, config: RieszConfig, *, workspace=None) -> n
     shared by consecutive calls lends the engine's buffers from one
     image to the next while the shape repeats; none of them escapes,
     since only pooled values are returned, and the values are
-    bit-identical to a call without one.
+    bit-identical to a call without one.  Raises ``NonFiniteImageError``
+    when a map or a pooled value is not finite.
     """
     f = _prepared(f, config)
     pool = np.mean if config.pooling == "mean" else np.max
     levels = _level_chunks(f, config, config.depth, keep_last=False, workspace=workspace)
     chunks = itertools.chain([f[None]], levels)
     # each chunk is pooled before the generator reuses its buffer
-    return np.concatenate([pool(c.reshape(len(c), -1), axis=1) for c in chunks])
+    features = np.concatenate([pool(c.reshape(len(c), -1), axis=1) for c in chunks])
+    # the engine checks its maps, but the mean of the input itself can
+    # overflow, which is all there is to check at depth 0
+    if not np.isfinite(features).all():
+        raise NonFiniteImageError("pooled features are not finite")
+    return features
 
 
 def write_features_csv(path, matrix, paths, labels=None):

@@ -303,6 +303,31 @@ def test_flagged_image_logs_once_without_warnings(tmp_path, caplog):
     ]
 
 
+@pytest.mark.parametrize(
+    "shape, depth, reason",
+    [
+        ((19, 67), 3, "image contains non-finite samples"),  # width on the DFT-matrix path
+        ((8, 8), 0, "pooled features are not finite"),  # only the mean overflows
+    ],
+    ids=["dft-matrix-width", "depth-0"],
+)
+def test_overflowing_image_flagged_once(tmp_path, caplog, shape, depth, reason):
+    from rieszrep.representation import feature_count, read_features_csv
+
+    d = tmp_path / "imgs"
+    d.mkdir()
+    write_matrix(d / "a.txt", np.full(shape, 1e308))
+    out = tmp_path / "f.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["extract", "--image-dir", str(d), "--depth", str(depth), "--output", str(out)])
+    assert code == 0
+    flagged = [r.getMessage() for r in caplog.records if "flagged" in r.getMessage()]
+    assert flagged == [f"image 0 flagged: {reason}"]
+    matrix, _, _ = read_features_csv(out)
+    assert matrix.shape == (1, feature_count(depth, 4)) and np.isnan(matrix).all()
+
+
 @pytest.mark.parametrize("verbose", [False, True])
 def test_runtime_error_traceback_only_when_verbose(tmp_path, caplog, verbose):
     argv = ["train", "--features", str(tmp_path / "missing.csv"), "--output", "m.txt"]
@@ -480,6 +505,37 @@ def test_eval_manifest(tmp_path, rng, capsys, monkeypatch):
     scale, acc = lines[1].split(",")
     assert scale == "1"
     assert float(acc) >= 0.9
+
+
+def test_eval_manifest_reports_empty_shard(tmp_path, rng, capsys, caplog, monkeypatch):
+    # scale 2 has no images: it is named, the scale-1 shard is still
+    # reported and written, and the exit status is 1
+    images, labels = _two_class_images(rng, per_class=8)
+    _write_idx_pair(tmp_path, images, labels, stem="s1")
+    _write_idx_pair(tmp_path, np.empty((0, 16, 16)), [], stem="s2")
+    (tmp_path / "manifest.txt").write_text(
+        "scale 1 images s1-images.idx labels s1-labels.idx\n"
+        "scale 2 images s2-images.idx labels s2-labels.idx\n"
+    )
+    monkeypatch.setenv("RIESZ_DATA_DIR", str(tmp_path))
+    features, model, report = tmp_path / "f.csv", tmp_path / "m.txt", tmp_path / "acc.csv"
+    main(["extract", "--images", "s1-images.idx", "--labels", "s1-labels.idx",
+          "--depth", "1", "--output", str(features)])
+    main(["train", "--features", str(features), "--output", str(model)])
+    capsys.readouterr()
+    caplog.clear()
+    code = main(["eval", "--manifest", "manifest.txt", "--model", str(model),
+                 "--depth", "1", "--output", str(report)])
+    assert code == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+    assert "scale 2" in errors[0] and "s2-images.idx" in errors[0]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "scale,accuracy" and lines[1].startswith("1,")
+    assert not any(line.startswith("2,") for line in lines)
+    written = report.read_text().splitlines()
+    assert written[0] == "scale,accuracy" and len(written) == 2
+    assert float(written[1].split(",")[1]) >= 0.9
 
 
 def test_eval_manifest_malformed(tmp_path):

@@ -158,7 +158,8 @@ _ENGINE_CONFIGS = {
 
 @pytest.mark.parametrize("name", list(_ENGINE_CONFIGS))
 @pytest.mark.parametrize(
-    "shape", [(1, 1), (1, 7), (7, 1), (2, 2), (3, 5), (17, 13), (31, 64), (64, 64)]
+    "shape",
+    [(1, 1), (1, 7), (7, 1), (2, 2), (3, 5), (17, 13), (31, 64), (64, 64), (19, 67), (12, 66)],
 )
 def test_engine_matches_two_inverse_algorithm(rng, shape, name):
     cfg = _ENGINE_CONFIGS[name]
@@ -184,7 +185,8 @@ _GROUPING_CONFIGS = {
 
 @pytest.mark.parametrize("name", list(_GROUPING_CONFIGS))
 @pytest.mark.parametrize(
-    "shape", [(1, 1), (1, 9), (2, 2), (13, 10), (25, 7), (26, 18), (49, 35), (128, 128)]
+    "shape",
+    [(1, 1), (1, 9), (2, 2), (13, 10), (25, 7), (26, 18), (49, 35), (128, 128), (19, 67), (12, 66)],
 )
 def test_engine_outputs_independent_of_group_size(monkeypatch, rng, shape, name):
     # a budget of 1 byte gives one parent per group, 1 << 40 one group per
@@ -203,6 +205,38 @@ def test_engine_outputs_independent_of_group_size(monkeypatch, rng, shape, name)
         assert_array_equal(features, results[0][0])
         assert_array_equal(pooled, results[0][1])
         assert_array_equal(np.array(layer), np.array(results[0][2]))
+
+
+def _largest_prime_factor(n):
+    largest, p = 1, 2
+    while n > 1:
+        while n % p == 0:
+            n, largest = n // p, p
+        p += 1
+    return largest
+
+
+def test_real_dft_matrices_match_numpy_and_route_by_width(rng):
+    # the inverse gets non-Hermitian half spectra with large imaginary
+    # DC and Nyquist parts: irfft ignores them, and so must the matrix
+    for width in range(1, 301):
+        pair = representation._real_dft(width)
+        assert (pair is None) == (width > 256 or (width >= 64 and _largest_prime_factor(width) <= 7))
+        if pair is None:
+            continue
+        forward, inverse = pair
+        assert not forward.flags.writeable and not inverse.flags.writeable
+        x = rng.standard_normal((3, width))
+        expected = np.fft.rfft(x)
+        got = (x @ forward).view(np.complex128)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        spec = rng.standard_normal((3, width // 2 + 1, 2))
+        spec[:, 0, 1] *= 1e8
+        if width % 2 == 0:
+            spec[:, -1, 1] *= 1e8
+        expected = np.fft.irfft(spec.view(np.complex128)[..., 0], n=width)
+        got = spec.reshape(3, -1) @ inverse
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_engine_outputs_do_not_alias_reused_buffers(monkeypatch, rng):
