@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from rieszrep.cli import data_path, load_config_file, main, resolve_config
+from rieszrep.cli import build_parser, data_path, load_config_file, main, resolve_config
 from rieszrep.verify import FAULTS
 
 from conftest import synthetic_digit
@@ -65,6 +65,78 @@ def test_verify_fault_injection(capsys):
         out = capsys.readouterr().out
         failed = {l.split()[1].rstrip(":") for l in out.splitlines() if l.startswith("FAIL")}
         assert failed == failing
+
+
+_COMMON = {
+    (("-h", "--help"), "help", None, None, None),
+    (("--config",), "config", None, None, None),
+    (("--print-config",), "print_config", None, True, None),
+    (("--seed",), "seed", None, None, int),
+}
+_RIESZ = {
+    (("--depth",), "depth", None, None, int),
+    (("--angles",), "angles", None, None, int),
+    (("--scale-constant",), "scale_constant", None, None, float),
+    (("--pooling",), "pooling", ("mean", "max"), None, None),
+    (("--presmooth-sigma",), "presmooth_sigma", None, None, float),
+}
+_BBOX = {
+    (("--bbox",), "bbox", None, True, None),
+    (("--pad",), "pad", None, None, int),
+    (("--threshold",), "threshold", None, None, float),
+    (("--enlarge",), "enlarge", None, None, float),
+}
+_LIMIT = (("--limit",), "limit", None, None, int)
+_OUTPUT = (("--output",), "output", None, None, None)
+_FEATURES = (("--features",), "features", None, None, None)
+_INPUT = {
+    (("--images",), "images", None, None, None),
+    (("--labels",), "labels", None, None, None),
+    (("--image-dir",), "image_dir", None, None, None),
+    _LIMIT,
+}
+_OPTION_TABLE = {
+    "extract": _COMMON | _RIESZ | _INPUT | _BBOX | {_OUTPUT},
+    "bbox": _COMMON | _INPUT | _BBOX | {(("--out-dir",), "out_dir", None, None, None)},
+    "train": _COMMON | {
+        _FEATURES,
+        (("--classifier",), "classifier", ("pca", "svm"), None, None),
+        (("--components",), "components", None, None, int),
+        (("--reg",), "reg", None, None, float),
+        (("--epochs",), "epochs", None, None, int),
+        _OUTPUT,
+    },
+    "eval": _COMMON | _RIESZ | _BBOX | {
+        _FEATURES,
+        (("--manifest",), "manifest", None, None, None),
+        _LIMIT,
+        (("--model",), "model", None, None, None),
+        _OUTPUT,
+    },
+    "verify": _COMMON | {
+        (("--inject-fault",), "inject_fault", ("dc-not-zeroed",), None, None),
+    },
+    "bench": _COMMON | _RIESZ,
+}
+
+
+def test_subcommand_option_table():
+    # (option strings, dest, choices, const, type) of every subcommand;
+    # argparse treats type=str as no conversion, so str is read as None
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert set(sub.choices) == set(_OPTION_TABLE)
+    for name, parser in sub.choices.items():
+        table = {
+            (
+                tuple(a.option_strings),
+                a.dest,
+                None if a.choices is None else tuple(a.choices),
+                a.const,
+                None if a.type is str else a.type,
+            )
+            for a in parser._actions
+        }
+        assert table == _OPTION_TABLE[name], name
 
 
 def test_config_file_unknown_key(tmp_path):
