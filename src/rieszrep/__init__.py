@@ -27,14 +27,12 @@ from .preprocess import BlankImageError, bbox_extract, rescale
 from .representation import (
     RieszConfig,
     Workspace,
-    base_response,
     build_hierarchy,
     extract_features,
     feature_count,
     feature_paths,
     gaussian_presmooth,
     layer_S,
-    pool_global,
 )
 from .riesz import (
     MonogenicSignal,

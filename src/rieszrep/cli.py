@@ -35,6 +35,16 @@ from .representation import (
 
 log = logging.getLogger("riesz")
 
+
+def _parse_bool(value):
+    """A config-file switch: 1/true/yes or 0/false/no, in any case."""
+    if value.lower() in ("1", "true", "yes"):
+        return True
+    if value.lower() in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected 1/true/yes or 0/false/no, got {value!r}")
+
+
 # key -> (parser, default); config files and flags share this schema
 _SCHEMA = {
     "depth": (int, 3),
@@ -48,7 +58,7 @@ _SCHEMA = {
     "image_dir": (str, None),
     "manifest": (str, None),
     "limit": (int, None),
-    "bbox": (lambda v: str(v).lower() in ("1", "true", "yes"), False),
+    "bbox": (_parse_bool, False),
     "pad": (int, 50),
     "threshold": (float, 0.5),
     "enlarge": (float, 0.4),
@@ -61,6 +71,9 @@ _SCHEMA = {
     "output": (str, None),
     "out_dir": (str, None),
 }
+
+# keys whose flag accepts only these values
+_CHOICES = {"pooling": ("mean", "max"), "classifier": ("pca", "svm")}
 
 
 class ConfigError(ValueError):
@@ -285,41 +298,45 @@ def _parse_manifest(path):
     return shards
 
 
+def _eval_sets(config):
+    """Yield (name, source, feature matrix, labels) of each set to evaluate.
+
+    A manifest gives one set per shard, named by its scale and extracted
+    when reached; a feature CSV gives the one set ``all``.
+    """
+    if config["manifest"]:
+        for scale, images_path, labels_path in _parse_manifest(data_path(config["manifest"])):
+            shard = dict(config, images=images_path, labels=labels_path)
+            images, labels = load_input_images(shard)
+            yield f"{scale:g}", images_path, extract_matrix(images, config), labels
+    elif config["features"]:
+        matrix, _, labels = read_features_csv(config["features"])
+        if labels is None:
+            raise ConfigError("evaluation features must carry a label column")
+        yield "all", config["features"], matrix, labels
+    else:
+        raise ConfigError("eval requires 'features' or 'manifest'")
+
+
 def cmd_eval(config, args) -> int:
     if not config["model"]:
         raise ConfigError("eval requires 'model'")
     model = classify.load_model(data_path(config["model"]))
     report_rows = []
-    empty_shards = 0
-    if config["manifest"]:
-        for scale, images_path, labels_path in _parse_manifest(
-            data_path(config["manifest"])
-        ):
-            ds = load_idx(data_path(images_path), data_path(labels_path))
-            images, labels = ds.images, np.asarray(ds.labels)
-            if config["limit"] is not None:
-                images = images[: config["limit"]]
-                labels = labels[: config["limit"]]
-            matrix, labels = _finite_rows(extract_matrix(images, config), labels)
-            if len(matrix) == 0:
-                # the other shards are still evaluated and reported
-                log.error(
-                    "scale %g: no images left to evaluate in %s (none, or all blank or flagged)",
-                    scale,
-                    images_path,
-                )
-                empty_shards += 1
-                continue
-            acc, confusion = classify.evaluate(model, matrix, labels)
-            report_rows.append((f"{scale:g}", acc, confusion))
-    elif config["features"]:
-        matrix, _, labels = read_features_csv(config["features"])
-        if labels is None:
-            raise ConfigError("evaluation features must carry a label column")
-        acc, confusion = classify.evaluate(model, *_finite_rows(matrix, labels))
-        report_rows.append(("all", acc, confusion))
-    else:
-        raise ConfigError("eval requires 'features' or 'manifest'")
+    empty_sets = 0
+    for name, source, matrix, labels in _eval_sets(config):
+        matrix, labels = _finite_rows(matrix, labels)
+        if len(matrix) == 0:
+            # the other sets are still evaluated and reported
+            log.error(
+                "scale %s: no rows left to evaluate in %s (none, or all blank or flagged)",
+                name,
+                source,
+            )
+            empty_sets += 1
+            continue
+        acc, confusion = classify.evaluate(model, matrix, labels)
+        report_rows.append((name, acc, confusion))
 
     print("scale,accuracy")
     for name, acc, _ in report_rows:
@@ -333,7 +350,7 @@ def cmd_eval(config, args) -> int:
             fh.write("scale,accuracy\n")
             for name, acc, _ in report_rows:
                 fh.write(f"{name},{acc:.6f}\n")
-    return 1 if empty_shards else 0
+    return 1 if empty_sets else 0
 
 
 def cmd_verify(config, args) -> int:
@@ -398,69 +415,33 @@ def build_parser():
     )
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    riesz = ("depth", "angles", "scale_constant", "pooling", "presmooth_sigma")
+    inputs = ("images", "labels", "image_dir", "limit")
+    bbox = ("bbox", "pad", "threshold", "enlarge")
+    train = ("features", "classifier", "components", "reg", "epochs", "output")
+    evaluate = ("features", "manifest", "limit", "model", "output")
+    # name, handler, help, and the schema keys it takes as flags; each
+    # flag is the key with '-' for '_', so its dest is the key
+    commands = (
+        ("extract", cmd_extract, "write a feature CSV", (*riesz, *inputs, *bbox, "output")),
+        ("bbox", cmd_bbox, "write cropped graymaps", (*inputs, *bbox, "out_dir")),
+        ("train", cmd_train, "train a classifier from a feature CSV", train),
+        ("eval", cmd_eval, "evaluate a model", (*riesz, *bbox, *evaluate)),
+        ("verify", cmd_verify, "run the numerical property suite", ()),
+        ("bench", cmd_bench, "time the pipeline stages", riesz),
+    )
+    for name, handler, help_text, keys in commands:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", help="flat 'key = value' configuration file")
         p.add_argument("--print-config", action="store_true")
-        p.add_argument("--seed", type=int)
-
-    def add_riesz(p):
-        p.add_argument("--depth", type=int)
-        p.add_argument("--angles", type=int)
-        p.add_argument("--scale-constant", dest="scale_constant", type=float)
-        p.add_argument("--pooling", choices=("mean", "max"))
-        p.add_argument("--presmooth-sigma", dest="presmooth_sigma", type=float)
-
-    def add_input(p):
-        p.add_argument("--images", help="IDX image file")
-        p.add_argument("--labels", help="IDX label file")
-        p.add_argument("--image-dir", dest="image_dir")
-        p.add_argument("--limit", type=int)
-
-    def add_bbox(p):
-        p.add_argument("--bbox", action="store_const", const=True)
-        p.add_argument("--pad", type=int)
-        p.add_argument("--threshold", type=float)
-        p.add_argument("--enlarge", type=float)
-
-    p = sub.add_parser("extract", help="write a feature CSV")
-    p.set_defaults(handler=cmd_extract)
-    add_common(p), add_riesz(p), add_input(p), add_bbox(p)
-    p.add_argument("--output")
-
-    p = sub.add_parser("bbox", help="write cropped graymaps")
-    p.set_defaults(handler=cmd_bbox)
-    add_common(p), add_input(p), add_bbox(p)
-    p.add_argument("--out-dir", dest="out_dir")
-
-    p = sub.add_parser("train", help="train a classifier from a feature CSV")
-    p.set_defaults(handler=cmd_train)
-    add_common(p)
-    p.add_argument("--features")
-    p.add_argument("--classifier", choices=("pca", "svm"))
-    p.add_argument("--components", type=int)
-    p.add_argument("--reg", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--output")
-
-    p = sub.add_parser("eval", help="evaluate a model")
-    p.set_defaults(handler=cmd_eval)
-    add_common(p), add_riesz(p), add_bbox(p)
-    p.add_argument("--features")
-    p.add_argument("--manifest")
-    p.add_argument("--limit", type=int)
-    p.add_argument("--model")
-    p.add_argument("--output")
-
-    p = sub.add_parser("verify", help="run the numerical property suite")
-    p.set_defaults(handler=cmd_verify)
-    add_common(p)
-    p.add_argument("--inject-fault", dest="inject_fault", choices=tuple(verify.FAULTS))
-
-    p = sub.add_parser("bench", help="time the pipeline stages")
-    p.set_defaults(handler=cmd_bench)
-    add_common(p), add_riesz(p)
-
+        for key in ("seed", *keys):
+            flag = "--" + key.replace("_", "-")
+            if key == "bbox":
+                p.add_argument(flag, action="store_const", const=True)
+            else:
+                p.add_argument(flag, type=_SCHEMA[key][0], choices=_CHOICES.get(key))
+    sub.choices["verify"].add_argument("--inject-fault", choices=tuple(verify.FAULTS))
     return parser
 
 

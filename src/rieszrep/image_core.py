@@ -18,6 +18,9 @@ import numpy as np
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
+# largest relative L2 imaginary residue ``ifft2`` lets through
+MAX_IMAG_RESIDUE = 1e-6
+
 
 class FormatError(ValueError):
     """Raised for malformed input files (IDX, graymap, matrix text)."""
@@ -31,13 +34,10 @@ class NonFiniteImageError(ValueError):
 class LabeledDataset:
     images: list  # of 2d float64 arrays
     labels: np.ndarray  # int array, same length as images
-    class_count: int
 
     def __post_init__(self):
         if len(self.images) != len(self.labels):
             raise ValueError("images and labels have different lengths")
-        if len(self.labels) and self.labels.max() >= self.class_count:
-            raise ValueError("label exceeds class_count")
 
     def __len__(self):
         return len(self.images)
@@ -79,11 +79,12 @@ def fft2(img: np.ndarray) -> np.ndarray:
     return np.fft.fft2(as_image(img))
 
 
-def ifft2(spec: np.ndarray, max_imag: float = 1e-6) -> np.ndarray:
+def ifft2(spec: np.ndarray) -> np.ndarray:
     """Inverse DFT with 1/(H*W) normalization, returning the real part.
 
     The imaginary residue must be negligible; a residue above
-    ``max_imag`` (relative L2) signals a non-Hermitian multiplier bug.
+    ``MAX_IMAG_RESIDUE`` (relative L2) signals a non-Hermitian
+    multiplier bug and raises ValueError.
     """
     spec = np.asarray(spec, dtype=np.complex128)
     if spec.ndim != 2:
@@ -92,9 +93,9 @@ def ifft2(spec: np.ndarray, max_imag: float = 1e-6) -> np.ndarray:
     norm = np.linalg.norm(out)
     if norm > 0:
         residue = np.linalg.norm(out.imag) / norm
-        if residue > max_imag:
+        if residue > MAX_IMAG_RESIDUE:
             raise ValueError(
-                f"imaginary residue {residue:.3e} exceeds {max_imag:.1e}; "
+                f"imaginary residue {residue:.3e} exceeds {MAX_IMAG_RESIDUE:.1e}; "
                 "spectrum is not Hermitian"
             )
     return out.real
@@ -141,8 +142,7 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     raw = np.frombuffer(payload, dtype=np.uint8).reshape(count, height, width)
     images = [img.astype(np.float64) / 255.0 for img in raw]
     labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
-    class_count = int(labels.max()) + 1 if count else 1
-    return LabeledDataset(images=images, labels=labels, class_count=class_count)
+    return LabeledDataset(images=images, labels=labels)
 
 
 def _load_pnm_tokens(data: bytes, path):

@@ -47,9 +47,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image_core import NonFiniteImageError, as_image, fft2, freq_coords, ifft2
-from .riesz import SHAPE_CACHE_SIZE, first_order_multipliers, steered_multiplier
+from .riesz import first_order_multipliers
 
 _POOLINGS = ("mean", "max")
+
+# Entries of ``_basis_bank`` (the one per-shape filter cache; the
+# multipliers behind it are built per call) and of ``_real_dft`` (per
+# width).  Bounded because --bbox crops come in many shapes (24 among
+# 100 cropped digits, 57 among 80 at mixed scales); 32 keeps every hit
+# an unbounded cache gets there.
+SHAPE_CACHE_SIZE = 32
 
 # bytes of one parent group's (g, M, H, W) complex buffer; see _level_chunks
 _BATCH_BYTES = 512 * 1024
@@ -335,20 +342,6 @@ def _prepared(f: np.ndarray, config: RieszConfig) -> np.ndarray:
     return f if sigma is None else gaussian_presmooth(f, sigma)
 
 
-def base_response(f: np.ndarray, angle_index: int, angles: int):
-    """Complex base-filter response at angle k*pi/M.
-
-    Returns (real_part, imag_part): the second- and first-order steered
-    Hilbert responses of f.
-    """
-    f = as_image(f)
-    if not 0 <= angle_index < angles:
-        raise ValueError(f"angle index {angle_index} out of range for M={angles}")
-    m = steered_multiplier(angle_index * math.pi / angles, *f.shape)
-    spec = fft2(f)
-    return ifft2(m * m * spec), ifft2(m * spec)
-
-
 def layer_S(f: np.ndarray, config: RieszConfig):
     """One transformation layer: C * amplitude of each rotated base response."""
     (chunk,) = _level_chunks(as_image(f), config, depth=1, keep_last=True)
@@ -361,16 +354,6 @@ def build_hierarchy(f: np.ndarray, config: RieszConfig):
     chunks = _level_chunks(f, config, config.depth, keep_last=True)
     maps = itertools.chain([f], *chunks)
     return dict(zip(feature_paths(config.depth, config.angles), maps))
-
-
-def pool_global(feature_map: np.ndarray, kind: str) -> float:
-    """Reduce a feature map to one scalar by global mean or max."""
-    feature_map = as_image(feature_map)
-    if kind == "mean":
-        return float(feature_map.mean())
-    if kind == "max":
-        return float(feature_map.max())
-    raise ValueError(f"pooling must be one of {_POOLINGS}")
 
 
 def extract_features(f: np.ndarray, config: RieszConfig, *, workspace=None) -> np.ndarray:

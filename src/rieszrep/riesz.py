@@ -20,7 +20,6 @@ R22 once per map and steers them).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -28,15 +27,13 @@ import numpy as np
 
 from .image_core import as_image, fft2, freq_coords, ifft2
 
-# Entries of each cache keyed by image shape.  Bounded because --bbox
-# crops come in many shapes (24 among 100 cropped digits, 57 among 80
-# at mixed scales); 32 keeps every hit an unbounded cache gets there.
-SHAPE_CACHE_SIZE = 32
 
-
-@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def first_order_multipliers(height: int, width: int):
-    """The pair (m1, m2) of first-order Riesz multipliers, cached per size."""
+    """The pair (m1, m2) of first-order Riesz multipliers, built per call.
+
+    The feature engine reads them only through
+    ``representation._basis_bank``, its one per-shape filter cache.
+    """
     u1, u2 = freq_coords(height, width)
     mag = np.hypot(u1, u2)
     mag[0, 0] = 1.0  # avoid division at DC; value overwritten below
@@ -48,8 +45,6 @@ def first_order_multipliers(height: int, width: int):
         m2[:, width // 2] = np.abs(u2[0, width // 2]) / mag[:, width // 2]
     m1[0, 0] = 0.0
     m2[0, 0] = 0.0
-    m1.setflags(write=False)
-    m2.setflags(write=False)
     return m1, m2
 
 

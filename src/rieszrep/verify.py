@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import representation, riesz
+from . import riesz
 from .image_core import fft2, freq_coords, ifft2
 from .representation import RieszConfig, extract_features, layer_S
 
@@ -108,13 +108,16 @@ def _all_pass(rng, multiplier):
 
 
 def _zero_integral(rng, multiplier):
-    # DC of both parts of the base-filter impulse response, and of R1
+    # DC of both parts of the base-filter impulse response at the angles
+    # k*pi/4 (second- and first-order steered Hilbert), and of R1
     worst = 0.0
     for h, w in ((33, 33), (64, 64)):
         impulse = np.zeros((h, w))
         impulse[0, 0] = 1.0
         for k in range(4):
-            real_part, imag_part = representation.base_response(impulse, k, 4)
+            phi = k * np.pi / 4
+            real_part = riesz.hilbert2_steered(impulse, phi)
+            imag_part = riesz.hilbert_steered(impulse, phi)
             worst = max(worst, abs(real_part.sum()), abs(imag_part.sum()))
         worst = max(worst, abs(multiplier((1, 0), h, w)[0, 0]))
     return float(worst)

@@ -152,6 +152,22 @@ def test_config_file_parsing(tmp_path):
     assert values == {"depth": 2, "angles": 8, "pooling": "max"}
 
 
+@pytest.mark.parametrize("value, expected", [("1", True), ("Yes", True), ("TRUE", True),
+                                             ("0", False), ("no", False), ("False", False)])
+def test_config_file_bbox_switch(tmp_path, value, expected):
+    cfg = tmp_path / "riesz.cfg"
+    cfg.write_text(f"bbox = {value}\n")
+    assert load_config_file(cfg) == {"bbox": expected}
+
+
+@pytest.mark.parametrize("value", ["on", "maybe"])
+def test_config_file_bad_bbox_switch(tmp_path, caplog, value):
+    cfg = tmp_path / "riesz.cfg"
+    cfg.write_text(f"bbox = {value}\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert "bad value for bbox" in caplog.text and repr(value) in caplog.text
+
+
 def test_config_file_bad_line(tmp_path):
     cfg = tmp_path / "riesz.cfg"
     cfg.write_text("depth 2\n")
@@ -553,6 +569,23 @@ def test_eval_drops_non_finite_rows(tmp_path, rng, capsys, caplog):
     assert np.sum(confusion) == 3
     dropped = [r.getMessage() for r in caplog.records if "dropping" in r.getMessage()]
     assert dropped == ["dropping 1 non-finite rows"]
+
+
+def test_eval_features_all_non_finite_names_the_file(tmp_path, rng, capsys, caplog):
+    # an empty set is reported like an empty manifest shard, not as a
+    # classifier error with no header
+    matrix = np.array([[2.0, 0.1, 0.0], [-2.0, 0.0, 0.1]])
+    features, model = tmp_path / "f.csv", tmp_path / "m.txt"
+    _write_labelled_features(features, np.vstack([matrix] * 4), [1, 0] * 4)
+    assert main(["train", "--features", str(features), "--reg", "0.01",
+                 "--output", str(model)]) == 0
+    _write_labelled_features(features, np.full((2, 3), np.nan), [1, 0])
+    caplog.clear()
+    capsys.readouterr()
+    assert main(["eval", "--features", str(features), "--model", str(model)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and str(features) in errors[0]
+    assert capsys.readouterr().out.splitlines() == ["scale,accuracy"]
 
 
 def test_eval_manifest(tmp_path, rng, capsys, monkeypatch):

@@ -10,7 +10,6 @@ from rieszrep.image_core import NonFiniteImageError
 from rieszrep.representation import (
     RieszConfig,
     Workspace,
-    base_response,
     build_hierarchy,
     extract_features,
     feature_count,
@@ -19,11 +18,10 @@ from rieszrep.representation import (
     layer_S,
     parse_path_label,
     path_label,
-    pool_global,
     read_features_csv,
     write_features_csv,
 )
-from rieszrep.riesz import first_order_multipliers, riesz_transform
+from rieszrep.riesz import first_order_multipliers
 from rieszrep.verify import block_average, lowpass_image
 
 
@@ -58,29 +56,6 @@ def test_path_labels_round_trip():
     for path in [(), (0,), (2, 1, 3)]:
         assert parse_path_label(path_label(path)) == path
     assert path_label((2, 1, 3)) == "[2,1,3]"
-
-
-def test_base_response_constant():
-    real_part, imag_part = base_response(np.full((8, 8), 3.0), 0, 4)
-    assert np.abs(real_part).max() <= 1e-12
-    assert np.abs(imag_part).max() <= 1e-12
-
-
-def test_base_response_angle_zero(rng):
-    f = rng.standard_normal((16, 16))
-    real_part, imag_part = base_response(f, 0, 4)
-    assert_allclose(imag_part, riesz_transform(f, (1, 0)), atol=1e-12)
-    assert_allclose(real_part, riesz_transform(f, (2, 0)), atol=1e-12)
-
-
-@pytest.mark.parametrize("shape", [(33, 33), (64, 64)])
-def test_base_response_zero_kernel_integral(shape):
-    impulse = np.zeros(shape)
-    impulse[0, 0] = 1.0
-    for k in range(4):
-        real_part, imag_part = base_response(impulse, k, 4)
-        assert abs(real_part.sum()) <= 1e-8
-        assert abs(imag_part.sum()) <= 1e-8
 
 
 def test_layer_zero_image():
@@ -357,12 +332,9 @@ def test_shape_caches_are_bounded(rng):
     for i in range(40):
         extract_features(rng.standard_normal((8 + i, 9)), cfg)
     bank = representation._basis_bank(47, 9)
-    pair = first_order_multipliers(47, 9)
     extract_features(rng.standard_normal((47, 9)), cfg)
     assert representation._basis_bank(47, 9) is bank
-    assert first_order_multipliers(47, 9) is pair
     assert representation._basis_bank.cache_info().currsize <= 32
-    assert first_order_multipliers.cache_info().currsize <= 32
 
 
 @pytest.mark.parametrize("kind", ["1e308", "normal*1e307"])
@@ -374,21 +346,6 @@ def test_overflowing_image_rejected(rng, kind):
     with np.errstate(all="ignore"):
         with pytest.raises(NonFiniteImageError, match="non-finite samples"):
             extract_features(f, RieszConfig())
-
-
-def test_pool_global():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert pool_global(m, "mean") == 2.5
-    assert pool_global(m, "max") == 4.0
-    with pytest.raises(ValueError):
-        pool_global(m, "sum")
-
-
-def test_mean_pool_shift_exact(rng):
-    f = rng.standard_normal((9, 11))
-    assert pool_global(np.roll(f, (2, 3), axis=(0, 1)), "mean") == pytest.approx(
-        pool_global(f, "mean"), abs=1e-15
-    )
 
 
 def test_features_constant_image():

@@ -124,7 +124,9 @@ def test_hilbert2_is_composition(rng):
 
 
 def test_hilbert2_constant_zero():
-    assert np.abs(hilbert2_steered(np.full((8, 8), 3.0), 0.7)).max() <= 1e-12
+    constant = np.full((8, 8), 3.0)
+    assert np.abs(hilbert2_steered(constant, 0.7)).max() <= 1e-12
+    assert np.abs(hilbert_steered(constant, 0.0)).max() <= 1e-12
 
 
 def test_monogenic_constructor_cases(rng):
@@ -297,10 +299,3 @@ def test_steered_norm_lemma(rng):
         )
         assert pair <= e * (1 + 1e-10)
         assert np.sum(hilbert2_steered(f, phi) ** 2) <= e * (1 + 1e-10)
-
-
-def test_multiplier_cache_is_consistent():
-    a1, a2 = first_order_multipliers(8, 12)
-    b1, b2 = first_order_multipliers(8, 12)
-    assert a1 is b1 and a2 is b2
-    assert not a1.flags.writeable
