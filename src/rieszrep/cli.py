@@ -418,15 +418,15 @@ def build_parser():
     riesz = ("depth", "angles", "scale_constant", "pooling", "presmooth_sigma")
     inputs = ("images", "labels", "image_dir", "limit")
     bbox = ("bbox", "pad", "threshold", "enlarge")
-    train = ("features", "classifier", "components", "reg", "epochs", "output")
-    evaluate = ("features", "manifest", "limit", "model", "output")
     # name, handler, help, and the schema keys it takes as flags; each
     # flag is the key with '-' for '_', so its dest is the key
     commands = (
         ("extract", cmd_extract, "write a feature CSV", (*riesz, *inputs, *bbox, "output")),
         ("bbox", cmd_bbox, "write cropped graymaps", (*inputs, *bbox, "out_dir")),
-        ("train", cmd_train, "train a classifier from a feature CSV", train),
-        ("eval", cmd_eval, "evaluate a model", (*riesz, *bbox, *evaluate)),
+        ("train", cmd_train, "train a classifier from a feature CSV",
+         ("features", "classifier", "components", "reg", "epochs", "output")),
+        ("eval", cmd_eval, "evaluate a model",
+         (*riesz, *bbox, "features", "manifest", "limit", "model", "output")),
         ("verify", cmd_verify, "run the numerical property suite", ()),
         ("bench", cmd_bench, "time the pipeline stages", riesz),
     )
