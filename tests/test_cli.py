@@ -177,8 +177,9 @@ def test_config_file_bad_line(tmp_path):
 def test_print_config(tmp_path, capsys):
     cfg = tmp_path / "riesz.cfg"
     cfg.write_text("depth = 2\n")
-    # flag overrides file
-    main(["verify", "--config", str(cfg), "--print-config", "--seed", "5"])
+    # flag overrides file; the config is printed before train stops at
+    # its missing inputs, so no property suite runs
+    assert main(["train", "--config", str(cfg), "--print-config", "--seed", "5"]) == 2
     out = capsys.readouterr().out
     assert "depth = 2" in out
     assert "seed = 5" in out
@@ -571,7 +572,7 @@ def test_eval_drops_non_finite_rows(tmp_path, rng, capsys, caplog):
     assert dropped == ["dropping 1 non-finite rows"]
 
 
-def test_eval_features_all_non_finite_names_the_file(tmp_path, rng, capsys, caplog):
+def test_eval_features_all_non_finite_names_the_file(tmp_path, capsys, caplog):
     # an empty set is reported like an empty manifest shard, not as a
     # classifier error with no header
     matrix = np.array([[2.0, 0.1, 0.0], [-2.0, 0.0, 0.1]])
