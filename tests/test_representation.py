@@ -21,7 +21,7 @@ from rieszrep.representation import (
     read_features_csv,
     write_features_csv,
 )
-from rieszrep.riesz import first_order_multipliers
+from rieszrep.riesz import first_order_multipliers, hilbert2_steered, hilbert_steered
 from rieszrep.verify import block_average, lowpass_image
 
 
@@ -56,6 +56,16 @@ def test_path_labels_round_trip():
     for path in [(), (0,), (2, 1, 3)]:
         assert parse_path_label(path_label(path)) == path
     assert path_label((2, 1, 3)) == "[2,1,3]"
+
+
+def test_base_response_constant():
+    # the base filter's real and imaginary parts (second- and first-order
+    # steered Hilbert responses) and the layer built on them vanish on a constant
+    constant = np.full((8, 8), 3.0)
+    assert np.abs(hilbert2_steered(constant, 0.0)).max() <= 1e-12
+    assert np.abs(hilbert_steered(constant, 0.0)).max() <= 1e-12
+    for out in layer_S(constant, RieszConfig()):
+        assert np.abs(out).max() <= 1e-12
 
 
 def test_layer_zero_image():
