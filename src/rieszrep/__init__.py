@@ -15,7 +15,6 @@ from .classify import (
 )
 from .image_core import (
     FormatError,
-    LabeledDataset,
     NonFiniteImageError,
     fft2,
     ifft2,

@@ -2,8 +2,10 @@
 
 Configuration is a flat ``key = value`` text file; command-line flags
 override file values.  ``--print-config`` emits the fully resolved
-configuration.  Relative dataset paths are resolved against the
-``RIESZ_DATA_DIR`` environment variable when it is set.
+configuration.  Relative dataset paths (IDX files, image directories,
+manifests and the shards they name) are resolved against the
+``RIESZ_DATA_DIR`` environment variable when it is set; feature CSVs,
+models and outputs, which the program writes, are taken as given.
 
 Exit codes: 0 success, 1 property/eval failure or runtime error,
 2 configuration error.
@@ -109,6 +111,13 @@ def resolve_config(args) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
+    # checked here, before any command reads an image
+    if config["limit"] is not None and config["limit"] < 0:
+        raise ConfigError(f"limit must be >= 0, got {config['limit']}")
+    if config["pad"] < 0:
+        raise ConfigError(f"pad must be >= 0, got {config['pad']}")
+    if not config["enlarge"] > -1:
+        raise ConfigError(f"enlarge must be > -1, got {config['enlarge']}")
     return config
 
 
@@ -138,8 +147,7 @@ def load_input_images(config):
     if config["images"]:
         if not config["labels"]:
             raise ConfigError("'images' requires 'labels' (IDX pair)")
-        ds = load_idx(data_path(config["images"]), data_path(config["labels"]))
-        images, labels = ds.images, ds.labels
+        images, labels = load_idx(data_path(config["images"]), data_path(config["labels"]))
     elif config["image_dir"]:
         directory = data_path(config["image_dir"])
         files = sorted(
@@ -292,7 +300,11 @@ def _parse_manifest(path):
                 raise ConfigError(
                     f"{path}:{lineno}: expected 'scale <float> images <path> labels <path>'"
                 )
-            shards.append((float(tokens[1]), tokens[3], tokens[5]))
+            try:
+                scale = float(tokens[1])
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: bad scale: {exc}")
+            shards.append((scale, tokens[3], tokens[5]))
     if not shards:
         raise ConfigError(f"{path}: empty manifest")
     return shards
@@ -321,7 +333,7 @@ def _eval_sets(config):
 def cmd_eval(config, args) -> int:
     if not config["model"]:
         raise ConfigError("eval requires 'model'")
-    model = classify.load_model(data_path(config["model"]))
+    model = classify.load_model(config["model"])
     report_rows = []
     empty_sets = 0
     for name, source, matrix, labels in _eval_sets(config):

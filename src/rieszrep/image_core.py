@@ -10,8 +10,8 @@ The DFT convention is fixed globally: unnormalized forward transform,
 
 from __future__ import annotations
 
+import re
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,10 @@ IDX_LABEL_MAGIC = 0x00000801
 # largest relative L2 imaginary residue ``ifft2`` lets through
 MAX_IMAG_RESIDUE = 1e-6
 
+# graymap header: the magic, then width, height and maxval, each after
+# whitespace or '#' comments, then the one whitespace byte that ends it
+_PNM_HEADER = re.compile(rb"P[25]" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
+
 
 class FormatError(ValueError):
     """Raised for malformed input files (IDX, graymap, matrix text)."""
@@ -28,19 +32,6 @@ class FormatError(ValueError):
 
 class NonFiniteImageError(ValueError):
     """An image, or a feature map computed from it, holds nan or inf."""
-
-
-@dataclass(frozen=True)
-class LabeledDataset:
-    images: list  # of 2d float64 arrays
-    labels: np.ndarray  # int array, same length as images
-
-    def __post_init__(self):
-        if len(self.images) != len(self.labels):
-            raise ValueError("images and labels have different lengths")
-
-    def __len__(self):
-        return len(self.images)
 
 
 def as_image(a) -> np.ndarray:
@@ -108,10 +99,11 @@ def _read_exact(fh, count: int, path, what: str) -> bytes:
     return data
 
 
-def load_idx(images_path, labels_path) -> LabeledDataset:
-    """Load a big-endian IDX image/label file pair.
+def load_idx(images_path, labels_path):
+    """Load a big-endian IDX image/label file pair as (images, labels).
 
-    Pixel bytes are mapped to [0, 1] by dividing by 255.
+    ``images`` is one (N, H, W) float64 array, pixel bytes mapped to
+    [0, 1] by dividing by 255; ``labels`` is an int64 array of length N.
     """
     with open(images_path, "rb") as fh:
         magic, count, height, width = struct.unpack(
@@ -140,74 +132,55 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
             f"image count {count} does not match label count {label_count}"
         )
     raw = np.frombuffer(payload, dtype=np.uint8).reshape(count, height, width)
-    images = [img.astype(np.float64) / 255.0 for img in raw]
+    images = raw.astype(np.float64)
+    images /= 255.0
     labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
-    return LabeledDataset(images=images, labels=labels)
-
-
-def _load_pnm_tokens(data: bytes, path):
-    # P2 body: whitespace separated ASCII, '#' comments to end of line
-    text = data.decode("ascii", errors="replace")
-    tokens = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0]
-        tokens.extend(line.split())
-    return tokens
+    return images, labels
 
 
 def load_gray_image(path) -> np.ndarray:
     """Load a P2/P5 portable graymap or a plain matrix text file.
 
-    Graymap values are scaled to [0, 1] by the declared maxval; matrix
-    text files ("rows cols" header then samples) are taken verbatim,
-    nan and inf included, so that extraction can flag such an image
-    by its index instead of the load aborting the whole run.
+    Graymap values are scaled to [0, 1] by the declared maxval, which
+    must lie in 1..65535; P5 samples are one byte below maxval 256 and
+    two big-endian bytes from there on.  Matrix text files ("rows cols"
+    header then samples) are taken verbatim, nan and inf included, so
+    that extraction can flag such an image by its index instead of the
+    load aborting the whole run.  A malformed file raises
+    ``FormatError`` naming its path.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:2] == b"P2":
-        tokens = _load_pnm_tokens(data[2:], path)
-        if len(tokens) < 3:
-            raise FormatError(f"{path}: truncated P2 header")
-        width, height, maxval = (int(t) for t in tokens[:3])
-        values = tokens[3:]
-        if len(values) != width * height:
-            raise FormatError(
-                f"{path}: expected {width * height} pixels, found {len(values)}"
-            )
-        img = np.array([float(v) for v in values]).reshape(height, width)
-        return img / maxval
-    if data[:2] == b"P5":
-        # header: three ASCII integers (width, height, maxval), then one
-        # whitespace byte, then the binary payload
-        pos = 2
-        fields = []
-        while len(fields) < 3:
-            while pos < len(data) and data[pos : pos + 1].isspace():
-                pos += 1
-            if pos < len(data) and data[pos : pos + 1] == b"#":
-                while pos < len(data) and data[pos] != 0x0A:
-                    pos += 1
-                continue
-            start = pos
-            while pos < len(data) and not data[pos : pos + 1].isspace():
-                pos += 1
-            if start == pos:
-                raise FormatError(f"{path}: truncated P5 header")
-            fields.append(int(data[start:pos]))
-        pos += 1  # single whitespace after maxval
-        width, height, maxval = fields
-        if maxval < 256:
-            payload = data[pos : pos + width * height]
-            if len(payload) != width * height:
-                raise FormatError(f"{path}: truncated P5 payload")
-            img = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
+    magic = data[:2]
+    if magic in (b"P2", b"P5"):
+        header = _PNM_HEADER.match(data)
+        if header is None:
+            raise FormatError(f"{path}: truncated or malformed {magic.decode()} header")
+        width, height, maxval = (int(v) for v in header.groups())
+        if width < 1 or height < 1:
+            raise FormatError(f"{path}: expected a 2d image grid, got {height}x{width}")
+        if not 1 <= maxval <= 65535:
+            raise FormatError(f"{path}: maxval {maxval} is outside 1..65535")
+        body = data[header.end() :]
+        if magic == b"P2":
+            # whitespace separated ASCII, '#' comments to end of line
+            text = body.decode("ascii", errors="replace")
+            tokens = [t for line in text.splitlines() for t in line.split("#", 1)[0].split()]
+            try:
+                samples = np.array(tokens, dtype=np.float64)
+            except ValueError as exc:
+                raise FormatError(f"{path}: bad P2 sample: {exc}") from exc
+            if samples.size != width * height:
+                raise FormatError(
+                    f"{path}: expected {width * height} pixels, found {samples.size}"
+                )
         else:
-            payload = data[pos : pos + 2 * width * height]
-            if len(payload) != 2 * width * height:
+            dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+            payload = body[: width * height * dtype.itemsize]
+            if len(payload) != width * height * dtype.itemsize:
                 raise FormatError(f"{path}: truncated P5 payload")
-            img = np.frombuffer(payload, dtype=">u2").astype(np.float64)
-        return img.reshape(height, width) / maxval
+            samples = np.frombuffer(payload, dtype=dtype).astype(np.float64)
+        return samples.reshape(height, width) / maxval
     # plain matrix text: "rows cols" header line, then samples
     try:
         tokens = data.decode("ascii").split()
@@ -217,7 +190,7 @@ def load_gray_image(path) -> np.ndarray:
         raise FormatError(f"{path}: missing 'rows cols' header")
     try:
         rows, cols = int(tokens[0]), int(tokens[1])
-        values = [float(t) for t in tokens[2:]]
+        values = np.array(tokens[2:], dtype=np.float64)
     except ValueError as exc:
         raise FormatError(f"{path}: unsupported image format") from exc
     if rows < 1 or cols < 1:
@@ -226,7 +199,7 @@ def load_gray_image(path) -> np.ndarray:
         raise FormatError(
             f"{path}: expected {rows * cols} samples, found {len(values)}"
         )
-    return np.array(values).reshape(rows, cols)
+    return values.reshape(rows, cols)
 
 
 def save_gray_pgm(path, img: np.ndarray, maxval: int = 255):

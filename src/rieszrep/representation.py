@@ -42,7 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -227,13 +227,11 @@ class Workspace:
         return self._buffers
 
 
-def _level_chunks(
-    f: np.ndarray, config: RieszConfig, depth: int, keep_last: bool, workspace=None
-):
-    """Maps of levels 1..depth of the validated image f, in path order.
+def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None):
+    """Maps of levels 1..K of the validated image f, in path order.
 
     Each level's parent maps are transformed g at a time, with
-    g = min(max(1, _BATCH_BYTES // (16*M*H*W)), M^(depth-1)): one real
+    g = min(max(1, _BATCH_BYTES // (16*M*H*W)), M^(K-1)): one real
     forward transform along axis -1 over (g, H, W) into a half spectrum,
     one complex FFT along axis -2, one multiply by the broadcast basis
     bank into (g, 5, H, W//2+1), one in-place inverse FFT along axis -2
@@ -246,9 +244,8 @@ def _level_chunks(
     buffer, so the amplitude is one ``np.abs``: ``np.hypot`` on two real
     (8, 128, 128) arrays took 3.7 ms against 0.33 ms for ``np.abs`` on
     the same data held as complex.  Scaling and one finiteness check
-    follow.  Yields one (g*M, H, W) chunk per group.  Deepest-level
-    chunks share one buffer, valid until the next chunk, unless
-    ``keep_last``.
+    follow.  Yields one (g*M, H, W) chunk per group, valid until the
+    next one: the deepest level's chunks share one group buffer.
 
     The two real transforms are ``np.fft.rfft`` and ``np.fft.irfft``
     unless ``_real_dft`` has matrices for the width (below 64, or up to
@@ -269,26 +266,21 @@ def _level_chunks(
     buffer exceeds 256 KiB (128x128, or 98x63 with M=8) give g = 1.
 
     The scratch buffers and the level arrays come from ``workspace``
-    when one is given (see ``Workspace``), keyed by (H, W, M, depth, g);
-    every element the engine reads it has written for this image first,
-    so leftovers of an earlier image, or of one flagged part-way, never
-    reach the output.  Only ``extract_features`` passes a workspace: its
-    chunks are pooled before the next image, while the maps of
-    ``build_hierarchy`` and ``layer_S`` escape to the caller, so those
-    always get fresh arrays (``keep_last``).
+    (see ``Workspace``; a fresh one when none is given), keyed by
+    (H, W, M, K, g); every element the engine reads it has written for
+    this image first, so leftovers of an earlier image, or of one
+    flagged part-way, never reach the output.
     """
+    depth, height, width = config.depth, *f.shape
     if depth == 0:
         return
-    height, width = f.shape
     angles = config.angles
     bank, weights, dft = _basis_bank(height, width), _steering(angles), _real_dft(width)
     group = min(max(1, _BATCH_BYTES // (16 * angles * f.size)), angles ** (depth - 1))
 
     def allocate():
-        # level k holds its M^(k-1) parents' children; the deepest level
-        # holds one group's unless the caller keeps it
-        sizes = [angles ** (k - 1) for k in range(1, depth)]
-        sizes.append(angles ** (depth - 1) if keep_last else group)
+        # level k < K holds its M^(k-1) parents' children; level K one group's
+        sizes = [angles ** (k - 1) for k in range(1, depth)] + [group]
         return (
             np.empty((group, height, width // 2 + 1), dtype=np.complex128),
             np.empty((group, *bank.shape), dtype=np.complex128),
@@ -297,18 +289,14 @@ def _level_chunks(
             [np.empty((n, angles, height, width)) for n in sizes],
         )
 
-    if workspace is None:
-        buffers = allocate()
-    else:
-        buffers = workspace.buffers((height, width, angles, depth, group), allocate)
+    buffers = (workspace or Workspace()).buffers((height, width, angles, depth, group), allocate)
     spec, basis_spec, basis, steered, levels = buffers
     level = f[None]
     for k, nxt in enumerate(levels, 1):
-        reuse = k == depth and not keep_last
         for start in range(0, len(level), group):
             parents = level[start : start + group]
             n = len(parents)
-            out = nxt[:n] if reuse else nxt[start : start + n]
+            out = nxt[:n] if k == depth else nxt[start : start + n]
             s, b, r, c = spec[:n], basis_spec[:n], basis[:n], steered[:n]
             if dft is None:
                 np.fft.rfft(parents, axis=-1, out=s)
@@ -343,15 +331,22 @@ def _prepared(f: np.ndarray, config: RieszConfig) -> np.ndarray:
 
 
 def layer_S(f: np.ndarray, config: RieszConfig):
-    """One transformation layer: C * amplitude of each rotated base response."""
-    (chunk,) = _level_chunks(as_image(f), config, depth=1, keep_last=True)
+    """One transformation layer: C * amplitude of each rotated base response.
+
+    The input is not presmoothed, whatever ``config.presmooth_sigma`` is.
+    """
+    (chunk,) = _level_chunks(as_image(f), replace(config, depth=1))
     return list(chunk)
 
 
 def build_hierarchy(f: np.ndarray, config: RieszConfig):
-    """All feature maps up to depth K, keyed by rotation-index path."""
+    """All feature maps up to depth K, keyed by rotation-index path.
+
+    Each engine chunk is copied before the next is computed, since it
+    is only valid until then.
+    """
     f = _prepared(f, config)
-    chunks = _level_chunks(f, config, config.depth, keep_last=True)
+    chunks = (c.copy() for c in _level_chunks(f, config))
     maps = itertools.chain([f], *chunks)
     return dict(zip(feature_paths(config.depth, config.angles), maps))
 
@@ -369,9 +364,8 @@ def extract_features(f: np.ndarray, config: RieszConfig, *, workspace=None) -> n
     """
     f = _prepared(f, config)
     pool = np.mean if config.pooling == "mean" else np.max
-    levels = _level_chunks(f, config, config.depth, keep_last=False, workspace=workspace)
-    chunks = itertools.chain([f[None]], levels)
-    # each chunk is pooled before the generator reuses its buffer
+    chunks = itertools.chain([f[None]], _level_chunks(f, config, workspace))
+    # each chunk is pooled before the engine computes the next
     features = np.concatenate([pool(c.reshape(len(c), -1), axis=1) for c in chunks])
     # the engine checks its maps, but the mean of the input itself can
     # overflow, which is all there is to check at depth 0

@@ -37,8 +37,8 @@ def first_order_multipliers(height: int, width: int):
     u1, u2 = freq_coords(height, width)
     mag = np.hypot(u1, u2)
     mag[0, 0] = 1.0  # avoid division at DC; value overwritten below
-    m1 = -1j * u1 / mag + np.zeros((height, width))
-    m2 = -1j * u2 / mag + np.zeros((height, width))
+    m1 = -1j * u1 / mag
+    m2 = -1j * u2 / mag
     if height % 2 == 0:
         m1[height // 2, :] = np.abs(u1[height // 2, 0]) / mag[height // 2, :]
     if width % 2 == 0:
@@ -57,8 +57,6 @@ def riesz_multiplier(order, height: int, width: int) -> np.ndarray:
     n1, n2 = order
     if n1 < 0 or n2 < 0 or n1 + n2 < 1:
         raise ValueError(f"invalid Riesz order {order}")
-    if height < 2 or width < 2:
-        raise ValueError("grid must be at least 2x2")
     m1, m2 = first_order_multipliers(height, width)
     return m1**n1 * m2**n2
 

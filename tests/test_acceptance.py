@@ -110,19 +110,19 @@ def test_mnist_multi_scale_reproduction():
     if data is None:
         _skip("mnist-reproduction", "mnist_large_scale not found under RIESZ_DATA_DIR")
     cfg = RieszConfig(depth=3, angles=4)
-    train = load_idx(data / "train-images.idx", data / "train-labels.idx")
-    X = _mnist_features(train.images[:1000], cfg)
-    y = np.asarray(train.labels[:1000])
+    images, labels = load_idx(data / "train-images.idx", data / "train-labels.idx")
+    X = _mnist_features(images[:1000], cfg)
+    y = labels[:1000]
     model = svm_fit(X, y, normalizer=maxabs_fit(X))
     targets = {"0.5": 71.16, "1": 87.49, "2": 84.74, "4": 84.53}
     details, ok = [], True
     for scale in MNIST_SCALES:
-        ds = load_idx(
+        images, labels = load_idx(
             data / f"test-images-scale-{scale}.idx",
             data / f"test-labels-scale-{scale}.idx",
         )
-        Xt = _mnist_features(ds.images[:1000], cfg)
-        acc, _ = evaluate(model, Xt, np.asarray(ds.labels[:1000]))
+        Xt = _mnist_features(images[:1000], cfg)
+        acc, _ = evaluate(model, Xt, labels[:1000])
         diff = 100 * acc - targets[scale]
         ok = ok and abs(diff) <= 5.0
         details.append(f"scale {scale}: {100 * acc:.2f}% ({diff:+.2f}pp)")

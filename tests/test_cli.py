@@ -417,6 +417,47 @@ def test_overflowing_image_flagged_once(tmp_path, caplog, shape, depth, reason):
     assert matrix.shape == (1, feature_count(depth, 4)) and np.isnan(matrix).all()
 
 
+@pytest.mark.parametrize(
+    "argv, config_line, key",
+    [
+        (["extract", "--limit", "-1"], None, "limit"),
+        (["extract", "--bbox", "--pad", "-3"], None, "pad"),
+        (["extract", "--bbox", "--enlarge", "-1"], None, "enlarge"),
+        (["extract"], "enlarge = -1.5", "enlarge"),
+        (["bbox", "--limit", "-2"], None, "limit"),
+    ],
+    ids=["limit", "pad", "enlarge", "config-file-enlarge", "bbox-limit"],
+)
+def test_out_of_range_values_exit_2_before_any_image_is_read(
+    tmp_path, caplog, argv, config_line, key
+):
+    # the input files do not exist: reading one would exit 1
+    out = "--output" if argv[0] == "extract" else "--out-dir"
+    argv = [*argv, "--images", str(tmp_path / "x.idx"), "--labels", str(tmp_path / "y.idx"),
+            out, str(tmp_path / "out")]
+    if config_line:
+        cfg = tmp_path / "riesz.cfg"
+        cfg.write_text(config_line + "\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error.startswith(f"config error: {key} must be")
+
+
+def test_extract_malformed_graymap_stops_the_run(tmp_path, caplog):
+    d = tmp_path / "imgs"
+    d.mkdir()
+    (d / "a.pgm").write_text("P2\n2 2\n255\n0 255 255 0\n")
+    (d / "b.pgm").write_text("P2\n2 2\n0\n0 0 0 0\n")
+    out = tmp_path / "f.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["extract", "--image-dir", str(d), "--output", str(out)]) == 1
+    (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert str(d / "b.pgm") in error and "maxval 0" in error
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("verbose", [False, True])
 def test_runtime_error_traceback_only_when_verbose(tmp_path, caplog, verbose):
     argv = ["train", "--features", str(tmp_path / "missing.csv"), "--output", "m.txt"]
@@ -587,6 +628,40 @@ def test_eval_features_all_non_finite_names_the_file(tmp_path, capsys, caplog):
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and str(features) in errors[0]
     assert capsys.readouterr().out.splitlines() == ["scale,accuracy"]
+
+
+def _train_small_model(features, model):
+    matrix = np.array([[2.0, 0.1, 0.0], [-2.0, 0.0, 0.1]])
+    _write_labelled_features(features, np.vstack([matrix] * 4), [1, 0] * 4)
+    assert main(["train", "--features", str(features), "--reg", "0.01",
+                 "--output", str(model)]) == 0
+
+
+def test_relative_model_path_round_trip(tmp_path, monkeypatch, capsys):
+    # a model is a program output, like --output: the relative path that
+    # train wrote is the one eval reads, whatever RIESZ_DATA_DIR says
+    (tmp_path / "data").mkdir()
+    monkeypatch.setenv("RIESZ_DATA_DIR", str(tmp_path / "data"))
+    monkeypatch.chdir(tmp_path)
+    _train_small_model("f.csv", "model.txt")
+    assert (tmp_path / "model.txt").is_file()
+    capsys.readouterr()
+    assert main(["eval", "--features", "f.csv", "--model", "model.txt"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "all,1.0000"
+
+
+def test_eval_manifest_bad_scale_names_the_line(tmp_path, caplog):
+    model = tmp_path / "m.txt"
+    _train_small_model(tmp_path / "f.csv", model)
+    manifest = tmp_path / "manifest.txt"
+    # the first shard's files do not exist: the whole manifest is parsed first
+    manifest.write_text(
+        "scale 1 images a.idx labels b.idx\n# next\nscale abc images a.idx labels b.idx\n"
+    )
+    caplog.clear()
+    assert main(["eval", "--manifest", str(manifest), "--model", str(model)]) == 2
+    (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert f"{manifest}:3: bad scale" in error and "'abc'" in error
 
 
 def test_eval_manifest(tmp_path, rng, capsys, monkeypatch):

@@ -1,8 +1,9 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from rieszrep.image_core import (
     FormatError,
@@ -112,17 +113,19 @@ def _write_idx_pair(tmp_path, images, labels, image_magic=0x803, label_magic=0x8
 
 def test_load_idx_zeros(tmp_path):
     ipath, lpath = _write_idx_pair(tmp_path, np.zeros((2, 4, 4)), [0, 1])
-    ds = load_idx(ipath, lpath)
-    assert len(ds) == 2
-    assert ds.images[0].shape == (4, 4)
-    assert_allclose(ds.images[1], 0)
-    assert list(ds.labels) == [0, 1]
+    images, labels = load_idx(ipath, lpath)
+    assert images.shape == (2, 4, 4) and images.dtype == np.float64
+    assert_allclose(images, 0)
+    assert list(labels) == [0, 1]
 
 
 def test_load_idx_value_scaling(tmp_path):
-    ipath, lpath = _write_idx_pair(tmp_path, np.full((1, 2, 2), 255), [3])
-    ds = load_idx(ipath, lpath)
-    assert_allclose(ds.images[0], 1.0)
+    pixels = np.arange(24).reshape(2, 3, 4) * 11
+    ipath, lpath = _write_idx_pair(tmp_path, pixels, [3, 4])
+    images, _ = load_idx(ipath, lpath)
+    assert images.shape == (2, 3, 4)
+    # the same division, byte for byte, as one image at a time
+    assert_array_equal(images, [p.astype(np.float64) / 255.0 for p in pixels.astype(np.uint8)])
 
 
 def test_load_idx_bad_magic(tmp_path):
@@ -155,6 +158,57 @@ def test_load_gray_p5(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 255, 255, 0]))
     assert_allclose(load_gray_image(path), [[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"P2\n# made by hand\n2 # width\n# height next\n2\n255 # maxval\n0 255\n# row 2\n255 0\n",
+        b"P5\n# made by hand\n2 # width\n# height next\n2\n#\n255\n" + bytes([0, 255, 255, 0]),
+        b"P5 2 2 255\n" + bytes([0, 255, 255, 0]),
+    ],
+    ids=["p2-comments", "p5-comments", "p5-one-line"],
+)
+def test_load_gray_header_comments(tmp_path, data):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(data)
+    assert_array_equal(load_gray_image(path), [[0, 1], [1, 0]])
+
+
+def test_load_gray_p5_16_bit(tmp_path):
+    path = tmp_path / "img.pgm"
+    # a payload byte that is whitespace must not be taken for header
+    samples = np.array([[0, 65535, 10], [2560, 1, 32768]], dtype=">u2")
+    path.write_bytes(b"P5\n3 2\n65535\n" + samples.tobytes())
+    assert_array_equal(load_gray_image(path), samples / 65535.0)
+
+
+@pytest.mark.parametrize(
+    "data, reason",
+    [
+        (b"P2\n2 2\n0\n0 0 0 0\n", "maxval 0"),
+        (b"P5\n2 2\n0\n\0\0\0\0", "maxval 0"),
+        (b"P2\n2 2\n70000\n0 0 0 0\n", "maxval 70000"),
+        (b"P5\n2 2\n70000\n" + bytes(8), "maxval 70000"),
+        (b"P2\n2 xx\n255\n0 0 0 0\n", "header"),
+        (b"P5\n2 2 -1\n\0\0\0\0", "header"),
+        (b"P5\n2 2", "header"),
+        (b"P2\n2 2\n255\n0 1 zz 0\n", "'zz'"),
+        (b"P5\n2 2\n255\n\0\0\0", "payload"),
+        (b"P2\n0 3\n255\n", "2d image grid, got 3x0"),
+    ],
+    ids=["p2-maxval-0", "p5-maxval-0", "p2-maxval-70000", "p5-maxval-70000", "p2-header-token",
+         "p5-negative-maxval", "p5-truncated-header", "p2-sample", "p5-truncated-payload",
+         "p2-zero-width"],
+)
+def test_load_gray_malformed_graymap_names_the_file(tmp_path, data, reason):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match=reason) as info:
+            load_gray_image(path)
+    assert str(path) in str(info.value)
 
 
 def test_load_gray_p2_truncated(tmp_path):

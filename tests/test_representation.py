@@ -82,6 +82,19 @@ def test_layer_homogeneous_in_C(rng):
         assert np.all(a >= 0)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 5), (3, 1), (5, 1)])
+@pytest.mark.parametrize("angles", [4, 8])
+def test_layer_matches_steered_definition_on_tiny_grids(rng, shape, angles):
+    # one rule for every grid size: C * |hilbert2_steered + i * hilbert_steered|
+    cfg = RieszConfig(depth=1, angles=angles, scale_constant=1.7)
+    f = rng.standard_normal(shape)
+    expected = [
+        1.7 * np.abs(hilbert2_steered(f, phi) + 1j * hilbert_steered(f, phi))
+        for phi in np.arange(angles) * np.pi / angles
+    ]
+    assert_allclose(layer_S(f, cfg), expected, rtol=0, atol=1e-15 * max(1.0, np.abs(f).max()))
+
+
 def test_layer_nonexpansive_with_small_C(rng):
     cfg = RieszConfig(scale_constant=0.25)
     for _ in range(20):

@@ -82,6 +82,15 @@ def test_transform_cosine_stripe():
     assert_allclose(np.abs(g), np.abs(target), atol=1e-12)
 
 
+def test_transform_on_a_row(rng):
+    # on a 1 x N grid u1 = 0, so R1 vanishes and R2 is the 1-d Hilbert transform
+    f = rng.standard_normal((1, 5))
+    assert np.abs(riesz_transform(f, (1, 0))).max() == 0
+    hilbert = np.fft.ifft(-1j * np.sign(np.fft.fftfreq(5)) * np.fft.fft(f[0])).real
+    assert_allclose(riesz_transform(f, (0, 1))[0], hilbert, atol=1e-15)
+    assert_allclose(riesz_transform(f, (0, 2)), f.mean() - f, atol=1e-15)
+
+
 def test_transform_output_mean_free(rng):
     f = rng.standard_normal((16, 16))
     out = riesz_transform(f, (1, 1))
