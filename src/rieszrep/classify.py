@@ -237,10 +237,6 @@ def evaluate(model, X, y):
     return accuracy, confusion
 
 
-def _parse_row(line: str) -> np.ndarray:
-    return np.array([float(t) for t in line.split()])
-
-
 def _fmt_row(row) -> str:
     return " ".join(format(float(v), ".17g") for v in np.atleast_1d(row))
 
@@ -277,49 +273,58 @@ def save_model(model, path):
 
 
 def load_model(path):
+    """Read a model written by ``save_model``.
+
+    A truncated or malformed file raises ``ValueError`` naming the path
+    and the first line that is missing or cannot be parsed.
+    """
     with open(path, encoding="ascii") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unrecognized model format")
-    kind = lines[1].split()[1]
-    _, classes, _, dim = lines[2].split()
-    classes, dim = int(classes), int(dim)
-    if kind == "pca":
-        components = int(lines[3].split()[1])
-        means = np.zeros((classes, dim))
-        bases = []
-        pos = 4
-        for c in range(classes):
-            retained = int(lines[pos].split()[3])
-            pos += 1
-            means[c] = _parse_row(lines[pos])
-            pos += 1
-            basis = np.empty((dim, retained))
-            for j in range(retained):
-                basis[:, j] = _parse_row(lines[pos])
-                pos += 1
-            bases.append(basis)
-        return PcaClassModel(means=means, bases=tuple(bases), components=components)
-    if kind == "svm":
-        hyper = lines[3].split()
-        reg, epochs, seed = float(hyper[2]), int(hyper[4]), int(hyper[6])
-        pos = 4
-        normalizer = None
-        if lines[pos].split()[1] == "1":
-            pos += 1
-            normalizer = MaxAbsNormalizer(scales=_parse_row(lines[pos]))
+    pos = 0
+
+    def fields():
+        nonlocal pos
         pos += 1
-        weights = np.empty((classes, dim))
-        for c in range(classes):
-            weights[c] = _parse_row(lines[pos])
-            pos += 1
-        biases = _parse_row(lines[pos])
-        return SvmModel(
-            weights=weights,
-            biases=biases,
-            reg=reg,
-            epochs=epochs,
-            seed=seed,
-            normalizer=normalizer,
-        )
+        return lines[pos].split()
+
+    def row(size):
+        values = np.array([float(t) for t in fields()])
+        if values.shape != (size,):
+            raise ValueError(f"expected {size} values, found {values.size}")
+        return values
+
+    try:
+        kind = fields()[1]
+        _, classes, _, dim = fields()
+        classes, dim = int(classes), int(dim)
+        if classes < 1 or dim < 1:
+            raise ValueError("class count and dim must be >= 1")
+        if kind == "pca":
+            components = int(fields()[1])
+            means = np.zeros((classes, dim))
+            bases = []
+            for c in range(classes):
+                basis = np.empty((dim, int(fields()[3])))
+                means[c] = row(dim)
+                for j in range(basis.shape[1]):
+                    basis[:, j] = row(dim)
+                bases.append(basis)
+            return PcaClassModel(means=means, bases=tuple(bases), components=components)
+        if kind == "svm":
+            hyper = fields()
+            reg, epochs, seed = float(hyper[2]), int(hyper[4]), int(hyper[6])
+            flag = fields()
+            if flag not in (["normalized", "0"], ["normalized", "1"]):
+                raise ValueError("expected 'normalized 0' or 'normalized 1'")
+            normalizer = MaxAbsNormalizer(scales=row(dim)) if flag[1] == "1" else None
+            weights = np.empty((classes, dim))
+            for c in range(classes):
+                weights[c] = row(dim)
+            return SvmModel(weights, row(classes), reg, epochs, seed, normalizer)
+    except (IndexError, ValueError) as exc:
+        if pos >= len(lines):
+            raise ValueError(f"{path}: truncated, line {pos + 1} is missing") from exc
+        raise ValueError(f"{path}: bad line {pos + 1} {lines[pos]!r}: {exc}") from exc
     raise ValueError(f"{path}: unknown model kind {kind!r}")

@@ -310,14 +310,25 @@ def _parse_manifest(path):
     return shards
 
 
-def _eval_sets(config):
+def _eval_sets(config, model_width):
     """Yield (name, source, feature matrix, labels) of each set to evaluate.
 
     A manifest gives one set per shard, named by its scale and extracted
-    when reached; a feature CSV gives the one set ``all``.
+    when reached; a feature CSV gives the one set ``all``.  A feature
+    width other than ``model_width`` is a configuration error, for a
+    manifest raised before any image is read.
     """
+
+    def check_width(width, source):
+        if width != model_width:
+            raise ConfigError(f"model {config['model']} takes {model_width} features, {source} {width}")
+
     if config["manifest"]:
-        for scale, images_path, labels_path in _parse_manifest(data_path(config["manifest"])):
+        shards = _parse_manifest(data_path(config["manifest"]))
+        cfg = riesz_config(config)
+        width = feature_count(cfg.depth, cfg.angles)
+        check_width(width, f"depth {cfg.depth} and angles {cfg.angles} give")
+        for scale, images_path, labels_path in shards:
             shard = dict(config, images=images_path, labels=labels_path)
             images, labels = load_input_images(shard)
             yield f"{scale:g}", images_path, extract_matrix(images, config), labels
@@ -325,6 +336,7 @@ def _eval_sets(config):
         matrix, _, labels = read_features_csv(config["features"])
         if labels is None:
             raise ConfigError("evaluation features must carry a label column")
+        check_width(matrix.shape[1], f"{config['features']} has")
         yield "all", config["features"], matrix, labels
     else:
         raise ConfigError("eval requires 'features' or 'manifest'")
@@ -334,9 +346,10 @@ def cmd_eval(config, args) -> int:
     if not config["model"]:
         raise ConfigError("eval requires 'model'")
     model = classify.load_model(config["model"])
+    fitted = model.means if isinstance(model, classify.PcaClassModel) else model.weights
     report_rows = []
     empty_sets = 0
-    for name, source, matrix, labels in _eval_sets(config):
+    for name, source, matrix, labels in _eval_sets(config, fitted.shape[1]):
         matrix, labels = _finite_rows(matrix, labels)
         if len(matrix) == 0:
             # the other sets are still evaluated and reported
@@ -379,19 +392,18 @@ def cmd_verify(config, args) -> int:
 def cmd_bench(
     config, args=None, sizes=(24, 64, 128, 256, (97, 67)), train_rows=2000
 ) -> int:
-    """Seconds per image for ``fft2`` and ``features`` at each size, then
-    seconds per ``svm_fit`` (reg 0.01, 50 epochs) on a seeded
-    ``train_rows`` x 85, 10-class synthetic set, on the row ``<rows>x85,train``.
+    """Seconds per image for ``features`` at each size, then seconds per
+    ``svm_fit`` (reg 0.01, 50 epochs) on a seeded ``train_rows`` x 85,
+    10-class synthetic set, on the row ``<rows>x85,train``.
 
     A size is a square's side or a (height, width) pair, printed as
     ``<height>x<width>``.  97x67 is the shape of a scale-4 digit crop:
     both axes prime, its width on the engine's DFT-matrix path.
 
-    ``fft2`` is the mean of 3 calls on one image.  ``features`` is the
-    mean over 4 consecutive images of the size run through
-    ``extract_matrix`` without bbox cropping, as ``extract`` runs them,
-    so the engine's buffers are lent from image to image; the filter
-    caches are warmed first.
+    ``features`` is the mean over 4 consecutive images of the size run
+    through ``extract_matrix`` without bbox cropping, as ``extract`` runs
+    them, so the engine's buffers are lent from image to image; the
+    filter caches are warmed first.
     """
     cfg = riesz_config(config)
     run = dict(config, bbox=False)
@@ -402,11 +414,6 @@ def cmd_bench(
         height, width = (size, size) if square else size
         name = size if square else f"{height}x{width}"
         stack = rng.standard_normal((4, height, width))
-        np.fft.fft2(stack[0])
-        start = time.perf_counter()
-        for _ in range(3):
-            np.fft.fft2(stack[0])
-        print(f"{name},fft2,{(time.perf_counter() - start) / 3:.6f}")
         extract_features(stack[0], cfg)  # warm the filter caches
         start = time.perf_counter()
         extract_matrix(stack, run)

@@ -114,6 +114,8 @@ def load_idx(images_path, labels_path):
                 f"{images_path}: bad IDX image magic 0x{magic:08x} "
                 f"(expected 0x{IDX_IMAGE_MAGIC:08x})"
             )
+        if count < 0 or height < 1 or width < 1:
+            raise FormatError(f"{images_path}: bad IDX image size {count}x{height}x{width}")
         payload = _read_exact(
             fh, count * height * width, images_path, "IDX image payload"
         )
@@ -126,11 +128,11 @@ def load_idx(images_path, labels_path):
                 f"{labels_path}: bad IDX label magic 0x{magic:08x} "
                 f"(expected 0x{IDX_LABEL_MAGIC:08x})"
             )
+        if label_count != count:
+            raise FormatError(
+                f"{labels_path}: label count {label_count} does not match image count {count}"
+            )
         label_bytes = _read_exact(fh, label_count, labels_path, "IDX label payload")
-    if count != label_count:
-        raise FormatError(
-            f"image count {count} does not match label count {label_count}"
-        )
     raw = np.frombuffer(payload, dtype=np.uint8).reshape(count, height, width)
     images = raw.astype(np.float64)
     images /= 255.0

@@ -39,6 +39,7 @@ nonexpansiveness of the layer operator.
 
 from __future__ import annotations
 
+import csv
 import functools
 import itertools
 import math
@@ -381,8 +382,6 @@ def write_features_csv(path, matrix, paths, labels=None):
     rules.  Values use full decimal (round-trippable) precision; an
     optional integer label column comes last.
     """
-    import csv
-
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     header = [path_label(p) for p in paths]
     if matrix.shape[1] != len(header):
@@ -408,8 +407,6 @@ def read_features_csv(path):
     a field that is not a number, a width that differs from the header
     or a label that is not an integer raises ``ValueError``.
     """
-    import csv
-
     with open(path, newline="", encoding="ascii") as fh:
         line = fh.readline()
         if not line:
@@ -441,7 +438,7 @@ def gaussian_presmooth(f: np.ndarray, sigma: float) -> np.ndarray:
     """Periodic Gaussian smoothing realized in the frequency domain."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    f = as_image(f)
-    u1, u2 = freq_coords(*f.shape)
+    spec = fft2(f)
+    u1, u2 = freq_coords(*spec.shape)
     kernel = np.exp(-2 * np.pi**2 * sigma**2 * (u1**2 + u2**2))
-    return ifft2(kernel * fft2(f))
+    return ifft2(kernel * spec)

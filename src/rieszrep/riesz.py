@@ -1,4 +1,4 @@
-"""Frequency-domain Riesz transforms and the monogenic signal.
+"""Frequency-domain Riesz transforms, their steered forms and identities.
 
 First-order multipliers follow -i * u_j / |u| on the signed DFT grid,
 with two discretization fixes that keep outputs exactly real:
@@ -21,7 +21,6 @@ R22 once per map and steers them).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,16 +62,14 @@ def riesz_multiplier(order, height: int, width: int) -> np.ndarray:
 
 def riesz_transform(f: np.ndarray, order) -> np.ndarray:
     """Apply the Riesz transform of the given order in the frequency domain."""
-    f = as_image(f)
-    m = riesz_multiplier(order, *f.shape)
-    return ifft2(m * fft2(f))
+    spec = fft2(f)
+    return ifft2(riesz_multiplier(order, *spec.shape) * spec)
 
 
 def adjoint_riesz_transform(f: np.ndarray, order) -> np.ndarray:
     """Adjoint of the Riesz transform (conjugated multiplier)."""
-    f = as_image(f)
-    m = riesz_multiplier(order, *f.shape)
-    return ifft2(np.conj(m) * fft2(f))
+    spec = fft2(f)
+    return ifft2(np.conj(riesz_multiplier(order, *spec.shape)) * spec)
 
 
 def steered_multiplier(phi: float, height: int, width: int) -> np.ndarray:
@@ -83,60 +80,15 @@ def steered_multiplier(phi: float, height: int, width: int) -> np.ndarray:
 
 def hilbert_steered(f: np.ndarray, phi: float) -> np.ndarray:
     """Directional Hilbert transform cos(phi)*R1 f + sin(phi)*R2 f."""
-    f = as_image(f)
-    return ifft2(steered_multiplier(phi, *f.shape) * fft2(f))
+    spec = fft2(f)
+    return ifft2(steered_multiplier(phi, *spec.shape) * spec)
 
 
 def hilbert2_steered(f: np.ndarray, phi: float) -> np.ndarray:
     """Second-order directional Hilbert transform (squared steered multiplier)."""
-    f = as_image(f)
-    m = steered_multiplier(phi, *f.shape)
-    return ifft2(m * m * fft2(f))
-
-
-@dataclass(frozen=True)
-class MonogenicSignal:
-    f: np.ndarray
-    f1: np.ndarray  # R1 f
-    f2: np.ndarray  # R2 f
-
-
-def monogenic(f: np.ndarray) -> MonogenicSignal:
-    """Bundle the signal with its two first-order Riesz components."""
-    f = as_image(f)
     spec = fft2(f)
-    m1, m2 = first_order_multipliers(*f.shape)
-    return MonogenicSignal(f=f, f1=ifft2(m1 * spec), f2=ifft2(m2 * spec))
-
-
-def local_amplitude(m: MonogenicSignal) -> np.ndarray:
-    """Pointwise sqrt(f^2 + f1^2 + f2^2)."""
-    return np.sqrt(m.f**2 + m.f1**2 + m.f2**2)
-
-
-def local_orientation(m: MonogenicSignal) -> np.ndarray:
-    """Pointwise angle atan(f2/f1); degenerate pixels map to 0 or pi/2."""
-    out = np.zeros_like(m.f1)
-    axis = m.f1 == 0
-    np.divide(m.f2, m.f1, out=out, where=~axis)
-    out = np.arctan(out)
-    out[axis & (m.f2 != 0)] = np.pi / 2
-    return out
-
-
-def local_phase(m: MonogenicSignal) -> np.ndarray:
-    """Pointwise phase atan(sqrt(f1^2+f2^2)/f) in (-pi/2, pi/2].
-
-    Pixels with f = 0 but nonzero Riesz part map to pi/2; fully zero
-    pixels map to 0.
-    """
-    s = np.hypot(m.f1, m.f2)
-    even = m.f == 0
-    ratio = np.zeros_like(s)
-    np.divide(s, m.f, out=ratio, where=~even)
-    out = np.arctan(ratio)
-    out[even & (s > 0)] = np.pi / 2
-    return out
+    m = steered_multiplier(phi, *spec.shape)
+    return ifft2(m * m * spec)
 
 
 def enumerate_orders(order_total: int):

@@ -417,6 +417,36 @@ def test_model_bad_version(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("riesz-model v1\n", "truncated, line 2 is missing"),
+        ("riesz-model v1\nkind svm\nclasses 2 dim 1\n", "truncated, line 4 is missing"),
+        ("riesz-model v1\nkind svm\nclasses two dim 1\n", "bad line 3 'classes two dim 1'"),
+        ("riesz-model v1\nkind pca\nclasses 1 dim 2\ncomponents 1\nclass 0 retained 1\n"
+         "0 1\n0 x\n", "bad line 7 '0 x'"),
+        ("riesz-model v1\nkind svm\nclasses 2 dim 2\nhyper reg 0.1 epochs 1 seed 0\n"
+         "normalized 0\n1 2\n3 4\n0\n", "bad line 8 '0': expected 2 values, found 1"),
+        ("riesz-model v1\nkind svm\nclasses 2 dim 2\nhyper reg 0.1 epochs 1 seed 0\n"
+         "normalized 2\n1 2\n3 4\n5 6\n", "bad line 5 'normalized 2'"),
+    ],
+    ids=[
+        "version-only",
+        "no-hyper-line",
+        "bad-class-count",
+        "bad-sample",
+        "short-biases",
+        "bad-normalized-flag",
+    ],
+)
+def test_load_model_malformed_names_path_and_line(tmp_path, text, reason):
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_model(path)
+    assert str(info.value).startswith(f"{path}: {reason}")
+
+
 def test_pca_basis_orthonormal(rng):
     X = rng.standard_normal((30, 10))
     y = np.repeat([0, 1, 2], 10)

@@ -1,3 +1,4 @@
+import re
 import struct
 import warnings
 
@@ -137,6 +138,21 @@ def test_load_idx_bad_magic(tmp_path):
 def test_load_idx_count_mismatch(tmp_path):
     ipath, lpath = _write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1, 2])
     with pytest.raises(FormatError, match="count"):
+        load_idx(ipath, lpath)
+
+
+@pytest.mark.parametrize("dims", [(-1, 2, 2), (1, -2, 2), (1, 2, -2), (1, 0, 5), (1, 5, 0)])
+def test_load_idx_bad_dimensions_name_the_file(tmp_path, dims):
+    ipath, lpath = _write_idx_pair(tmp_path, np.zeros((1, 2, 2)), [0])
+    ipath.write_bytes(struct.pack(">iiii", 0x803, *dims) + bytes(4))
+    with pytest.raises(FormatError, match=re.escape(f"{ipath}: bad IDX image size")):
+        load_idx(ipath, lpath)
+
+
+def test_load_idx_negative_label_count_names_the_file(tmp_path):
+    ipath, lpath = _write_idx_pair(tmp_path, np.zeros((1, 2, 2)), [0])
+    lpath.write_bytes(struct.pack(">ii", 0x801, -3))
+    with pytest.raises(FormatError, match=re.escape(f"{lpath}: label count -3")):
         load_idx(ipath, lpath)
 
 

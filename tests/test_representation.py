@@ -501,3 +501,22 @@ def test_features_csv_malformed_rows(tmp_path, rows, message):
     out.write_text("\r\n".join(['"[]"' + ",label", *rows]) + "\r\n", encoding="ascii")
     with pytest.raises(ValueError, match=message):
         read_features_csv(out)
+
+
+def test_readme_example_and_public_names():
+    import types
+    from pathlib import Path
+
+    import rieszrep
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = [b.split("\n", 1)[1] for b in readme.split("```")[1::2] if b.startswith("python\n")]
+    scope = {}
+    exec(block, scope)
+    assert scope["vec"].shape == (85,)
+    public = {
+        name
+        for name, value in vars(rieszrep).items()
+        if not isinstance(value, types.ModuleType) and (name == "__version__" or name[0] != "_")
+    }
+    assert public == {"RieszConfig", "extract_features", "__version__"}

@@ -8,10 +8,6 @@ from rieszrep.riesz import (
     first_order_multipliers,
     hilbert2_steered,
     hilbert_steered,
-    local_amplitude,
-    local_orientation,
-    local_phase,
-    monogenic,
     multinomial_weight,
     reconstruct_from_order,
     riesz_multiplier,
@@ -134,82 +130,6 @@ def test_hilbert2_is_composition(rng):
 
 def test_hilbert2_constant_zero():
     assert np.abs(hilbert2_steered(np.full((8, 8), 3.0), 0.7)).max() <= 1e-12
-
-
-def test_monogenic_constructor_cases(rng):
-    zero = monogenic(np.zeros((8, 8)))
-    assert np.abs(zero.f1).max() == 0 and np.abs(zero.f2).max() == 0
-    const = monogenic(np.full((8, 8), 2.0))
-    assert np.abs(const.f1).max() <= 1e-12
-    f = rng.standard_normal((16, 16))
-    m = monogenic(f)
-    assert np.sum(m.f1**2) + np.sum(m.f2**2) <= np.sum(f**2) * (1 + 1e-8)
-
-
-def test_local_amplitude(rng):
-    m = monogenic(rng.standard_normal((16, 16)))
-    amp = local_amplitude(m)
-    assert np.all(amp >= 0)
-    lhs = np.sum(amp**2)
-    rhs = np.sum(m.f**2) + np.sum(m.f1**2) + np.sum(m.f2**2)
-    assert abs(lhs - rhs) / rhs <= 1e-10
-    # Pythagorean spot value
-    from rieszrep.riesz import MonogenicSignal
-
-    point = MonogenicSignal(
-        f=np.array([[3.0]]), f1=np.array([[4.0]]), f2=np.array([[0.0]])
-    )
-    assert local_amplitude(point)[0, 0] == pytest.approx(5.0)
-
-
-def test_local_orientation_conventions():
-    from rieszrep.riesz import MonogenicSignal
-
-    m = MonogenicSignal(
-        f=np.zeros((1, 4)),
-        f1=np.array([[1.0, 1.0, 0.0, 0.0]]),
-        f2=np.array([[0.0, 1.0, 1.0, 0.0]]),
-    )
-    v = local_orientation(m)
-    assert v[0, 0] == 0
-    assert v[0, 1] == pytest.approx(np.pi / 4)
-    assert v[0, 2] == pytest.approx(np.pi / 2)
-    assert v[0, 3] == 0
-
-
-def test_local_orientation_stripe():
-    h = w = 64
-    x1 = np.arange(h)[:, None] + np.zeros((1, w))
-    m = monogenic(np.cos(2 * np.pi * 5 * x1 / h))
-    angles = local_orientation(m)
-    amp = np.hypot(m.f1, m.f2)
-    strong = amp > 0.5 * amp.max()
-    hist, edges = np.histogram(angles[strong], bins=32, range=(-np.pi / 2, np.pi / 2))
-    mode = (edges[np.argmax(hist)] + edges[np.argmax(hist) + 1]) / 2
-    assert abs(mode) <= 0.1
-
-
-def test_local_phase_conventions():
-    from rieszrep.riesz import MonogenicSignal
-
-    m = MonogenicSignal(
-        f=np.array([[2.0, 0.0, 0.0]]),
-        f1=np.array([[0.0, 1.0, 0.0]]),
-        f2=np.array([[0.0, 0.0, 0.0]]),
-    )
-    theta = local_phase(m)
-    assert theta[0, 0] == 0
-    assert theta[0, 1] == pytest.approx(np.pi / 2)
-    assert theta[0, 2] == 0
-
-
-def test_local_phase_sinusoid_spread():
-    h = w = 64
-    x1 = np.arange(h)[:, None] + np.zeros((1, w))
-    m = monogenic(np.cos(2 * np.pi * 3 * x1 / h))
-    theta = local_phase(m)
-    hist, _ = np.histogram(theta, bins=8, range=(-np.pi / 2, np.pi / 2))
-    assert np.all(hist[1:-1] > 0)  # interior bins populated
 
 
 @pytest.mark.parametrize("n_total", [1, 2])
