@@ -275,8 +275,9 @@ def save_model(model, path):
 def load_model(path):
     """Read a model written by ``save_model``.
 
-    A truncated or malformed file raises ``ValueError`` naming the path
-    and the first line that is missing or cannot be parsed.
+    A truncated or malformed file, or one with a non-blank line after
+    the model, raises ``ValueError`` naming the path and the first line
+    that is missing, cannot be parsed or is not expected.
     """
     with open(path, encoding="ascii") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
@@ -311,8 +312,8 @@ def load_model(path):
                 for j in range(basis.shape[1]):
                     basis[:, j] = row(dim)
                 bases.append(basis)
-            return PcaClassModel(means=means, bases=tuple(bases), components=components)
-        if kind == "svm":
+            model = PcaClassModel(means=means, bases=tuple(bases), components=components)
+        elif kind == "svm":
             hyper = fields()
             reg, epochs, seed = float(hyper[2]), int(hyper[4]), int(hyper[6])
             flag = fields()
@@ -322,9 +323,14 @@ def load_model(path):
             weights = np.empty((classes, dim))
             for c in range(classes):
                 weights[c] = row(dim)
-            return SvmModel(weights, row(classes), reg, epochs, seed, normalizer)
+            model = SvmModel(weights, row(classes), reg, epochs, seed, normalizer)
     except (IndexError, ValueError) as exc:
         if pos >= len(lines):
             raise ValueError(f"{path}: truncated, line {pos + 1} is missing") from exc
         raise ValueError(f"{path}: bad line {pos + 1} {lines[pos]!r}: {exc}") from exc
-    raise ValueError(f"{path}: unknown model kind {kind!r}")
+    if kind not in ("pca", "svm"):
+        raise ValueError(f"{path}: unknown model kind {kind!r}")
+    for extra in range(pos + 1, len(lines)):
+        if lines[extra].strip():
+            raise ValueError(f"{path}: bad line {extra + 1} {lines[extra]!r}: expected end of model")
+    return model

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 property/eval failure or runtime error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import logging
 import os
 import sys
@@ -26,6 +27,7 @@ from . import classify, verify
 from .image_core import NonFiniteImageError, load_gray_image, load_idx, save_gray_pgm
 from .preprocess import BlankImageError, bbox_compute, bbox_extract
 from .representation import (
+    POOLINGS,
     RieszConfig,
     Workspace,
     extract_features,
@@ -47,13 +49,16 @@ def _parse_bool(value):
     raise ValueError(f"expected 1/true/yes or 0/false/no, got {value!r}")
 
 
+# the keys that build a RieszConfig and those passed on to bbox_compute,
+# with their parsers; both take their defaults from there
+_RIESZ = {"depth": int, "angles": int, "scale_constant": float, "pooling": str,
+          "presmooth_sigma": float}
+_CROP = {"pad": int, "threshold": float, "enlarge": float}
+_CROP_DEFAULTS = inspect.signature(bbox_compute).parameters
+
 # key -> (parser, default); config files and flags share this schema
 _SCHEMA = {
-    "depth": (int, 3),
-    "angles": (int, 4),
-    "scale_constant": (float, 1.0),
-    "pooling": (str, "mean"),
-    "presmooth_sigma": (float, None),
+    **{key: (parse, getattr(RieszConfig, key)) for key, parse in _RIESZ.items()},
     "seed": (int, 0),
     "images": (str, None),
     "labels": (str, None),
@@ -61,9 +66,7 @@ _SCHEMA = {
     "manifest": (str, None),
     "limit": (int, None),
     "bbox": (_parse_bool, False),
-    "pad": (int, 50),
-    "threshold": (float, 0.5),
-    "enlarge": (float, 0.4),
+    **{key: (parse, _CROP_DEFAULTS[key].default) for key, parse in _CROP.items()},
     "classifier": (str, "svm"),
     "components": (int, 20),
     "reg": (float, 1e-4),
@@ -75,7 +78,7 @@ _SCHEMA = {
 }
 
 # keys whose flag accepts only these values
-_CHOICES = {"pooling": ("mean", "max"), "classifier": ("pca", "svm")}
+_CHOICES = {"pooling": POOLINGS, "classifier": ("pca", "svm")}
 
 
 class ConfigError(ValueError):
@@ -129,15 +132,13 @@ def data_path(value) -> Path:
     return path
 
 
+def _pick(config, keys) -> dict:
+    return {key: config[key] for key in keys}
+
+
 def riesz_config(config) -> RieszConfig:
     try:
-        return RieszConfig(
-            depth=config["depth"],
-            angles=config["angles"],
-            scale_constant=config["scale_constant"],
-            pooling=config["pooling"],
-            presmooth_sigma=config["presmooth_sigma"],
-        )
+        return RieszConfig(**_pick(config, _RIESZ))
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -187,12 +188,7 @@ def extract_matrix(images, config):
             # numpy's floating-point warnings
             with np.errstate(over="ignore", invalid="ignore"):
                 if config["bbox"]:
-                    img = bbox_extract(
-                        img,
-                        pad=config["pad"],
-                        threshold=config["threshold"],
-                        enlarge=config["enlarge"],
-                    )
+                    img = bbox_extract(img, **_pick(config, _CROP))
                 rows.append(extract_features(img, cfg, workspace=workspace))
         except (BlankImageError, NonFiniteImageError) as exc:
             log.warning("image %d flagged: %s", index, exc)
@@ -225,12 +221,7 @@ def cmd_bbox(config, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, img in enumerate(images):
         try:
-            padded, tight, box = bbox_compute(
-                img,
-                pad=config["pad"],
-                threshold=config["threshold"],
-                enlarge=config["enlarge"],
-            )
+            padded, tight, box = bbox_compute(img, **_pick(config, _CROP))
         except (BlankImageError, NonFiniteImageError) as exc:
             log.warning("image %d skipped: %s", i, exc)
             continue
@@ -434,27 +425,27 @@ def build_parser():
     )
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-    riesz = ("depth", "angles", "scale_constant", "pooling", "presmooth_sigma")
+    riesz = tuple(_RIESZ)
     inputs = ("images", "labels", "image_dir", "limit")
-    bbox = ("bbox", "pad", "threshold", "enlarge")
+    bbox = ("bbox", *_CROP)
     # name, handler, help, and the schema keys it takes as flags; each
     # flag is the key with '-' for '_', so its dest is the key
     commands = (
         ("extract", cmd_extract, "write a feature CSV", (*riesz, *inputs, *bbox, "output")),
         ("bbox", cmd_bbox, "write cropped graymaps", (*inputs, *bbox, "out_dir")),
         ("train", cmd_train, "train a classifier from a feature CSV",
-         ("features", "classifier", "components", "reg", "epochs", "output")),
+         ("features", "classifier", "components", "reg", "epochs", "seed", "output")),
         ("eval", cmd_eval, "evaluate a model",
          (*riesz, *bbox, "features", "manifest", "limit", "model", "output")),
-        ("verify", cmd_verify, "run the numerical property suite", ()),
-        ("bench", cmd_bench, "time the pipeline stages", riesz),
+        ("verify", cmd_verify, "run the numerical property suite", ("seed",)),
+        ("bench", cmd_bench, "time the pipeline stages", (*riesz, "seed")),
     )
     for name, handler, help_text, keys in commands:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--config", help="flat 'key = value' configuration file")
         p.add_argument("--print-config", action="store_true")
-        for key in ("seed", *keys):
+        for key in keys:
             flag = "--" + key.replace("_", "-")
             if key == "bbox":
                 p.add_argument(flag, action="store_const", const=True)

@@ -70,7 +70,7 @@ def bbox_compute(
     padded-image coordinates.  Pixels at or above the threshold count
     as foreground, so binary images keep their 1-pixels.
     """
-    f = minmax_normalize(as_image(f))
+    f = minmax_normalize(f)
     padded = np.pad(f, pad)
     tight = tight_bbox(padded >= threshold)
     box = enlarge_bbox(tight, enlarge, *padded.shape)

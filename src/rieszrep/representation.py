@@ -50,7 +50,7 @@ import numpy as np
 from .image_core import NonFiniteImageError, as_image, fft2, freq_coords, ifft2
 from .riesz import first_order_multipliers
 
-_POOLINGS = ("mean", "max")
+POOLINGS = ("mean", "max")
 
 # Entries of ``_basis_bank`` (the one per-shape filter cache; the
 # multipliers behind it are built per call) and of ``_real_dft`` (per
@@ -78,8 +78,8 @@ class RieszConfig:
             raise ValueError("angle count must be a positive multiple of 4")
         if self.scale_constant <= 0:
             raise ValueError("scale constant must be positive")
-        if self.pooling not in _POOLINGS:
-            raise ValueError(f"pooling must be one of {_POOLINGS}")
+        if self.pooling not in POOLINGS:
+            raise ValueError(f"pooling must be one of {POOLINGS}")
         if self.presmooth_sigma is not None and self.presmooth_sigma <= 0:
             raise ValueError("presmooth sigma must be positive")
 

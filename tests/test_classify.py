@@ -391,6 +391,8 @@ def test_model_round_trip_svm(tmp_path, rng):
     model = svm_fit(X, y, seed=3, normalizer=maxabs_fit(X))
     path = tmp_path / "model.txt"
     save_model(model, path)
+    with open(path, "a", encoding="ascii") as fh:
+        fh.write("\n \n")  # blank lines after the model are allowed
     back = load_model(path)
     assert np.array_equal(back.weights, model.weights)
     assert np.array_equal(back.biases, model.biases)
@@ -429,6 +431,9 @@ def test_model_bad_version(tmp_path):
          "normalized 0\n1 2\n3 4\n0\n", "bad line 8 '0': expected 2 values, found 1"),
         ("riesz-model v1\nkind svm\nclasses 2 dim 2\nhyper reg 0.1 epochs 1 seed 0\n"
          "normalized 2\n1 2\n3 4\n5 6\n", "bad line 5 'normalized 2'"),
+        ("riesz-model v1\nkind svm\nclasses 2 dim 1\nhyper reg 0.1 epochs 1 seed 0\n"
+         "normalized 0\n1\n2\n0 0\n\n0 0\nriesz-model v1\n",
+         "bad line 10 '0 0': expected end of model"),
     ],
     ids=[
         "version-only",
@@ -437,6 +442,7 @@ def test_model_bad_version(tmp_path):
         "bad-sample",
         "short-biases",
         "bad-normalized-flag",
+        "trailing-line",
     ],
 )
 def test_load_model_malformed_names_path_and_line(tmp_path, text, reason):

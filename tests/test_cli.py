@@ -71,8 +71,9 @@ _COMMON = {
     (("-h", "--help"), "help", None, None, None),
     (("--config",), "config", None, None, None),
     (("--print-config",), "print_config", None, True, None),
-    (("--seed",), "seed", None, None, int),
 }
+# only the commands that read the seed take the flag
+_SEED = (("--seed",), "seed", None, None, int)
 _RIESZ = {
     (("--depth",), "depth", None, None, int),
     (("--angles",), "angles", None, None, int),
@@ -104,6 +105,7 @@ _OPTION_TABLE = {
         (("--components",), "components", None, None, int),
         (("--reg",), "reg", None, None, float),
         (("--epochs",), "epochs", None, None, int),
+        _SEED,
         _OUTPUT,
     },
     "eval": _COMMON | _RIESZ | _BBOX | {
@@ -114,9 +116,10 @@ _OPTION_TABLE = {
         _OUTPUT,
     },
     "verify": _COMMON | {
+        _SEED,
         (("--inject-fault",), "inject_fault", ("dc-not-zeroed",), None, None),
     },
-    "bench": _COMMON | _RIESZ,
+    "bench": _COMMON | _RIESZ | {_SEED},
 }
 
 
@@ -688,6 +691,19 @@ def test_eval_truncated_model_names_the_line(tmp_path, caplog):
     assert main(["eval", "--features", str(features), "--model", str(model)]) == 1
     (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert error == f"{model}: truncated, line 4 is missing"
+
+
+def test_eval_model_with_trailing_line_fails(tmp_path, caplog):
+    features = tmp_path / "f.csv"
+    model = tmp_path / "m.txt"
+    _train_small_model(features, model)
+    n_lines = len(model.read_text().splitlines())
+    with open(model, "a", encoding="ascii") as fh:
+        fh.write("riesz-model v1\n")
+    caplog.clear()
+    assert main(["eval", "--features", str(features), "--model", str(model)]) == 1
+    (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error.startswith(f"{model}: bad line {n_lines + 1} 'riesz-model v1'")
 
 
 def test_eval_manifest(tmp_path, rng, capsys, monkeypatch):

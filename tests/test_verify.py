@@ -1,0 +1,61 @@
+import dataclasses
+
+import pytest
+
+from rieszrep import riesz, verify
+from rieszrep.representation import RieszConfig
+
+
+def _index(name):
+    return [n for n, _, _ in verify.PROPERTIES].index(name)
+
+
+def test_fault_reaches_riesz_transform():
+    # order-reconstruction builds its multipliers inside riesz_transform
+    index = _index("order-reconstruction")
+    clean = verify.check(index)
+    faulty = verify.check(index, inject_fault="dc-not-zeroed")
+    assert clean.passed and faulty.passed
+    assert faulty.measured != clean.measured
+
+
+def test_check_installs_fault_only_while_measuring(monkeypatch):
+    original = riesz.riesz_multiplier
+    seen = []
+
+    def spy(rng):
+        seen.append(riesz.riesz_multiplier)
+        yield 0.0
+
+    def failing(rng):
+        yield from spy(rng)
+        raise RuntimeError("measure failed")
+
+    monkeypatch.setattr(verify, "PROPERTIES", (("spy", 1.0, spy), ("failing", 1.0, failing)))
+    assert verify.check(0, inject_fault="dc-not-zeroed").measured == 0.0
+    assert riesz.riesz_multiplier is original
+    with pytest.raises(RuntimeError, match="measure failed"):
+        verify.check(1, inject_fault="dc-not-zeroed")
+    assert riesz.riesz_multiplier is original
+    assert verify.check(0).passed
+    assert seen == [verify.FAULTS["dc-not-zeroed"]] * 2 + [original]
+
+
+def test_unknown_fault_rejected():
+    original = riesz.riesz_multiplier
+    with pytest.raises(ValueError, match="unknown fault"):
+        verify.check(0, inject_fault="no-such-fault")
+    assert riesz.riesz_multiplier is original
+
+
+def test_layer_nonexpansive_catches_dropped_scale_constant(monkeypatch):
+    index = _index("layer-nonexpansive")
+    assert verify.check(index).measured == pytest.approx(0.25**2 * 7 * 4 / 8 - 1.0)
+
+    def unscaled(**kwargs):
+        return dataclasses.replace(RieszConfig(**kwargs), scale_constant=1.0)
+
+    monkeypatch.setattr(verify, "RieszConfig", unscaled)
+    result = verify.check(index)
+    assert not result.passed
+    assert result.measured == pytest.approx(7 * 4 / 8 - 1.0)
