@@ -118,11 +118,6 @@ def pca_residuals(model: PcaClassModel, X) -> np.ndarray:
     return res
 
 
-def pca_predict(model: PcaClassModel, X) -> np.ndarray:
-    """Class of the smallest projection residual (argmin keeps lowest id)."""
-    return np.argmin(pca_residuals(model, X), axis=1)
-
-
 @dataclass(frozen=True)
 class SvmModel:
     weights: np.ndarray  # (classes, dim)
@@ -212,16 +207,12 @@ def svm_scores(model: SvmModel, X) -> np.ndarray:
     return X @ model.weights.T + model.biases
 
 
-def svm_predict(model: SvmModel, X) -> np.ndarray:
-    """Class of the highest decision score (argmax keeps lowest id on ties)."""
-    return np.argmax(svm_scores(model, X), axis=1)
-
-
 def predict(model, X) -> np.ndarray:
+    """Class of the smallest PCA residual or highest SVM score; ties go to the lowest id."""
     if isinstance(model, PcaClassModel):
-        return pca_predict(model, X)
+        return np.argmin(pca_residuals(model, X), axis=1)
     if isinstance(model, SvmModel):
-        return svm_predict(model, X)
+        return np.argmax(svm_scores(model, X), axis=1)
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 

@@ -143,8 +143,16 @@ def riesz_config(config) -> RieszConfig:
         raise ConfigError(str(exc))
 
 
+def _one_source(config, first, second):
+    """Reject two input sources given together, from flags or a file."""
+    if config[first] and config[second]:
+        raise ConfigError(f"'{first}' and '{second}' cannot both be given; choose one input source")
+
+
 def load_input_images(config):
     """Images plus optional labels from an IDX pair or an image directory."""
+    _one_source(config, "images", "image_dir")
+    _one_source(config, "labels", "image_dir")
     if config["images"]:
         if not config["labels"]:
             raise ConfigError("'images' requires 'labels' (IDX pair)")
@@ -320,7 +328,8 @@ def _eval_sets(config, model_width):
         width = feature_count(cfg.depth, cfg.angles)
         check_width(width, f"depth {cfg.depth} and angles {cfg.angles} give")
         for scale, images_path, labels_path in shards:
-            shard = dict(config, images=images_path, labels=labels_path)
+            # eval takes no image directory; a shared config file's is not a source
+            shard = dict(config, images=images_path, labels=labels_path, image_dir=None)
             images, labels = load_input_images(shard)
             yield f"{scale:g}", images_path, extract_matrix(images, config), labels
     elif config["features"]:
@@ -336,6 +345,7 @@ def _eval_sets(config, model_width):
 def cmd_eval(config, args) -> int:
     if not config["model"]:
         raise ConfigError("eval requires 'model'")
+    _one_source(config, "features", "manifest")
     model = classify.load_model(config["model"])
     fitted = model.means if isinstance(model, classify.PcaClassModel) else model.weights
     report_rows = []

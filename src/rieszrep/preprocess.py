@@ -1,4 +1,5 @@
-"""Scale-equivariant bounding-box extraction and image rescaling."""
+"""Scale-equivariant bounding-box extraction: normalize, pad, threshold,
+then crop the tight foreground box enlarged about its center."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image_core import as_image, minmax_normalize
+from .image_core import minmax_normalize
 
 
 class BlankImageError(ValueError):
@@ -83,38 +84,3 @@ def bbox_extract(
     """Crop the enlarged foreground bounding box from the padded image."""
     padded, _, box = bbox_compute(f, pad=pad, threshold=threshold, enlarge=enlarge)
     return padded[box.row0 : box.row1, box.col0 : box.col1]
-
-
-def rescale(f: np.ndarray, factor: float, method: str = "bilinear") -> np.ndarray:
-    """Resample by a scale factor with nearest or bilinear interpolation.
-
-    Output dimensions are round(dim * factor); bilinear sampling clamps
-    at the edges.
-    """
-    f = as_image(f)
-    if factor <= 0:
-        raise ValueError("scale factor must be positive")
-    out_h = int(round(f.shape[0] * factor))
-    out_w = int(round(f.shape[1] * factor))
-    if out_h < 1 or out_w < 1:
-        raise ValueError(f"degenerate output size {out_h}x{out_w}")
-    if method == "nearest":
-        rows = np.minimum((np.arange(out_h) / factor).astype(int), f.shape[0] - 1)
-        cols = np.minimum((np.arange(out_w) / factor).astype(int), f.shape[1] - 1)
-        return f[np.ix_(rows, cols)]
-    if method == "bilinear":
-        # map output pixel centers to input coordinates
-        rows = (np.arange(out_h) + 0.5) * (f.shape[0] / out_h) - 0.5
-        cols = (np.arange(out_w) + 0.5) * (f.shape[1] / out_w) - 0.5
-        rows = np.clip(rows, 0, f.shape[0] - 1)
-        cols = np.clip(cols, 0, f.shape[1] - 1)
-        r0 = np.floor(rows).astype(int)
-        c0 = np.floor(cols).astype(int)
-        r1 = np.minimum(r0 + 1, f.shape[0] - 1)
-        c1 = np.minimum(c0 + 1, f.shape[1] - 1)
-        wr = (rows - r0)[:, None]
-        wc = (cols - c0)[None, :]
-        top = f[np.ix_(r0, c0)] * (1 - wc) + f[np.ix_(r0, c1)] * wc
-        bot = f[np.ix_(r1, c0)] * (1 - wc) + f[np.ix_(r1, c1)] * wc
-        return top * (1 - wr) + bot * wr
-    raise ValueError(f"unknown interpolation method {method!r}")

@@ -325,12 +325,6 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None):
         level = nxt.reshape(-1, height, width)
 
 
-def _prepared(f: np.ndarray, config: RieszConfig) -> np.ndarray:
-    f = as_image(f)
-    sigma = config.presmooth_sigma
-    return f if sigma is None else gaussian_presmooth(f, sigma)
-
-
 def layer_S(f: np.ndarray, config: RieszConfig):
     """One transformation layer: C * amplitude of each rotated base response.
 
@@ -338,18 +332,6 @@ def layer_S(f: np.ndarray, config: RieszConfig):
     """
     (chunk,) = _level_chunks(as_image(f), replace(config, depth=1))
     return list(chunk)
-
-
-def build_hierarchy(f: np.ndarray, config: RieszConfig):
-    """All feature maps up to depth K, keyed by rotation-index path.
-
-    Each engine chunk is copied before the next is computed, since it
-    is only valid until then.
-    """
-    f = _prepared(f, config)
-    chunks = (c.copy() for c in _level_chunks(f, config))
-    maps = itertools.chain([f], *chunks)
-    return dict(zip(feature_paths(config.depth, config.angles), maps))
 
 
 def extract_features(f: np.ndarray, config: RieszConfig, *, workspace=None) -> np.ndarray:
@@ -363,7 +345,9 @@ def extract_features(f: np.ndarray, config: RieszConfig, *, workspace=None) -> n
     bit-identical to a call without one.  Raises ``NonFiniteImageError``
     when a map or a pooled value is not finite.
     """
-    f = _prepared(f, config)
+    f = as_image(f)
+    if config.presmooth_sigma is not None:
+        f = gaussian_presmooth(f, config.presmooth_sigma)
     pool = np.mean if config.pooling == "mean" else np.max
     chunks = itertools.chain([f[None]], _level_chunks(f, config, workspace))
     # each chunk is pooled before the engine computes the next

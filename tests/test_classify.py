@@ -8,11 +8,10 @@ from rieszrep.classify import (
     load_model,
     maxabs_fit,
     pca_fit,
-    pca_predict,
     pca_residuals,
+    predict,
     save_model,
     svm_fit,
-    svm_predict,
     svm_scores,
 )
 
@@ -96,8 +95,8 @@ def test_pca_predict_mean_is_own_class(rng):
     X = rng.standard_normal((20, 6))
     y = np.repeat([0, 1], 10)
     model = pca_fit(X, y, 2)
-    assert pca_predict(model, model.means)[0] == 0
-    assert pca_predict(model, model.means)[1] == 1
+    assert predict(model, model.means)[0] == 0
+    assert predict(model, model.means)[1] == 1
 
 
 def test_pca_residual_monotone_in_d(rng):
@@ -166,8 +165,8 @@ def test_svm_label_permutation_symmetry(rng):
     y = rng.integers(0, 3, size=30)
     y[:3] = [0, 1, 2]
     perm = np.array([2, 0, 1])
-    base = svm_predict(svm_fit(X, y, seed=1), X)
-    permuted = svm_predict(svm_fit(X, perm[y], seed=1), X)
+    base = predict(svm_fit(X, y, seed=1), X)
+    permuted = predict(svm_fit(X, perm[y], seed=1), X)
     assert np.array_equal(permuted, perm[base])
 
 
@@ -303,7 +302,7 @@ def test_svm_predict_tie_break():
     model = SvmModel(
         weights=np.zeros((3, 2)), biases=np.zeros(3), reg=1e-4, epochs=1, seed=0
     )
-    assert svm_predict(model, np.zeros((1, 2)))[0] == 0
+    assert predict(model, np.zeros((1, 2)))[0] == 0
 
 
 def test_svm_argmax_matches_bruteforce(rng):
@@ -317,7 +316,7 @@ def test_svm_argmax_matches_bruteforce(rng):
         seed=0,
     )
     X = rng.standard_normal((20, 6))
-    pred = svm_predict(model, X)
+    pred = predict(model, X)
     for i, x in enumerate(X):
         scores = [w @ x + b for w, b in zip(model.weights, model.biases)]
         assert pred[i] == int(np.argmax(scores))

@@ -447,6 +447,37 @@ def test_out_of_range_values_exit_2_before_any_image_is_read(
     assert error.startswith(f"config error: {key} must be")
 
 
+@pytest.mark.parametrize(
+    "argv, config_line, keys",
+    [
+        (["extract", "--image-dir", "d", "--labels", "l.idx"], None, ("labels", "image_dir")),
+        (["extract", "--images", "i.idx", "--labels", "l.idx", "--image-dir", "d"], None,
+         ("images", "image_dir")),
+        (["extract", "--labels", "l.idx"], "image_dir = d", ("labels", "image_dir")),
+        (["bbox", "--images", "i.idx", "--labels", "l.idx"], "image_dir = d",
+         ("images", "image_dir")),
+        (["eval", "--features", "f.csv", "--manifest", "m.txt"], None, ("features", "manifest")),
+        (["eval", "--features", "f.csv"], "manifest = m.txt", ("features", "manifest")),
+    ],
+    ids=["dir-labels", "idx-dir", "config-file-dir", "bbox-config-file-dir", "features-manifest",
+         "config-file-manifest"],
+)
+def test_conflicting_input_sources_exit_2_before_any_read(
+    tmp_path, monkeypatch, caplog, argv, config_line, keys
+):
+    # no input file exists: reading one would exit 1
+    monkeypatch.chdir(tmp_path)
+    out = {"extract": "--output", "bbox": "--out-dir", "eval": "--model"}[argv[0]]
+    argv = [*argv, out, "out"]
+    if config_line:
+        (tmp_path / "riesz.cfg").write_text(config_line + "\n")
+        argv += ["--config", "riesz.cfg"]
+    assert main(argv) == 2
+    (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error.startswith(f"config error: '{keys[0]}' and '{keys[1]}' cannot both be given")
+    assert not (tmp_path / "out").exists()
+
+
 def test_extract_malformed_graymap_stops_the_run(tmp_path, caplog):
     d = tmp_path / "imgs"
     d.mkdir()
@@ -720,8 +751,11 @@ def test_eval_manifest(tmp_path, rng, capsys, monkeypatch):
           "--depth", "1", "--output", str(features)])
     main(["train", "--features", str(features), "--output", str(model)])
     capsys.readouterr()
+    # eval reads no image directory, so one in a shared config file is no second source
+    shared = tmp_path / "shared.cfg"
+    shared.write_text("image_dir = crops\n")
     code = main(["eval", "--manifest", "manifest.txt", "--model", str(model),
-                 "--depth", "1"])
+                 "--depth", "1", "--config", str(shared)])
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "scale,accuracy"
@@ -807,12 +841,11 @@ def test_bench_features_row_runs_images_through_one_workspace(capsys, monkeypatc
 
 
 def test_pipeline_scale_commutation_smoke(tmp_path):
-    """Features of a digit and its 2x upscale agree after bbox cropping."""
-    from rieszrep.preprocess import bbox_extract, rescale
+    """Features of a digit and its 2x rendering agree after bbox cropping."""
+    from rieszrep.preprocess import bbox_extract
     from rieszrep.representation import RieszConfig, extract_features
 
-    img = synthetic_digit(112)
     cfg = RieszConfig(depth=3, angles=4)
-    a = extract_features(bbox_extract(img), cfg)
-    b = extract_features(bbox_extract(rescale(img, 2, "bilinear")), cfg)
+    a = extract_features(bbox_extract(synthetic_digit(112)), cfg)
+    b = extract_features(bbox_extract(synthetic_digit(224)), cfg)
     assert np.abs(a - b).max() / np.abs(a).max() <= 0.05

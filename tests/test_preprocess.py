@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
-from rieszrep.preprocess import BlankImageError, bbox_compute, bbox_extract, rescale
-from rieszrep.verify import lowpass_image
+from rieszrep.preprocess import BlankImageError, bbox_compute, bbox_extract
 
 from conftest import synthetic_digit
 
@@ -42,7 +40,7 @@ def test_threshold_keeps_binary_ones():
 def test_integer_scale_equivariance():
     img = synthetic_digit(64)
     _, tight1, _ = bbox_compute(img)
-    up = rescale(img, 2, "nearest")
+    up = np.kron(img, np.ones((2, 2)))
     _, tight2, _ = bbox_compute(up)
     assert tight2.height == 2 * tight1.height
     assert tight2.width == 2 * tight1.width
@@ -51,7 +49,7 @@ def test_integer_scale_equivariance():
 def test_bbox_pipeline_scale_match():
     img = synthetic_digit(96)
     crop1 = bbox_extract(img)
-    crop2 = bbox_extract(rescale(img, 2, "nearest"))
+    crop2 = bbox_extract(np.kron(img, np.ones((2, 2))))
     # enlargement rounding may differ by one pixel per side
     assert abs(crop2.shape[0] - 2 * crop1.shape[0]) <= 2
     assert abs(crop2.shape[1] - 2 * crop1.shape[1]) <= 2
@@ -62,35 +60,3 @@ def test_bbox_near_idempotent():
     again = bbox_extract(crop)
     assert abs(again.shape[0] - crop.shape[0]) <= 2
     assert abs(again.shape[1] - crop.shape[1]) <= 2
-
-
-def test_rescale_identity(rng):
-    f = rng.random((9, 13))
-    assert_allclose(rescale(f, 1.0, "nearest"), f)
-    assert_allclose(rescale(f, 1.0, "bilinear"), f, atol=1e-12)
-
-
-def test_rescale_nearest_replication(rng):
-    f = rng.random((3, 4))
-    up = rescale(f, 2, "nearest")
-    assert up.shape == (6, 8)
-    assert_allclose(up, np.kron(f, np.ones((2, 2))))
-
-
-def test_rescale_bilinear_round_trip(rng):
-    f = lowpass_image(rng, 32, 32, cutoff=0.1)
-    f = f - f.min()
-    back = rescale(rescale(f, 0.5, "bilinear"), 2.0, "bilinear")
-    assert np.linalg.norm(back - f) / np.linalg.norm(f) <= 0.1
-
-
-def test_rescale_degenerate():
-    with pytest.raises(ValueError):
-        rescale(np.ones((4, 4)), 0.1)
-    with pytest.raises(ValueError):
-        rescale(np.ones((4, 4)), -1)
-
-
-def test_rescale_unknown_method():
-    with pytest.raises(ValueError):
-        rescale(np.ones((4, 4)), 2, "spline")

@@ -10,7 +10,6 @@ from rieszrep.image_core import NonFiniteImageError
 from rieszrep.representation import (
     RieszConfig,
     Workspace,
-    build_hierarchy,
     extract_features,
     feature_count,
     feature_paths,
@@ -22,7 +21,6 @@ from rieszrep.representation import (
     write_features_csv,
 )
 from rieszrep.riesz import first_order_multipliers, hilbert2_steered, hilbert_steered
-from rieszrep.verify import block_average, lowpass_image
 
 
 def test_config_validation():
@@ -106,19 +104,6 @@ def test_layer_nonexpansive_with_small_C(rng):
         assert total <= np.sum((f - g) ** 2) * (1 + 1e-10)
 
 
-def test_hierarchy_depth_zero(rng):
-    f = rng.standard_normal((8, 8))
-    maps = build_hierarchy(f, RieszConfig(depth=0))
-    assert list(maps) == [()]
-    assert_allclose(maps[()], f)
-
-
-def test_hierarchy_map_counts(rng):
-    f = rng.standard_normal((8, 8))
-    assert len(build_hierarchy(f, RieszConfig(depth=3, angles=4))) == 85
-    assert len(build_hierarchy(f, RieszConfig(depth=2, angles=8))) == 73
-
-
 def _two_inverse_features(f, cfg):
     """Frozen copy of the original per-map algorithm: two inverse FFTs per angle."""
     if cfg.presmooth_sigma is not None:
@@ -166,10 +151,6 @@ def test_engine_matches_two_inverse_algorithm(rng, shape, name):
     got = extract_features(f, cfg)
     # the 2x2 grid has structurally zero features that differ at 1e-17
     assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
-    maps = build_hierarchy(f, cfg)
-    pool = np.mean if cfg.pooling == "mean" else np.max
-    pooled = [pool(maps[p]) for p in feature_paths(cfg.depth, cfg.angles)]
-    assert_allclose(pooled, got, rtol=1e-12, atol=0)
 
 
 _GROUPING_CONFIGS = {
@@ -191,18 +172,14 @@ def test_engine_outputs_independent_of_group_size(monkeypatch, rng, shape, name)
     # level, three banks a partial last group on levels of 4 or more parents
     cfg = _GROUPING_CONFIGS[name]
     f = rng.standard_normal(shape)
-    pool = np.mean if cfg.pooling == "mean" else np.max
     three_banks = 3 * cfg.angles * f.size * 16
     results = []
     for budget in (1, representation._BATCH_BYTES, 1 << 40, three_banks):
         monkeypatch.setattr(representation, "_BATCH_BYTES", budget)
-        maps = build_hierarchy(f, cfg)
-        pooled = [pool(maps[p]) for p in feature_paths(cfg.depth, cfg.angles)]
-        results.append((extract_features(f, cfg), np.array(pooled), layer_S(f, cfg)))
-    for features, pooled, layer in results[1:]:
+        results.append((extract_features(f, cfg), layer_S(f, cfg)))
+    for features, layer in results[1:]:
         assert_array_equal(features, results[0][0])
-        assert_array_equal(pooled, results[0][1])
-        assert_array_equal(np.array(layer), np.array(results[0][2]))
+        assert_array_equal(np.array(layer), np.array(results[0][1]))
 
 
 def _largest_prime_factor(n):
@@ -245,30 +222,20 @@ def test_engine_outputs_do_not_alias_reused_buffers(monkeypatch, rng):
     for parents_per_group in (1, 3, 16):
         budget = parents_per_group * 4 * 16 * 12 * 16
         monkeypatch.setattr(representation, "_BATCH_BYTES", budget)
-        maps, layer = build_hierarchy(f, cfg), layer_S(f, cfg)
-        saved_maps = {p: m.copy() for p, m in maps.items()}
+        layer = layer_S(f, cfg)
         saved_layer = [m.copy() for m in layer]
-        extract_features(g, cfg), build_hierarchy(g, cfg), layer_S(g, cfg)
-        for p, m in maps.items():
-            assert_array_equal(m, saved_maps[p])
+        extract_features(g, cfg), layer_S(g, cfg)
         for a, b in zip(layer, saved_layer):
             assert_array_equal(a, b)
-        maps[(3, 1)][:] = -1.0
-        maps[(0, 2, 1)][:] = -1.0
         layer[2][:] = -1.0
-        for p, m in build_hierarchy(f, cfg).items():
-            assert_array_equal(m, saved_maps[p])
         for a, b in zip(layer_S(f, cfg), saved_layer):
             assert_array_equal(a, b)
         # the second same-shape call keeps the buffers, the third reuses them
         workspace = Workspace()
         features = [extract_features(x, cfg, workspace=workspace) for x in (f, g, f)]
         saved_features = [v.copy() for v in features]
-        maps = build_hierarchy(f, cfg)
         extract_features(g, cfg, workspace=workspace)
         assert workspace._buffers is not None
-        for p, m in maps.items():
-            assert_array_equal(m, saved_maps[p])
         for a, b in zip(features, saved_features):
             assert_array_equal(a, b)
 
@@ -392,29 +359,6 @@ def test_features_homogeneity_in_C(rng):
     doubled = extract_features(f, RieszConfig(depth=2, scale_constant=2.0))
     depths = np.array([len(p) for p in feature_paths(2, 4)])
     assert_allclose(doubled, base * 2.0**depths, rtol=1e-10, atol=1e-14)
-
-
-def test_energy_decay_across_depth(rng):
-    f = rng.standard_normal((16, 16))
-    cfg = RieszConfig(depth=3, angles=4, scale_constant=0.25)
-    maps = build_hierarchy(f, cfg)
-    mean_norm = []
-    for k in range(4):
-        level = [np.linalg.norm(m) for p, m in maps.items() if len(p) == k]
-        mean_norm.append(np.mean(level))
-    assert all(a >= b - 1e-12 for a, b in zip(mean_norm, mean_norm[1:]))
-
-
-def test_features_scale_robustness(rng):
-    # frozen tolerance from the calibration on the low-pass family
-    worst = 0.0
-    cfg = RieszConfig(depth=3, angles=4)
-    for _ in range(3):
-        f = lowpass_image(rng, 128, 128, cutoff=0.1)
-        a = extract_features(block_average(f), cfg)
-        b = extract_features(f, cfg)
-        worst = max(worst, np.abs(a - b).max() / np.abs(b).max())
-    assert worst <= 0.05
 
 
 def test_presmooth_near_identity(rng):

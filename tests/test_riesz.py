@@ -13,7 +13,6 @@ from rieszrep.riesz import (
     riesz_multiplier,
     riesz_transform,
 )
-from rieszrep.verify import block_average, lowpass_image
 
 
 def test_multiplier_axis_value():
@@ -44,13 +43,6 @@ def test_multiplier_nyquist_real():
     m1, m2 = first_order_multipliers(8, 8)
     assert np.abs(m1[4, :].imag).max() == 0
     assert np.abs(m2[:, 4].imag).max() == 0
-
-
-def test_all_pass():
-    m1, m2 = first_order_multipliers(64, 64)
-    energy = np.abs(m1) ** 2 + np.abs(m2) ** 2
-    energy[0, 0] = 1.0
-    assert np.abs(energy - 1).max() <= 1e-12
 
 
 def test_invalid_order():
@@ -184,19 +176,6 @@ def test_translation_equivariance(rng):
             moved = riesz_transform(np.roll(f, shift, axis=(0, 1)), order)
             err = np.linalg.norm(moved - np.roll(ref, shift, axis=(0, 1)))
             assert err <= 1e-10 * np.linalg.norm(f)
-
-
-def test_scale_equivariance_lowpass(rng):
-    # tolerance calibrated once on this family and frozen
-    worst = 0.0
-    for _ in range(5):
-        f = lowpass_image(rng, 128, 128, cutoff=0.1)
-        coarse = block_average(f)
-        for order in [(1, 0), (0, 1)]:
-            a = riesz_transform(coarse, order)
-            b = block_average(riesz_transform(f, order))
-            worst = max(worst, np.linalg.norm(a - b) / np.linalg.norm(b))
-    assert worst <= 0.05
 
 
 def test_contraction(rng):
