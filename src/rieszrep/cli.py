@@ -119,6 +119,8 @@ def resolve_config(args) -> dict:
         raise ConfigError(f"limit must be >= 0, got {config['limit']}")
     if config["pad"] < 0:
         raise ConfigError(f"pad must be >= 0, got {config['pad']}")
+    if config["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {config['seed']}")
     if not config["enlarge"] > -1:
         raise ConfigError(f"enlarge must be > -1, got {config['enlarge']}")
     return config
@@ -391,7 +393,7 @@ def cmd_verify(config, args) -> int:
 
 
 def cmd_bench(
-    config, args=None, sizes=(24, 64, 128, 256, (97, 67)), train_rows=2000
+    config, args=None, sizes=(24, 64, 128, 256, (97, 67), (67, 97)), train_rows=2000
 ) -> int:
     """Seconds per image for ``features`` at each size, then seconds per
     ``svm_fit`` (reg 0.01, 50 epochs) on a seeded ``train_rows`` x 85,
@@ -399,7 +401,9 @@ def cmd_bench(
 
     A size is a square's side or a (height, width) pair, printed as
     ``<height>x<width>``.  97x67 is the shape of a scale-4 digit crop:
-    both axes prime, its width on the engine's DFT-matrix path.
+    both axes prime.  ``extract_features`` transforms it as 67x97, with
+    the larger prime on the engine's DFT-matrix (width) path, so the two
+    rows should time alike.
 
     ``features`` is the mean over 4 consecutive images of the size run
     through ``extract_matrix`` without bbox cropping, as ``extract`` runs

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import struct
 import warnings
 
@@ -448,6 +449,30 @@ def test_out_of_range_values_exit_2_before_any_image_is_read(
 
 
 @pytest.mark.parametrize(
+    "argv, config_line",
+    [
+        (["train", "--seed", "-1"], None),
+        (["train"], "seed = -3"),
+        (["verify", "--seed", "-1"], None),
+        (["bench", "--seed", "-1"], None),
+        (["bench"], "seed = -2"),
+    ],
+    ids=["train", "train-config-file", "verify", "bench", "bench-config-file"],
+)
+def test_negative_seed_exits_2_before_any_file_is_read(tmp_path, caplog, argv, config_line):
+    # train's feature file does not exist: reading it would exit 1
+    if argv[0] == "train":
+        argv = [*argv, "--features", str(tmp_path / "f.csv"), "--output", str(tmp_path / "m")]
+    if config_line:
+        cfg = tmp_path / "riesz.cfg"
+        cfg.write_text(config_line + "\n")
+        argv = [*argv, "--config", str(cfg)]
+    assert main(argv) == 2
+    (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error.startswith("config error: seed must be >= 0")
+
+
+@pytest.mark.parametrize(
     "argv, config_line, keys",
     [
         (["extract", "--image-dir", "d", "--labels", "l.idx"], None, ("labels", "image_dir")),
@@ -811,10 +836,14 @@ def test_bench_output(capsys):
 
     config = resolve_config(Args())
     config["depth"] = 1
-    assert cmd_bench(config, sizes=(16,), train_rows=40) == 0
+    # the crop shape in both orientations closes the default size list
+    crops = inspect.signature(cmd_bench).parameters["sizes"].default[-2:]
+    assert crops == ((97, 67), (67, 97))
+    assert cmd_bench(config, sizes=(16, *crops), train_rows=40) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "size,stage,seconds_per_image"
-    assert [line.rsplit(",", 1)[0] for line in lines[1:]] == ["16,features", "40x85,train"]
+    rows = [line.rsplit(",", 1)[0] for line in lines[1:]]
+    assert rows == ["16,features", "97x67,features", "67x97,features", "40x85,train"]
     assert all(float(line.rsplit(",", 1)[1]) > 0 for line in lines[1:])
 
 

@@ -142,7 +142,8 @@ _ENGINE_CONFIGS = {
 @pytest.mark.parametrize("name", list(_ENGINE_CONFIGS))
 @pytest.mark.parametrize(
     "shape",
-    [(1, 1), (1, 7), (7, 1), (2, 2), (3, 5), (17, 13), (31, 64), (64, 64), (19, 67), (12, 66)],
+    [(1, 1), (1, 7), (7, 1), (2, 2), (3, 5), (17, 13), (31, 64), (64, 64), (19, 67), (12, 66),
+     (53, 34), (97, 70)],
 )
 def test_engine_matches_two_inverse_algorithm(rng, shape, name):
     cfg = _ENGINE_CONFIGS[name]
@@ -165,7 +166,8 @@ _GROUPING_CONFIGS = {
 @pytest.mark.parametrize("name", list(_GROUPING_CONFIGS))
 @pytest.mark.parametrize(
     "shape",
-    [(1, 1), (1, 9), (2, 2), (13, 10), (25, 7), (26, 18), (49, 35), (128, 128), (19, 67), (12, 66)],
+    [(1, 1), (1, 9), (2, 2), (13, 10), (25, 7), (26, 18), (49, 35), (128, 128), (19, 67), (12, 66),
+     (53, 34), (97, 70)],
 )
 def test_engine_outputs_independent_of_group_size(monkeypatch, rng, shape, name):
     # a budget of 1 byte gives one parent per group, 1 << 40 one group per
@@ -212,6 +214,33 @@ def test_real_dft_matrices_match_numpy_and_route_by_width(rng):
         expected = np.fft.irfft(spec.view(np.complex128)[..., 0], n=width)
         got = spec.reshape(3, -1) @ inverse
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_transpose_routes_by_height_and_order_is_an_involution():
+    for height in range(1, 301):
+        for width in (1, 9, 23, 29, 46, 64, 67, 70, 97, 256):
+            awkward = _largest_prime_factor(height) > max(23, _largest_prime_factor(width))
+            assert representation._transposes(height, width) == (height <= 256 and awkward)
+    # angle k of f.T is angle (M/2 - k) mod M of f: [0] <-> [2], [1] and [3] stay
+    assert list(representation._transposed_order(1, 4)) == [0, 3, 2, 1, 4]
+    for depth, angles in [(0, 4), (1, 4), (3, 4), (2, 8), (1, 16)]:
+        order = representation._transposed_order(depth, angles)
+        assert not order.flags.writeable
+        assert_array_equal(order[order], np.arange(feature_count(depth, angles)))
+
+
+@pytest.mark.parametrize("name", ["K3M4", "K2M8", "max", "C0.7-presmooth"])
+@pytest.mark.parametrize(
+    "shape", [(97, 70), (70, 97), (53, 34), (31, 18), (46, 31), (257, 3), (1, 29), (29, 1), (2, 2)]
+)
+def test_features_of_transposed_image_are_permuted(rng, shape, name):
+    # shapes on both sides of the routing rule: height 46 = 2*23 is not
+    # transposed, 31 is, and 257 is above the cap
+    cfg = _ENGINE_CONFIGS[name]
+    f = rng.standard_normal(shape)
+    expected = extract_features(f, cfg)
+    got = extract_features(f.T, cfg)[representation._transposed_order(cfg.depth, cfg.angles)]
+    assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
 def test_engine_outputs_do_not_alias_reused_buffers(monkeypatch, rng):
@@ -297,7 +326,7 @@ def test_workspace_follows_batch_budget_changes(monkeypatch, rng):
 
 def test_non_hermitian_multiplier_rejected_at_bank_build(monkeypatch, rng):
     # i*m1 and i*m2 are anti-Hermitian while their squares and product
-    # stay Hermitian, so only a check of all five multipliers catches it
+    # stay Hermitian, so the check must be on the pair itself
     def rotated(height, width):
         m1, m2 = first_order_multipliers(height, width)
         return 1j * m1, 1j * m2
@@ -318,13 +347,16 @@ def test_depth_zero_builds_no_bank(rng):
 
 
 def test_shape_caches_are_bounded(rng):
+    # a height of 9 is never transposed, so every shape builds its own
+    # bank, and every width below 64 its own DFT matrices
     cfg = RieszConfig(depth=1)
     for i in range(40):
-        extract_features(rng.standard_normal((8 + i, 9)), cfg)
-    bank = representation._basis_bank(47, 9)
-    extract_features(rng.standard_normal((47, 9)), cfg)
-    assert representation._basis_bank(47, 9) is bank
+        extract_features(rng.standard_normal((9, 8 + i)), cfg)
+    bank = representation._basis_bank(9, 47)
+    extract_features(rng.standard_normal((9, 47)), cfg)
+    assert representation._basis_bank(9, 47) is bank
     assert representation._basis_bank.cache_info().currsize <= 32
+    assert representation._real_dft.cache_info().currsize <= 32
 
 
 @pytest.mark.parametrize("kind", ["1e308", "normal*1e307"])
