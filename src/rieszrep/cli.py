@@ -123,6 +123,7 @@ def resolve_config(args) -> dict:
         raise ConfigError(f"seed must be >= 0, got {config['seed']}")
     if not config["enlarge"] > -1:
         raise ConfigError(f"enlarge must be > -1, got {config['enlarge']}")
+    riesz_config(config)
     return config
 
 
@@ -155,11 +156,13 @@ def load_input_images(config):
     """Images plus optional labels from an IDX pair or an image directory."""
     _one_source(config, "images", "image_dir")
     _one_source(config, "labels", "image_dir")
+    limit = config["limit"]
     if config["images"]:
         if not config["labels"]:
             raise ConfigError("'images' requires 'labels' (IDX pair)")
         images, labels = load_idx(data_path(config["images"]), data_path(config["labels"]))
-    elif config["image_dir"]:
+        return images[:limit], labels[:limit]
+    if config["image_dir"]:
         directory = data_path(config["image_dir"])
         files = sorted(
             p
@@ -168,15 +171,9 @@ def load_input_images(config):
         )
         if not files:
             raise ConfigError(f"no graymap or matrix files in {directory}")
-        images = [load_gray_image(p) for p in files]
-        labels = None
-    else:
-        raise ConfigError("either 'images'+'labels' or 'image_dir' is required")
-    limit = config["limit"]
-    if limit is not None:
-        images = images[:limit]
-        labels = labels[:limit] if labels is not None else None
-    return images, labels
+        # files past the limit are never read
+        return [load_gray_image(p) for p in files[:limit]], None
+    raise ConfigError("either 'images'+'labels' or 'image_dir' is required")
 
 
 def extract_matrix(images, config):

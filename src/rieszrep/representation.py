@@ -31,9 +31,10 @@ length than on a neighbouring smooth one, and a bounding-box crop has
 whatever size the digit gives it.  So that an awkward height gets the
 matrix too, ``extract_features`` runs the engine on the transposed
 image when the height's largest prime factor is above 23 and above the
-width's (``_transposes``), and reorders the pooled features: transposing
-maps path (k1, k2, ...) to ((M/2 - k1) mod M, ...), exactly up to
-rounding.
+width's (``_transposes``).  Transposing swaps u1 and u2, so the angle
+k*pi/M of f is (M/2 - k)*pi/M of f.T, mod pi, where the amplitude does
+not change; steering slot k to that angle makes every map the transpose
+of f's, in f's path order.
 
 Feature maps are ordered depth-major, then lexicographically by the
 sequence of rotation indices, so the empty path (the raw input) comes
@@ -84,7 +85,7 @@ class RieszConfig:
         if self.depth < 0:
             raise ValueError("depth must be >= 0")
         if self.angles < 1 or self.angles % 4 != 0:
-            raise ValueError("angle count must be a positive multiple of 4")
+            raise ValueError("angles must be a positive multiple of 4")
         if self.scale_constant <= 0:
             raise ValueError("scale constant must be positive")
         if self.pooling not in POOLINGS:
@@ -173,22 +174,6 @@ def _transposes(height: int, width: int) -> bool:
     return height <= _DFT_MAX_WIDTH and largest > max(23, _largest_prime_factor(width))
 
 
-@functools.lru_cache(maxsize=None)
-def _transposed_order(depth: int, angles: int) -> np.ndarray:
-    """Read-only feature indices that map features of f.T to those of f.
-
-    Transposing swaps u1 and u2, so the angle k*pi/M on f.T is
-    (M/2 - k)*pi/M on f; the amplitude depends on the angle only mod pi,
-    so path (k1, k2, ...) of f.T is path ((M/2 - k1) mod M, ...) of f.
-    The map is an involution: ``features_of_f = features_of_fT[order]``.
-    """
-    paths = feature_paths(depth, angles)
-    index = {path: i for i, path in enumerate(paths)}
-    order = np.array([index[tuple((angles // 2 - k) % angles for k in p)] for p in paths])
-    order.setflags(write=False)
-    return order
-
-
 @functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def _real_dft(width: int):
     """Read-only real DFT matrices for the last axis, or None for pocketfft.
@@ -236,18 +221,22 @@ def _real_dft(width: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _steering(angles: int) -> np.ndarray:
-    """Read-only (M, 5, 2) weights that steer the basis to the angles k*pi/M.
+def _steering(angles: int, scale: float, transposed: bool) -> np.ndarray:
+    """Read-only (M, 5, 2) weights, times ``scale``, that steer the basis.
 
     With c, s = cos, sin of the angle, the second-order response
     c^2 R11 + s^2 R22 + 2cs R12 goes to slot 0 and the first-order one
     c R1 + s R2 to slot 1, the real and imaginary parts of a complex.
+    Slot k takes the angle k*pi/M, or (M/2 - k)*pi/M mod pi when the
+    basis is of the transposed image (see ``_level_chunks``).
     """
     weights = np.zeros((angles, 5, 2))
     for k in range(angles):
-        c, s = math.cos(k * math.pi / angles), math.sin(k * math.pi / angles)
+        phi = ((angles // 2 - k) % angles if transposed else k) * math.pi / angles
+        c, s = math.cos(phi), math.sin(phi)
         weights[k, :3, 0] = c * c, s * s, 2 * c * s
         weights[k, 3:, 1] = c, s
+    weights *= scale
     weights.setflags(write=False)
     return weights
 
@@ -283,8 +272,12 @@ class Workspace:
         return self._buffers
 
 
-def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None):
+def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed=False):
     """Maps of levels 1..K of the validated image f, in path order.
+
+    With ``transposed`` the engine runs on f.T and yields the transposes
+    of f's maps, still in f's path order: ``_steering`` gives slot k the
+    angle of f.T that is angle k of f.
 
     Each level's parent maps are transformed g at a time, with
     g = min(max(1, _BATCH_BYTES // (16*M*H*W)), M^(K-1)): one real
@@ -299,9 +292,10 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None):
     first-order response as imaginary part of a (g, M, H*W) complex
     buffer, so the amplitude is one ``np.abs``: ``np.hypot`` on two real
     (8, 128, 128) arrays took 3.7 ms against 0.33 ms for ``np.abs`` on
-    the same data held as complex.  Scaling and one finiteness check
-    follow.  Yields one (g*M, H, W) chunk per group, valid until the
-    next one: the deepest level's chunks share one group buffer.
+    the same data held as complex.  The weights carry the scale constant
+    C.  One finiteness check follows.  Yields one (g*M, H, W) chunk per
+    group, valid until the next one: the deepest level's chunks share
+    one group buffer.
 
     The two real transforms are ``np.fft.rfft`` and ``np.fft.irfft``
     unless ``_real_dft`` has matrices for the width (below 64, or up to
@@ -327,11 +321,14 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None):
     this image first, so leftovers of an earlier image, or of one
     flagged part-way, never reach the output.
     """
-    depth, height, width = config.depth, *f.shape
+    depth, angles = config.depth, config.angles
     if depth == 0:
         return
-    angles = config.angles
-    bank, weights, dft = _basis_bank(height, width), _steering(angles), _real_dft(width)
+    if transposed:
+        f = np.ascontiguousarray(f.T)
+    height, width = f.shape
+    weights = _steering(angles, config.scale_constant, transposed)
+    bank, dft = _basis_bank(height, width), _real_dft(width)
     group = min(max(1, _BATCH_BYTES // (16 * angles * f.size)), angles ** (depth - 1))
 
     def allocate():
@@ -372,8 +369,6 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None):
                 out=c.view(np.float64).reshape(n, angles, -1, 2),
             )
             np.abs(c, out=out.reshape(n, angles, -1))
-            if config.scale_constant != 1:
-                out *= config.scale_constant
             if not math.isfinite(out.max()):  # max propagates nan and inf
                 raise NonFiniteImageError("image contains non-finite samples")
             yield out.reshape(-1, height, width)
@@ -394,27 +389,24 @@ def extract_features(f: np.ndarray, config: RieszConfig, *, workspace=None) -> n
 
     When ``_transposes`` picks it (a height with a large prime factor
     and a smoother width), the engine runs on the transposed image and
-    the pooled values are put back in the path order of f
-    (``_transposed_order``); they agree with the untransposed engine up
-    to rounding.  Only the levels that feed another are held; each
-    chunk of the deepest level is pooled as soon as it is computed.  A
-    ``Workspace`` shared by consecutive calls lends the engine's buffers
-    from one image to the next while the shape repeats; none of them
-    escapes, since only pooled values are returned, and the values are
-    bit-identical to a call without one.  Raises ``NonFiniteImageError``
-    when a map or a pooled value is not finite.
+    yields the transposes of f's maps in f's path order; they agree with
+    the untransposed engine up to rounding.  Only the levels that feed
+    another are held; each chunk of the deepest level is pooled as soon
+    as it is computed.  A ``Workspace`` shared by consecutive calls
+    lends the engine's buffers from one image to the next while the
+    shape repeats; none of them escapes, since only pooled values are
+    returned, and the values are bit-identical to a call without one.
+    Raises ``NonFiniteImageError`` when a map or a pooled value is not
+    finite.
     """
     f = as_image(f)
     if config.presmooth_sigma is not None:
         f = gaussian_presmooth(f, config.presmooth_sigma)
     pool = np.mean if config.pooling == "mean" else np.max
-    transposed = _transposes(*f.shape)
-    maps = _level_chunks(np.ascontiguousarray(f.T) if transposed else f, config, workspace)
+    maps = _level_chunks(f, config, workspace, transposed=_transposes(*f.shape))
     chunks = itertools.chain([f[None]], maps)
     # each chunk is pooled before the engine computes the next
     features = np.concatenate([pool(c.reshape(len(c), -1), axis=1) for c in chunks])
-    if transposed:
-        features = features[_transposed_order(config.depth, config.angles)]
     # the engine checks its maps, but the mean of the input itself can
     # overflow, which is all there is to check at depth 0
     if not np.isfinite(features).all():

@@ -321,6 +321,24 @@ def test_extract_limit(tmp_path, rng):
     assert matrix.shape[0] == 2
 
 
+def test_extract_limit_reads_only_the_first_files(tmp_path, rng):
+    from rieszrep.image_core import save_gray_pgm
+    from rieszrep.representation import read_features_csv
+
+    d = tmp_path / "imgs"
+    d.mkdir()
+    save_gray_pgm(d / "a.pgm", rng.random((8, 8)))
+    # sorted after a.pgm, so --limit 1 never reads it
+    (d / "b.pgm").write_bytes(b"P5\n8 8\n0\n")
+    out = tmp_path / "f.csv"
+    assert main(["extract", "--image-dir", str(d), "--depth", "0", "--limit", "1",
+                 "--output", str(out)]) == 0
+    matrix, _, _ = read_features_csv(out)
+    assert matrix.shape == (1, 1)
+    assert main(["extract", "--image-dir", str(d), "--depth", "0", "--limit", "2",
+                 "--output", str(out)]) == 1
+
+
 def test_extract_blank_image_flagged(tmp_path, rng):
     from rieszrep.representation import read_features_csv
 
@@ -429,8 +447,12 @@ def test_overflowing_image_flagged_once(tmp_path, caplog, shape, depth, reason):
         (["extract", "--bbox", "--enlarge", "-1"], None, "enlarge"),
         (["extract"], "enlarge = -1.5", "enlarge"),
         (["bbox", "--limit", "-2"], None, "limit"),
+        (["extract", "--angles", "3"], None, "angles"),
+        (["extract", "--depth", "-1"], None, "depth"),
+        (["extract"], "angles = 6", "angles"),
     ],
-    ids=["limit", "pad", "enlarge", "config-file-enlarge", "bbox-limit"],
+    ids=["limit", "pad", "enlarge", "config-file-enlarge", "bbox-limit", "angles", "depth",
+         "config-file-angles"],
 )
 def test_out_of_range_values_exit_2_before_any_image_is_read(
     tmp_path, caplog, argv, config_line, key

@@ -216,17 +216,33 @@ def test_real_dft_matrices_match_numpy_and_route_by_width(rng):
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
+def _transposed_path_order(depth, angles):
+    """Feature indices that map features of f.T to those of f.
+
+    Transposing swaps u1 and u2, so the angle k*pi/M of f.T is
+    (M/2 - k)*pi/M of f, mod pi: path (k1, k2, ...) of f.T is path
+    ((M/2 - k1) mod M, ...) of f, and ``features_of_f = features_of_fT[order]``.
+    """
+    paths = feature_paths(depth, angles)
+    index = {path: i for i, path in enumerate(paths)}
+    return np.array([index[tuple((angles // 2 - k) % angles for k in p)] for p in paths])
+
+
 def test_transpose_routes_by_height_and_order_is_an_involution():
     for height in range(1, 301):
         for width in (1, 9, 23, 29, 46, 64, 67, 70, 97, 256):
             awkward = _largest_prime_factor(height) > max(23, _largest_prime_factor(width))
             assert representation._transposes(height, width) == (height <= 256 and awkward)
     # angle k of f.T is angle (M/2 - k) mod M of f: [0] <-> [2], [1] and [3] stay
-    assert list(representation._transposed_order(1, 4)) == [0, 3, 2, 1, 4]
+    assert list(_transposed_path_order(1, 4)) == [0, 3, 2, 1, 4]
     for depth, angles in [(0, 4), (1, 4), (3, 4), (2, 8), (1, 16)]:
-        order = representation._transposed_order(depth, angles)
-        assert not order.flags.writeable
+        order = _transposed_path_order(depth, angles)
         assert_array_equal(order[order], np.arange(feature_count(depth, angles)))
+        # slot k of the transposed weights is slot (M/2 - k) mod M of the untransposed ones
+        weights = representation._steering(angles, 1.0, True)
+        assert not weights.flags.writeable
+        slots = _transposed_path_order(1, angles)[1:] - 1
+        assert_array_equal(weights, representation._steering(angles, 1.0, False)[slots])
 
 
 @pytest.mark.parametrize("name", ["K3M4", "K2M8", "max", "C0.7-presmooth"])
@@ -239,8 +255,23 @@ def test_features_of_transposed_image_are_permuted(rng, shape, name):
     cfg = _ENGINE_CONFIGS[name]
     f = rng.standard_normal(shape)
     expected = extract_features(f, cfg)
-    got = extract_features(f.T, cfg)[representation._transposed_order(cfg.depth, cfg.angles)]
+    got = extract_features(f.T, cfg)[_transposed_path_order(cfg.depth, cfg.angles)]
     assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("depth, angles", [(3, 4), (2, 8)])
+@pytest.mark.parametrize("shape", [(97, 70), (53, 34)])
+def test_transposed_engine_yields_transposed_maps_in_path_order(rng, shape, depth, angles):
+    cfg = RieszConfig(depth=depth, angles=angles)
+    f = rng.standard_normal(shape)
+    # the deepest level's chunks share one buffer: copy each as it comes
+    expected = [c.copy() for c in representation._level_chunks(f, cfg)]
+    got = [c.copy() for c in representation._level_chunks(f, cfg, transposed=True)]
+    assert len(got) == len(expected)
+    for chunk, straight in zip(got, expected):
+        assert_allclose(
+            chunk, straight.transpose(0, 2, 1), rtol=1e-12, atol=1e-12 * np.abs(straight).max()
+        )
 
 
 def test_engine_outputs_do_not_alias_reused_buffers(monkeypatch, rng):
