@@ -268,52 +268,64 @@ def load_model(path):
 
     A truncated or malformed file, or one with a non-blank line after
     the model, raises ``ValueError`` naming the path and the first line
-    that is missing, cannot be parsed or is not expected.
+    that is missing, cannot be parsed or is not expected, such as a
+    non-finite value.  Arrays grow row by row as they are read, so a
+    header's sizes allocate nothing the file does not hold.
     """
-    with open(path, encoding="ascii") as fh:
+    # a byte that is not ASCII becomes U+FFFD, which no line accepts
+    with open(path, encoding="ascii", errors="replace") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unrecognized model format")
     pos = 0
 
-    def fields():
+    def fields(template=None):
+        """The next line's tokens, or those where ``template`` has '*', the others matching."""
         nonlocal pos
         pos += 1
-        return lines[pos].split()
+        line = lines[pos].split()
+        if template is None:
+            return line
+        expected = template.split()
+        if len(line) != len(expected) or any(e not in ("*", t) for e, t in zip(expected, line)):
+            raise ValueError(f"expected '{template}'")
+        return [t for e, t in zip(expected, line) if e == "*"]
 
-    def row(size):
+    def row(size, positive=False):
         values = np.array([float(t) for t in fields()])
         if values.shape != (size,):
             raise ValueError(f"expected {size} values, found {values.size}")
+        if not np.isfinite(values).all() or positive and not (values > 0).all():
+            raise ValueError("values must be finite" + " and positive" * positive)
         return values
 
+    def rows(count, size):
+        return np.array([row(size) for _ in range(count)]).reshape(count, size)
+
     try:
-        kind = fields()[1]
-        _, classes, _, dim = fields()
-        classes, dim = int(classes), int(dim)
+        (kind,) = fields("kind *")
+        classes, dim = (int(v) for v in fields("classes * dim *"))
         if classes < 1 or dim < 1:
             raise ValueError("class count and dim must be >= 1")
         if kind == "pca":
-            components = int(fields()[1])
-            means = np.zeros((classes, dim))
-            bases = []
+            components = int(fields("components *")[0])
+            means, bases = [], []
             for c in range(classes):
-                basis = np.empty((dim, int(fields()[3])))
-                means[c] = row(dim)
-                for j in range(basis.shape[1]):
-                    basis[:, j] = row(dim)
-                bases.append(basis)
-            model = PcaClassModel(means=means, bases=tuple(bases), components=components)
+                retained = int(fields(f"class {c} retained *")[0])
+                if retained < 0:
+                    raise ValueError("retained count must be >= 0")
+                means.append(row(dim))
+                # save_model writes each basis column as a row
+                bases.append(rows(retained, dim).T.copy())
+            model = PcaClassModel(means=np.array(means), bases=tuple(bases), components=components)
         elif kind == "svm":
-            hyper = fields()
-            reg, epochs, seed = float(hyper[2]), int(hyper[4]), int(hyper[6])
-            flag = fields()
-            if flag not in (["normalized", "0"], ["normalized", "1"]):
+            reg, epochs, seed = fields("hyper reg * epochs * seed *")
+            reg, epochs, seed = float(reg), int(epochs), int(seed)
+            (flag,) = fields("normalized *")
+            if flag not in ("0", "1"):
                 raise ValueError("expected 'normalized 0' or 'normalized 1'")
-            normalizer = MaxAbsNormalizer(scales=row(dim)) if flag[1] == "1" else None
-            weights = np.empty((classes, dim))
-            for c in range(classes):
-                weights[c] = row(dim)
+            normalizer = MaxAbsNormalizer(scales=row(dim, positive=True)) if flag == "1" else None
+            weights = rows(classes, dim)
             model = SvmModel(weights, row(classes), reg, epochs, seed, normalizer)
     except (IndexError, ValueError) as exc:
         if pos >= len(lines):

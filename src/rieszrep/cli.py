@@ -27,7 +27,6 @@ from . import classify, verify
 from .image_core import NonFiniteImageError, load_gray_image, load_idx, save_gray_pgm
 from .preprocess import BlankImageError, bbox_compute, bbox_extract
 from .representation import (
-    POOLINGS,
     RieszConfig,
     Workspace,
     extract_features,
@@ -51,8 +50,7 @@ def _parse_bool(value):
 
 # the keys that build a RieszConfig and those passed on to bbox_compute,
 # with their parsers; both take their defaults from there
-_RIESZ = {"depth": int, "angles": int, "scale_constant": float, "pooling": str,
-          "presmooth_sigma": float}
+_RIESZ = {"depth": int, "angles": int, "scale_constant": float}
 _CROP = {"pad": int, "threshold": float, "enlarge": float}
 _CROP_DEFAULTS = inspect.signature(bbox_compute).parameters
 
@@ -77,32 +75,38 @@ _SCHEMA = {
     "out_dir": (str, None),
 }
 
-# keys whose flag accepts only these values
-_CHOICES = {"pooling": POOLINGS, "classifier": ("pca", "svm")}
-
 
 class ConfigError(ValueError):
     pass
 
 
+def _text_lines(path):
+    """(number, line without its comment) of each non-blank line of a UTF-8 file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raws = list(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a UTF-8 text file: {exc}") from exc
+    for lineno, raw in enumerate(raws, 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def load_config_file(path) -> dict:
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _SCHEMA:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            parser = _SCHEMA[key][0]
-            try:
-                values[key] = parser(value)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
+    for lineno, line in _text_lines(path):
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _SCHEMA:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        parser = _SCHEMA[key][0]
+        try:
+            values[key] = parser(value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return values
 
 
@@ -288,21 +292,19 @@ def cmd_train(config, args) -> int:
 
 def _parse_manifest(path):
     shards = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if len(tokens) != 6 or tokens[0] != "scale" or tokens[2] != "images" or tokens[4] != "labels":
-                raise ConfigError(
-                    f"{path}:{lineno}: expected 'scale <float> images <path> labels <path>'"
-                )
-            try:
-                scale = float(tokens[1])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad scale: {exc}")
-            shards.append((scale, tokens[3], tokens[5]))
+    for lineno, line in _text_lines(path):
+        tokens = line.split()
+        if len(tokens) != 6 or tokens[0] != "scale" or tokens[2] != "images" or tokens[4] != "labels":
+            raise ConfigError(
+                f"{path}:{lineno}: expected 'scale <float> images <path> labels <path>'"
+            )
+        try:
+            scale = float(tokens[1])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad scale: {exc}")
+        if not 0 < scale < np.inf:
+            raise ConfigError(f"{path}:{lineno}: bad scale {tokens[1]!r}: not finite and positive")
+        shards.append((scale, tokens[3], tokens[5]))
     if not shards:
         raise ConfigError(f"{path}: empty manifest")
     return shards
@@ -461,7 +463,8 @@ def build_parser():
             if key == "bbox":
                 p.add_argument(flag, action="store_const", const=True)
             else:
-                p.add_argument(flag, type=_SCHEMA[key][0], choices=_CHOICES.get(key))
+                choices = ("pca", "svm") if key == "classifier" else None
+                p.add_argument(flag, type=_SCHEMA[key][0], choices=choices)
     sub.choices["verify"].add_argument("--inject-fault", choices=tuple(verify.FAULTS))
     return parser
 

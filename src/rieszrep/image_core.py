@@ -10,6 +10,7 @@ The DFT convention is fixed globally: unnormalized forward transform,
 
 from __future__ import annotations
 
+import os
 import re
 import struct
 
@@ -93,10 +94,11 @@ def ifft2(spec: np.ndarray) -> np.ndarray:
 
 
 def _read_exact(fh, count: int, path, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise FormatError(f"{path}: truncated {what} (expected {count} bytes)")
-    return data
+    # checked first: a header claiming more than the file holds must not allocate it
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if count > left:
+        raise FormatError(f"{path}: truncated {what} (expected {count} bytes, {left} left)")
+    return fh.read(count)
 
 
 def load_idx(images_path, labels_path):
@@ -143,13 +145,13 @@ def load_idx(images_path, labels_path):
 def load_gray_image(path) -> np.ndarray:
     """Load a P2/P5 portable graymap or a plain matrix text file.
 
-    Graymap values are scaled to [0, 1] by the declared maxval, which
-    must lie in 1..65535; P5 samples are one byte below maxval 256 and
-    two big-endian bytes from there on.  Matrix text files ("rows cols"
-    header then samples) are taken verbatim, nan and inf included, so
-    that extraction can flag such an image by its index instead of the
-    load aborting the whole run.  A malformed file raises
-    ``FormatError`` naming its path.
+    Graymap samples must be integers in 0..maxval, scaled to [0, 1] by
+    the declared maxval, which must lie in 1..65535; P5 samples are one
+    byte below maxval 256 and two big-endian bytes from there on.
+    Matrix text files ("rows cols" header then samples) are taken
+    verbatim, nan and inf included, so that extraction can flag such an
+    image by its index instead of the load aborting the whole run.  A
+    malformed file raises ``FormatError`` naming its path.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -169,8 +171,8 @@ def load_gray_image(path) -> np.ndarray:
             text = body.decode("ascii", errors="replace")
             tokens = [t for line in text.splitlines() for t in line.split("#", 1)[0].split()]
             try:
-                samples = np.array(tokens, dtype=np.float64)
-            except ValueError as exc:
+                samples = np.array(tokens, dtype=np.int64)
+            except (ValueError, OverflowError) as exc:
                 raise FormatError(f"{path}: bad P2 sample: {exc}") from exc
             if samples.size != width * height:
                 raise FormatError(
@@ -181,8 +183,10 @@ def load_gray_image(path) -> np.ndarray:
             payload = body[: width * height * dtype.itemsize]
             if len(payload) != width * height * dtype.itemsize:
                 raise FormatError(f"{path}: truncated P5 payload")
-            samples = np.frombuffer(payload, dtype=dtype).astype(np.float64)
-        return samples.reshape(height, width) / maxval
+            samples = np.frombuffer(payload, dtype=dtype)
+        if not 0 <= samples.min() <= samples.max() <= maxval:
+            raise FormatError(f"{path}: samples {samples.min()}..{samples.max()} outside 0..{maxval}")
+        return samples.reshape(height, width).astype(np.float64) / maxval
     # plain matrix text: "rows cols" header line, then samples
     try:
         tokens = data.decode("ascii").split()

@@ -3,7 +3,7 @@
 One layer convolves the input with M rotated complex base filters
 (first-order steered Hilbert response as imaginary part, second-order
 as real part), scales by the constant C, and takes the pointwise
-amplitude.  Layers are stacked to depth K; global pooling of every
+amplitude.  Layers are stacked to depth K; global mean pooling of every
 intermediate map yields the translation-invariant feature vector.
 
 One engine (``_level_chunks``) computes every level.  By
@@ -38,9 +38,8 @@ of f's, in f's path order.
 
 Feature maps are ordered depth-major, then lexicographically by the
 sequence of rotation indices, so the empty path (the raw input) comes
-first.  With mean pooling the representation is exactly invariant to
-circular shifts.  Max pooling is also provided but does not preserve
-nonexpansiveness of the layer operator.
+first.  Mean pooling makes the representation exactly invariant to
+circular shifts.
 """
 
 from __future__ import annotations
@@ -53,10 +52,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .image_core import NonFiniteImageError, as_image, fft2, freq_coords, ifft2
+from .image_core import NonFiniteImageError, as_image
 from .riesz import first_order_multipliers
-
-POOLINGS = ("mean", "max")
 
 # Entries of ``_basis_bank`` (the one per-shape filter cache; the
 # multipliers behind it are built per call) and of ``_real_dft`` (per
@@ -78,20 +75,14 @@ class RieszConfig:
     depth: int = 3
     angles: int = 4
     scale_constant: float = 1.0
-    pooling: str = "mean"
-    presmooth_sigma: float | None = None
 
     def __post_init__(self):
         if self.depth < 0:
             raise ValueError("depth must be >= 0")
         if self.angles < 1 or self.angles % 4 != 0:
             raise ValueError("angles must be a positive multiple of 4")
-        if self.scale_constant <= 0:
-            raise ValueError("scale constant must be positive")
-        if self.pooling not in POOLINGS:
-            raise ValueError(f"pooling must be one of {POOLINGS}")
-        if self.presmooth_sigma is not None and self.presmooth_sigma <= 0:
-            raise ValueError("presmooth sigma must be positive")
+        if not 0 < self.scale_constant < math.inf:
+            raise ValueError("scale constant must be finite and positive")
 
 
 def feature_count(depth: int, angles: int) -> int:
@@ -376,16 +367,13 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed
 
 
 def layer_S(f: np.ndarray, config: RieszConfig):
-    """One transformation layer: C * amplitude of each rotated base response.
-
-    The input is not presmoothed, whatever ``config.presmooth_sigma`` is.
-    """
+    """One transformation layer: C * amplitude of each rotated base response."""
     (chunk,) = _level_chunks(as_image(f), replace(config, depth=1))
     return list(chunk)
 
 
 def extract_features(f: np.ndarray, config: RieszConfig, *, workspace=None) -> np.ndarray:
-    """Pooled feature vector over all paths, in the fixed path order.
+    """Mean-pooled feature vector over all paths, in the fixed path order.
 
     When ``_transposes`` picks it (a height with a large prime factor
     and a smoother width), the engine runs on the transposed image and
@@ -400,13 +388,10 @@ def extract_features(f: np.ndarray, config: RieszConfig, *, workspace=None) -> n
     finite.
     """
     f = as_image(f)
-    if config.presmooth_sigma is not None:
-        f = gaussian_presmooth(f, config.presmooth_sigma)
-    pool = np.mean if config.pooling == "mean" else np.max
     maps = _level_chunks(f, config, workspace, transposed=_transposes(*f.shape))
     chunks = itertools.chain([f[None]], maps)
     # each chunk is pooled before the engine computes the next
-    features = np.concatenate([pool(c.reshape(len(c), -1), axis=1) for c in chunks])
+    features = np.concatenate([np.mean(c.reshape(len(c), -1), axis=1) for c in chunks])
     # the engine checks its maps, but the mean of the input itself can
     # overflow, which is all there is to check at depth 0
     if not np.isfinite(features).all():
@@ -442,42 +427,36 @@ def read_features_csv(path):
 
     The header goes through the ``csv`` module, since path labels such
     as ``"[0,1]"`` are quoted and contain commas; the numeric rows go
-    through numpy's C parser.  Blank lines are skipped.  A ragged row,
-    a field that is not a number, a width that differs from the header
-    or a label that is not an integer raises ``ValueError``.
+    through numpy's C parser.  Blank lines are skipped.  Text that is not
+    ASCII, a bad path label, a ragged row, a field that is not a number,
+    a width other than the header's or a label that is not an int64
+    integer raises ``ValueError`` naming the path.
     """
-    with open(path, newline="", encoding="ascii") as fh:
-        line = fh.readline()
-        if not line:
-            raise ValueError(f"{path}: empty feature file")
-        header = next(csv.reader([line]))
-        # np.loadtxt warns on an empty input; find a data row first
-        start = fh.tell()
-        if not any(row.strip() for row in iter(fh.readline, "")):
-            raise ValueError(f"{path}: feature file has no data rows")
-        fh.seek(start)
-        data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
-    if data.shape[1] != len(header):
-        raise ValueError(
-            f"{path}: {data.shape[1]} columns in the data rows, {len(header)} in the header"
-        )
-    has_labels = bool(header) and header[-1] == "label"
-    paths = [parse_path_label(h) for h in (header[:-1] if has_labels else header)]
-    if not has_labels:
-        return data, paths, None
-    column = data[:, -1]
-    integral = np.isfinite(column) & (np.round(column) == column)
-    if not integral.all():
-        row = int(np.argmin(integral))
-        raise ValueError(f"{path}: data row {row + 1}: label {float(column[row])!r} is not an integer")
-    return data[:, :-1], paths, column.astype(np.int64)
+    try:
+        with open(path, newline="", encoding="ascii") as fh:
+            line = fh.readline()
+            if not line:
+                raise ValueError("empty feature file")
+            header = next(csv.reader([line]))
+            # np.loadtxt warns on an empty input; find a data row first
+            start = fh.tell()
+            if not any(row.strip() for row in iter(fh.readline, "")):
+                raise ValueError("feature file has no data rows")
+            fh.seek(start)
+            data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        if data.shape[1] != len(header):
+            raise ValueError(f"{data.shape[1]} data columns, {len(header)} in the header")
+        has_labels = bool(header) and header[-1] == "label"
+        paths = [parse_path_label(h) for h in (header[:-1] if has_labels else header)]
+        if not has_labels:
+            return data, paths, None
+        column = data[:, -1]
+        # 2^63 itself does not fit an int64
+        integral = (np.abs(column) < 2.0**63) & (np.round(column) == column)
+        if not integral.all():
+            row = int(np.argmin(integral))
+            raise ValueError(f"data row {row + 1}: label {float(column[row])!r} is not an integer")
+        return data[:, :-1], paths, column.astype(np.int64)
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
-
-def gaussian_presmooth(f: np.ndarray, sigma: float) -> np.ndarray:
-    """Periodic Gaussian smoothing realized in the frequency domain."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    spec = fft2(f)
-    u1, u2 = freq_coords(*spec.shape)
-    kernel = np.exp(-2 * np.pi**2 * sigma**2 * (u1**2 + u2**2))
-    return ifft2(kernel * spec)

@@ -452,6 +452,59 @@ def test_load_model_malformed_names_path_and_line(tmp_path, text, reason):
     assert str(info.value).startswith(f"{path}: {reason}")
 
 
+_SVM_BODY = "hyper reg 0.1 epochs 1 seed 0\nnormalized 0\n1 2 3\n4 5 6\n0 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("riesz-model v1\nkind svm\nclasses 2 dim 999999999995\n" + _SVM_BODY,
+         "bad line 6 '1 2 3': expected 999999999995 values, found 3"),
+        ("riesz-model v1\nkind svm\nclasses 999999999995 dim 3\n" + _SVM_BODY,
+         "bad line 8 '0 0': expected 3 values, found 2"),
+        ("riesz-model v1\nkind pca\nclasses 999999999995 dim 999999999995\ncomponents 1\n"
+         "class 0 retained 1\n0 1\n", "bad line 6 '0 1': expected 999999999995 values, found 2"),
+        ("riesz-model v1\nkind pca\nclasses 1 dim 2\ncomponents 1\n"
+         "class 0 retained 999999999995\n0 1\n1 0\n", "truncated, line 8 is missing"),
+        ("riesz-model v1\nkind pca\nclasses 1 dim 2\ncomponents 1\nclass 0 retained -1\n0 1\n",
+         "bad line 5 'class 0 retained -1': retained count must be >= 0"),
+        ("riesz-model v1\nkind svm\nclasses 2 dom 3\n" + _SVM_BODY,
+         "bad line 3 'classes 2 dom 3': expected 'classes * dim *'"),
+        ("riesz-model v1\nkind svm\nclasses 2 dim 3\n" + _SVM_BODY.replace("4 5", "4 inf"),
+         "bad line 7 '4 inf 6': values must be finite"),
+        ("riesz-model v1\nkind svm\nclasses 2 dim 3\n"
+         + _SVM_BODY.replace("normalized 0", "normalized 1\n1 0 2"),
+         "bad line 6 '1 0 2': values must be finite and positive"),
+    ],
+    ids=["huge-dim", "huge-class-count", "huge-pca", "huge-retained", "negative-retained",
+         "misspelled-key", "infinite-weight", "zero-scale"],
+)
+def test_load_model_allocates_only_what_the_file_holds(tmp_path, text, reason):
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_model(path)
+    assert str(info.value).startswith(f"{path}: {reason}")
+
+
+def test_load_model_arrays_keep_dtype_shape_and_layout(tmp_path, rng):
+    X = rng.standard_normal((20, 6))
+    y = np.repeat([0, 1], 10)
+    for model in (svm_fit(X, y, epochs=2, normalizer=maxabs_fit(X)), pca_fit(X, y, 3)):
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        back = load_model(path)
+
+        def arrays(m):
+            if hasattr(m, "weights"):
+                return [m.weights, m.biases, m.normalizer.scales]
+            return [m.means, *m.bases]
+
+        for got, expected in zip(arrays(back), arrays(model), strict=True):
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.shape == expected.shape
+
+
 def test_pca_basis_orthonormal(rng):
     X = rng.standard_normal((30, 10))
     y = np.repeat([0, 1, 2], 10)

@@ -79,8 +79,6 @@ _RIESZ = {
     (("--depth",), "depth", None, None, int),
     (("--angles",), "angles", None, None, int),
     (("--scale-constant",), "scale_constant", None, None, float),
-    (("--pooling",), "pooling", ("mean", "max"), None, None),
-    (("--presmooth-sigma",), "presmooth_sigma", None, None, float),
 }
 _BBOX = {
     (("--bbox",), "bbox", None, True, None),
@@ -151,9 +149,27 @@ def test_config_file_unknown_key(tmp_path):
 
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "riesz.cfg"
-    cfg.write_text("# comment\ndepth = 2\nangles = 8\npooling = max  # inline\n")
+    cfg.write_text("# comment\ndepth = 2\nangles = 8\nscale_constant = 0.5  # inline\n")
     values = load_config_file(cfg)
-    assert values == {"depth": 2, "angles": 8, "pooling": "max"}
+    assert values == {"depth": 2, "angles": 8, "scale_constant": 0.5}
+
+
+@pytest.mark.parametrize("flag", [["--pooling", "max"], ["--presmooth-sigma", "1"]])
+def test_removed_riesz_flags_exit_2(capsys, flag):
+    # the representation is set by depth, angles and scale constant alone
+    with pytest.raises(SystemExit) as exc:
+        main(["extract", *flag, "--output", "f.csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["pooling = mean", "presmooth_sigma = 1.5"])
+def test_removed_riesz_keys_are_unknown(tmp_path, caplog, line):
+    cfg = tmp_path / "riesz.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["extract", "--config", str(cfg), "--output", "f.csv"]) == 2
+    key = line.split()[0]
+    assert f"{cfg}:1: unknown key {key!r}" in caplog.text
 
 
 @pytest.mark.parametrize("value, expected", [("1", True), ("Yes", True), ("TRUE", True),
@@ -743,6 +759,51 @@ def test_eval_manifest_bad_scale_names_the_line(tmp_path, caplog):
     assert main(["eval", "--manifest", str(manifest), "--model", str(model)]) == 2
     (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert f"{manifest}:3: bad scale" in error and "'abc'" in error
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-2"])
+def test_eval_manifest_scale_not_finite_and_positive_names_the_line(tmp_path, caplog, scale):
+    model = tmp_path / "m.txt"
+    _train_small_model(tmp_path / "f.csv", model)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(
+        f"scale 1 images a.idx labels b.idx\nscale {scale} images a.idx labels b.idx\n"
+    )
+    caplog.clear()
+    assert main(["eval", "--manifest", str(manifest), "--model", str(model)]) == 2
+    (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert f"{manifest}:2: bad scale {scale!r}: not finite and positive" in error
+
+
+@pytest.mark.parametrize("kind", ["idx-header", "p2-sample", "model-dim", "config-bytes"])
+def test_reader_errors_reach_the_cli_naming_the_file(tmp_path, rng, caplog, kind):
+    # exit 1 with the reader's message (exit 2 for a config file), never an empty one
+    ipath, lpath = _write_idx_pair(tmp_path, rng.random((2, 8, 8)), [0, 1])
+    out = tmp_path / "f.csv"
+    argv = ["extract", "--images", str(ipath), "--labels", str(lpath), "--output", str(out)]
+    code, bad = 1, ipath
+    if kind == "idx-header":
+        ipath.write_bytes(struct.pack(">iiii", 0x803, 48, 33554432, 50343217) + bytes(27))
+    elif kind == "p2-sample":
+        bad = tmp_path / "imgs" / "a.pgm"
+        bad.parent.mkdir()
+        bad.write_text("P2\n2 1\n255\n300 0\n")
+        argv = ["extract", "--image-dir", str(bad.parent), "--output", str(out)]
+    elif kind == "model-dim":
+        bad = tmp_path / "model.txt"
+        bad.write_text("riesz-model v1\nkind svm\nclasses 2 dim 999999999995\n"
+                       "hyper reg 0.1 epochs 1 seed 0\nnormalized 0\n1 2\n3 4\n0 0\n")
+        argv = ["eval", "--features", str(out), "--model", str(bad)]
+    else:
+        bad = tmp_path / "riesz.cfg"
+        bad.write_bytes(b"depth = 2\n\xff\n")
+        argv += ["--config", str(bad)]
+        code = 2
+    caplog.clear()
+    assert main(argv) == code
+    (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert str(bad) in error
+    assert not out.exists()
 
 
 def test_eval_width_mismatch_names_model_and_widths(tmp_path, caplog):

@@ -164,6 +164,20 @@ def test_load_idx_truncated(tmp_path):
         load_idx(ipath, lpath)
 
 
+@pytest.mark.parametrize(
+    "dims", [(48, 33554432, 50343217), (2**30, 2**30, 2**30)], ids=["memory", "overflow"]
+)
+def test_load_idx_header_larger_than_file_names_the_file(tmp_path, dims):
+    # checked against the file size before any payload is read
+    ipath, lpath = _write_idx_pair(tmp_path, np.zeros((1, 2, 2)), [0])
+    ipath.write_bytes(struct.pack(">iiii", 0x803, *dims) + bytes(27))
+    assert ipath.stat().st_size == 43
+    claimed = dims[0] * dims[1] * dims[2]
+    expected = f"{ipath}: truncated IDX image payload (expected {claimed} bytes, 27 left)"
+    with pytest.raises(FormatError, match=re.escape(expected)):
+        load_idx(ipath, lpath)
+
+
 def test_load_gray_p2(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_text("P2\n2 2\n255\n0 255 255 0\n")
@@ -225,6 +239,29 @@ def test_load_gray_malformed_graymap_names_the_file(tmp_path, data, reason):
         with pytest.raises(FormatError, match=reason) as info:
             load_gray_image(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "data, reason",
+    [
+        (b"P2\n2 1\n255\n300 0\n", "samples 0..300 outside 0..255"),
+        (b"P2\n2 1\n255\n1.5 0\n", "bad P2 sample: invalid literal for int() with base 10: '1.5'"),
+        (b"P2\n2 1\n255\n0 1e3081\n",
+         "bad P2 sample: invalid literal for int() with base 10: '1e3081'"),
+        (b"P2\n2 1\n255\n0 -1\n", "samples -1..0 outside 0..255"),
+        # the OverflowError's wording depends on the numpy version
+        (b"P2\n2 1\n255\n0 " + b"9" * 30 + b"\n", "bad P2 sample: "),
+        (b"P5\n2 1\n100\n" + bytes([200, 3]), "samples 3..200 outside 0..100"),
+        (b"P5\n1 1\n1000\n" + struct.pack(">H", 1001), "samples 1001..1001 outside 0..1000"),
+    ],
+    ids=["p2-above-maxval", "p2-fraction", "p2-exponent", "p2-negative", "p2-beyond-int64",
+         "p5-above-maxval", "p5-16-bit-above-maxval"],
+)
+def test_load_gray_sample_outside_maxval_names_the_file(tmp_path, data, reason):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=re.escape(f"{path}: {reason}")):
+        load_gray_image(path)
 
 
 def test_load_gray_p2_truncated(tmp_path):

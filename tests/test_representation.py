@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -13,7 +14,6 @@ from rieszrep.representation import (
     extract_features,
     feature_count,
     feature_paths,
-    gaussian_presmooth,
     layer_S,
     parse_path_label,
     path_label,
@@ -30,8 +30,17 @@ def test_config_validation():
         RieszConfig(depth=-1)
     with pytest.raises(ValueError):
         RieszConfig(scale_constant=0)
-    with pytest.raises(ValueError):
-        RieszConfig(pooling="median")
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            RieszConfig(scale_constant=value)
+
+
+def test_config_holds_only_the_papers_parameters():
+    # depth K, angle count M and scale constant C set the representation
+    fields = [field.name for field in dataclasses.fields(RieszConfig)]
+    assert fields == ["depth", "angles", "scale_constant"]
+    assert not hasattr(representation, "POOLINGS")
+    assert not hasattr(representation, "gaussian_presmooth")
 
 
 @pytest.mark.parametrize("depth", range(5))
@@ -106,13 +115,10 @@ def test_layer_nonexpansive_with_small_C(rng):
 
 def _two_inverse_features(f, cfg):
     """Frozen copy of the original per-map algorithm: two inverse FFTs per angle."""
-    if cfg.presmooth_sigma is not None:
-        f = gaussian_presmooth(f, cfg.presmooth_sigma)
     m1, m2 = first_order_multipliers(*f.shape)
     phis = [k * math.pi / cfg.angles for k in range(cfg.angles)]
     bank = [math.cos(phi) * m1 + math.sin(phi) * m2 for phi in phis]
-    pool = np.mean if cfg.pooling == "mean" else np.max
-    values = [pool(f)]
+    values = [np.mean(f)]
     level = [f]
     for _ in range(cfg.depth):
         nxt = []
@@ -122,7 +128,7 @@ def _two_inverse_features(f, cfg):
                 imag_part = np.fft.ifft2(m * spec).real
                 real_part = np.fft.ifft2(m * m * spec).real
                 nxt.append(cfg.scale_constant * np.hypot(real_part, imag_part))
-        values.extend(pool(g) for g in nxt)
+        values.extend(np.mean(g) for g in nxt)
         level = nxt
     return np.array(values)
 
@@ -130,10 +136,7 @@ def _two_inverse_features(f, cfg):
 _ENGINE_CONFIGS = {
     "K3M4": RieszConfig(depth=3, angles=4),
     "K2M8": RieszConfig(depth=2, angles=8),
-    "max": RieszConfig(depth=2, angles=4, pooling="max"),
-    "C0.7-presmooth": RieszConfig(
-        depth=2, angles=4, scale_constant=0.7, presmooth_sigma=1.5
-    ),
+    "C0.7": RieszConfig(depth=2, angles=4, scale_constant=0.7),
     "depth0": RieszConfig(depth=0),
     "K1M16": RieszConfig(depth=1, angles=16),
 }
@@ -156,7 +159,7 @@ def test_engine_matches_two_inverse_algorithm(rng, shape, name):
 
 _GROUPING_CONFIGS = {
     "K3M4-mean": RieszConfig(depth=3, angles=4),
-    "K2M8-max": RieszConfig(depth=2, angles=8, pooling="max"),
+    "K2M8": RieszConfig(depth=2, angles=8),
     "K1": RieszConfig(depth=1),
     "K0": RieszConfig(depth=0),
     "C2.5": RieszConfig(depth=2, angles=4, scale_constant=2.5),
@@ -245,7 +248,7 @@ def test_transpose_routes_by_height_and_order_is_an_involution():
         assert_array_equal(weights, representation._steering(angles, 1.0, False)[slots])
 
 
-@pytest.mark.parametrize("name", ["K3M4", "K2M8", "max", "C0.7-presmooth"])
+@pytest.mark.parametrize("name", ["K3M4", "K2M8", "C0.7"])
 @pytest.mark.parametrize(
     "shape", [(97, 70), (70, 97), (53, 34), (31, 18), (46, 31), (257, 3), (1, 29), (29, 1), (2, 2)]
 )
@@ -302,8 +305,8 @@ def test_engine_outputs_do_not_alias_reused_buffers(monkeypatch, rng):
 
 _SEQUENCE_CONFIGS = {
     "K3M4": RieszConfig(depth=3, angles=4),
-    "K2M8-max": RieszConfig(depth=2, angles=8, pooling="max"),
-    "C0.7-presmooth": RieszConfig(depth=2, angles=4, scale_constant=0.7, presmooth_sigma=1.5),
+    "K2M8": RieszConfig(depth=2, angles=8),
+    "C0.7": RieszConfig(depth=2, angles=4, scale_constant=0.7),
     "K1": RieszConfig(depth=1),
 }
 
@@ -422,33 +425,6 @@ def test_features_homogeneity_in_C(rng):
     doubled = extract_features(f, RieszConfig(depth=2, scale_constant=2.0))
     depths = np.array([len(p) for p in feature_paths(2, 4)])
     assert_allclose(doubled, base * 2.0**depths, rtol=1e-10, atol=1e-14)
-
-
-def test_presmooth_near_identity(rng):
-    f = rng.standard_normal((16, 16))
-    out = gaussian_presmooth(f, 0.01)
-    assert np.linalg.norm(out - f) / np.linalg.norm(f) <= 1e-3
-
-
-def test_presmooth_constant_unchanged():
-    f = np.full((8, 8), 1.5)
-    assert_allclose(gaussian_presmooth(f, 2.0), f, atol=1e-12)
-
-
-def test_presmooth_energy_nonincreasing(rng):
-    f = rng.standard_normal((16, 16))
-    assert np.linalg.norm(gaussian_presmooth(f, 1.0)) <= np.linalg.norm(f)
-
-
-def test_presmooth_applied_in_extraction(rng):
-    f = rng.standard_normal((16, 16))
-    direct = extract_features(
-        gaussian_presmooth(f, 1.0), RieszConfig(depth=1, angles=4)
-    )
-    configured = extract_features(
-        f, RieszConfig(depth=1, angles=4, presmooth_sigma=1.0)
-    )
-    assert_allclose(direct, configured, atol=1e-14)
 
 
 def _awkward_matrix(rng, rows, cols):
