@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import rieszrep.representation as representation
-from rieszrep.image_core import NonFiniteImageError
+from rieszrep.image_core import NonFiniteImageError, fft2, freq_coords, ifft2
 from rieszrep.representation import (
     RieszConfig,
     Workspace,
@@ -133,10 +133,24 @@ def _two_inverse_features(f, cfg):
     return np.array(values)
 
 
+def _presmoothed(f, sigma=1.5):
+    """Periodic Gaussian smoothing in the frequency domain: a smooth input."""
+    u1, u2 = freq_coords(*f.shape)
+    return ifft2(np.exp(-2 * np.pi**2 * sigma**2 * (u1**2 + u2**2)) * fft2(f))
+
+
+def _test_image(rng, shape, name):
+    # a "-presmooth" case feeds the engine a Gaussian-smoothed image, whose
+    # spectrum decays fast and whose deep maps are small
+    f = rng.standard_normal(shape)
+    return _presmoothed(f) if name.endswith("-presmooth") else f
+
+
 _ENGINE_CONFIGS = {
     "K3M4": RieszConfig(depth=3, angles=4),
     "K2M8": RieszConfig(depth=2, angles=8),
     "C0.7": RieszConfig(depth=2, angles=4, scale_constant=0.7),
+    "C0.7-presmooth": RieszConfig(depth=2, angles=4, scale_constant=0.7),
     "depth0": RieszConfig(depth=0),
     "K1M16": RieszConfig(depth=1, angles=16),
 }
@@ -150,7 +164,7 @@ _ENGINE_CONFIGS = {
 )
 def test_engine_matches_two_inverse_algorithm(rng, shape, name):
     cfg = _ENGINE_CONFIGS[name]
-    f = rng.standard_normal(shape)
+    f = _test_image(rng, shape, name)
     expected = _two_inverse_features(f, cfg)
     got = extract_features(f, cfg)
     # the 2x2 grid has structurally zero features that differ at 1e-17
@@ -248,7 +262,7 @@ def test_transpose_routes_by_height_and_order_is_an_involution():
         assert_array_equal(weights, representation._steering(angles, 1.0, False)[slots])
 
 
-@pytest.mark.parametrize("name", ["K3M4", "K2M8", "C0.7"])
+@pytest.mark.parametrize("name", ["K3M4", "K2M8", "C0.7", "C0.7-presmooth"])
 @pytest.mark.parametrize(
     "shape", [(97, 70), (70, 97), (53, 34), (31, 18), (46, 31), (257, 3), (1, 29), (29, 1), (2, 2)]
 )
@@ -256,7 +270,7 @@ def test_features_of_transposed_image_are_permuted(rng, shape, name):
     # shapes on both sides of the routing rule: height 46 = 2*23 is not
     # transposed, 31 is, and 257 is above the cap
     cfg = _ENGINE_CONFIGS[name]
-    f = rng.standard_normal(shape)
+    f = _test_image(rng, shape, name)
     expected = extract_features(f, cfg)
     got = extract_features(f.T, cfg)[_transposed_path_order(cfg.depth, cfg.angles)]
     assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
@@ -307,6 +321,7 @@ _SEQUENCE_CONFIGS = {
     "K3M4": RieszConfig(depth=3, angles=4),
     "K2M8": RieszConfig(depth=2, angles=8),
     "C0.7": RieszConfig(depth=2, angles=4, scale_constant=0.7),
+    "C0.7-presmooth": RieszConfig(depth=2, angles=4, scale_constant=0.7),
     "K1": RieszConfig(depth=1),
 }
 
@@ -317,7 +332,7 @@ def test_workspace_sequence_matches_independent_calls(rng, name):
     # from the second consecutive image of a shape until the shape changes
     cfg = _SEQUENCE_CONFIGS[name]
     shapes = [(24, 20), (24, 20), (24, 20), (17, 31), (24, 20), (24, 20), (17, 31), (17, 31)]
-    images = [rng.standard_normal(shape) for shape in shapes]
+    images = [_test_image(rng, shape, name) for shape in shapes]
     images[1] = np.full(shapes[1], 1e308)
     workspace = Workspace()
     kept = []
