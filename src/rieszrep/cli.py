@@ -25,7 +25,7 @@ import numpy as np
 
 from . import classify, verify
 from .image_core import NonFiniteImageError, load_gray_image, load_idx, save_gray_pgm
-from .preprocess import BlankImageError, bbox_compute, bbox_extract
+from .preprocess import BlankImageError, bbox_compute, bbox_extract, check_crop_settings
 from .representation import (
     RieszConfig,
     Workspace,
@@ -121,12 +121,12 @@ def resolve_config(args) -> dict:
     # checked here, before any command reads an image
     if config["limit"] is not None and config["limit"] < 0:
         raise ConfigError(f"limit must be >= 0, got {config['limit']}")
-    if config["pad"] < 0:
-        raise ConfigError(f"pad must be >= 0, got {config['pad']}")
     if config["seed"] < 0:
         raise ConfigError(f"seed must be >= 0, got {config['seed']}")
-    if not config["enlarge"] > -1:
-        raise ConfigError(f"enlarge must be > -1, got {config['enlarge']}")
+    try:
+        check_crop_settings(**_pick(config, _CROP))
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     riesz_config(config)
     return config
 
@@ -232,11 +232,10 @@ def cmd_bbox(config, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, img in enumerate(images):
         try:
-            padded, tight, box = bbox_compute(img, **_pick(config, _CROP))
+            crop, tight, box = bbox_compute(img, **_pick(config, _CROP))
         except (BlankImageError, NonFiniteImageError) as exc:
             log.warning("image %d skipped: %s", i, exc)
             continue
-        crop = padded[box.row0 : box.row1, box.col0 : box.col1]
         save_gray_pgm(out_dir / f"crop_{i:05d}.pgm", crop)
         log.info(
             "image %d: tight %dx%d, enlarged %dx%d",

@@ -1,5 +1,12 @@
 """Scale-equivariant bounding-box extraction: normalize, pad, threshold,
-then crop the tight foreground box enlarged about its center."""
+then crop the tight foreground box enlarged about its center.
+
+The padding is virtual.  Boxes are in the coordinates of the image
+framed by ``pad`` zero pixels on every side, but that frame is never
+built: with a threshold above 0 the padding is never foreground, so the
+tight box is found on the image alone and shifted by ``pad``, and the
+crop is zeros plus the part of the image the enlarged box overlaps.
+"""
 
 from __future__ import annotations
 
@@ -62,25 +69,52 @@ def enlarge_bbox(box: BoundingBox, enlarge: float, height: int, width: int) -> B
     return BoundingBox(row0=r0, col0=c0, height=r1 - r0, width=c1 - c0)
 
 
+def check_crop_settings(pad, threshold, enlarge):
+    """Raise ValueError naming the first setting out of range.
+
+    ``pad`` must be >= 0 and ``enlarge`` > -1.  Images are normalized to
+    [0, 1], so ``threshold`` must be in (0, 1]: above 0 the zero padding
+    is never foreground, and above 1 no pixel would be.
+    """
+    if pad < 0:
+        raise ValueError(f"pad must be >= 0, got {pad}")
+    if not 0 < threshold <= 1:
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    if not enlarge > -1:
+        raise ValueError(f"enlarge must be > -1, got {enlarge}")
+
+
 def bbox_compute(
     f: np.ndarray, pad: int = 50, threshold: float = 0.5, enlarge: float = 0.4
 ):
     """Run the four-step bounding-box pipeline.
 
-    Returns (padded_image, tight_box, enlarged_box); boxes are in
-    padded-image coordinates.  Pixels at or above the threshold count
-    as foreground, so binary images keep their 1-pixels.
+    Returns (crop, tight_box, enlarged_box).  The boxes are in the
+    coordinates of the normalized image padded by ``pad`` zeros on every
+    side, and the crop is the enlarged box cut from that padded frame,
+    which is never allocated (see the module docstring).  Pixels at or
+    above the threshold count as foreground, so binary images keep
+    their 1-pixels.  Raises ValueError for settings that
+    ``check_crop_settings`` rejects and BlankImageError when no pixel
+    is foreground.
     """
+    check_crop_settings(pad, threshold, enlarge)
     f = minmax_normalize(f)
-    padded = np.pad(f, pad)
-    tight = tight_bbox(padded >= threshold)
-    box = enlarge_bbox(tight, enlarge, *padded.shape)
-    return padded, tight, box
+    height, width = f.shape
+    inner = tight_bbox(f >= threshold)
+    tight = BoundingBox(inner.row0 + pad, inner.col0 + pad, inner.height, inner.width)
+    box = enlarge_bbox(tight, enlarge, height + 2 * pad, width + 2 * pad)
+    # the box's overlap with the image, in image coordinates
+    r0, r1 = max(box.row0 - pad, 0), min(box.row1 - pad, height)
+    c0, c1 = max(box.col0 - pad, 0), min(box.col1 - pad, width)
+    dr, dc = pad - box.row0, pad - box.col0
+    crop = np.zeros((box.height, box.width))
+    crop[r0 + dr : r1 + dr, c0 + dc : c1 + dc] = f[r0:r1, c0:c1]
+    return crop, tight, box
 
 
 def bbox_extract(
     f: np.ndarray, pad: int = 50, threshold: float = 0.5, enlarge: float = 0.4
 ) -> np.ndarray:
     """Crop the enlarged foreground bounding box from the padded image."""
-    padded, _, box = bbox_compute(f, pad=pad, threshold=threshold, enlarge=enlarge)
-    return padded[box.row0 : box.row1, box.col0 : box.col1]
+    return bbox_compute(f, pad=pad, threshold=threshold, enlarge=enlarge)[0]

@@ -390,8 +390,10 @@ def extract_features(f: np.ndarray, config: RieszConfig, *, workspace=None) -> n
     f = as_image(f)
     maps = _level_chunks(f, config, workspace, transposed=_transposes(*f.shape))
     chunks = itertools.chain([f[None]], maps)
-    # each chunk is pooled before the engine computes the next
-    features = np.concatenate([np.mean(c.reshape(len(c), -1), axis=1) for c in chunks])
+    # each chunk is summed before the engine computes the next; the sums
+    # and the one division are what np.mean does, so the means are the same
+    sums = [np.add.reduce(c.reshape(len(c), -1), axis=1) for c in chunks]
+    features = np.concatenate(sums) / f.size
     # the engine checks its maps, but the mean of the input itself can
     # overflow, which is all there is to check at depth 0
     if not np.isfinite(features).all():
@@ -402,9 +404,11 @@ def extract_features(f: np.ndarray, config: RieszConfig, *, workspace=None) -> n
 def write_features_csv(path, matrix, paths, labels=None):
     """Write one feature row per image; column names are path labels.
 
-    Column names contain commas, so fields are quoted per standard CSV
-    rules.  Values use full decimal (round-trippable) precision; an
-    optional integer label column comes last.
+    Column names contain commas, so the header is quoted per standard
+    CSV rules.  Values use full decimal (round-trippable) precision; an
+    optional integer label column comes last.  Numbers never need
+    quoting, so each data row is one ``%`` format of a template, ended
+    with the ``\r\n`` that ``csv.writer`` ends the header with.
     """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     header = [path_label(p) for p in paths]
@@ -415,11 +419,12 @@ def write_features_csv(path, matrix, paths, labels=None):
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
         writer.writerow(header + (["label"] if labels is not None else []))
-        for i, row in enumerate(matrix):
-            out = [format(v, ".17g") for v in row]
-            if labels is not None:
-                out.append(str(int(labels[i])))
-            writer.writerow(out)
+        fields = ["%.17g"] * len(header) + (["%d"] if labels is not None else [])
+        line = ",".join(fields) + "\r\n"
+        rows = matrix.tolist()
+        if labels is not None:
+            rows = [[*row, int(label)] for row, label in zip(rows, labels)]
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def read_features_csv(path):

@@ -466,9 +466,15 @@ def test_overflowing_image_flagged_once(tmp_path, caplog, shape, depth, reason):
         (["extract", "--angles", "3"], None, "angles"),
         (["extract", "--depth", "-1"], None, "depth"),
         (["extract"], "angles = 6", "angles"),
+        (["extract", "--bbox", "--threshold", "nan"], None, "threshold"),
+        (["extract", "--bbox", "--threshold", "0"], None, "threshold"),
+        (["bbox", "--threshold", "2"], None, "threshold"),
+        (["extract"], "threshold = -0.5", "threshold"),
+        (["bbox"], "threshold = nan", "threshold"),
     ],
     ids=["limit", "pad", "enlarge", "config-file-enlarge", "bbox-limit", "angles", "depth",
-         "config-file-angles"],
+         "config-file-angles", "threshold-nan", "threshold-zero", "bbox-threshold-above-1",
+         "config-file-threshold-negative", "bbox-config-file-threshold-nan"],
 )
 def test_out_of_range_values_exit_2_before_any_image_is_read(
     tmp_path, caplog, argv, config_line, key

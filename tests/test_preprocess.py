@@ -1,7 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
-from rieszrep.preprocess import BlankImageError, bbox_compute, bbox_extract
+from rieszrep.image_core import minmax_normalize
+from rieszrep.preprocess import (
+    BlankImageError,
+    bbox_compute,
+    bbox_extract,
+    enlarge_bbox,
+    tight_bbox,
+)
 
 from conftest import synthetic_digit
 
@@ -14,9 +23,9 @@ def test_blank_image_raises():
 def test_single_foreground_pixel():
     img = np.zeros((21, 21))
     img[10, 10] = 1.0
-    padded, tight, box = bbox_compute(img, pad=5)
+    crop, tight, box = bbox_compute(img, pad=5)
     assert (tight.height, tight.width) == (1, 1)
-    crop = padded[box.row0 : box.row1, box.col0 : box.col1]
+    assert crop.shape == (box.height, box.width)
     assert crop.max() == 1.0
 
 
@@ -60,3 +69,78 @@ def test_bbox_near_idempotent():
     again = bbox_extract(crop)
     assert abs(again.shape[0] - crop.shape[0]) <= 2
     assert abs(again.shape[1] - crop.shape[1]) <= 2
+
+
+def padded_reference(f, pad, threshold, enlarge):
+    """The crop and boxes found on an explicitly zero-padded frame."""
+    padded = np.pad(minmax_normalize(f), pad)
+    tight = tight_bbox(padded >= threshold)
+    box = enlarge_bbox(tight, enlarge, *padded.shape)
+    return padded[box.row0 : box.row1, box.col0 : box.col1], tight, box
+
+
+def _border_image(shape, rows, cols):
+    img = np.zeros(shape)
+    img[rows, cols] = 1.0
+    img[shape[0] // 2, shape[1] // 2] = 0.7
+    return img
+
+
+_rng = np.random.default_rng(5)
+_CROP_CASES = {
+    # foreground on each border, so the box is clamped at that side of the frame
+    **{
+        f"{side}-pad{pad}": (_border_image((13, 11), *index), pad, 0.5, 0.4)
+        for pad in (0, 1)
+        for side, index in (
+            ("top", (0, slice(3, 6))),
+            ("bottom", (-1, slice(3, 6))),
+            ("left", (slice(4, 8), 0)),
+            ("right", (slice(4, 8), -1)),
+            ("all", (slice(None), slice(None))),
+        )
+    },
+    "single-pixel": (_border_image((9, 9), 4, 4), 3, 0.5, 0.4),
+    "non-square": (_rng.random((17, 40)) * (_rng.random((17, 40)) > 0.8), 6, 0.5, 0.4),
+    "enlarge-shrink": (_rng.random((20, 23)), 4, 0.5, -0.5),
+    "enlarge-2": (_rng.random((20, 23)) - 2, 4, 0.5, 2.0),
+    "threshold-1": (_rng.random((15, 12)), 2, 1.0, 0.4),
+    "negative-input": (-np.abs(_rng.standard_normal((12, 14))), 3, 0.3, 1.0),
+}
+
+
+@pytest.mark.parametrize("image, pad, threshold, enlarge", _CROP_CASES.values(), ids=_CROP_CASES)
+def test_crop_equals_padded_frame_slice(image, pad, threshold, enlarge):
+    expected, expected_tight, expected_box = padded_reference(image, pad, threshold, enlarge)
+    crop, tight, box = bbox_compute(image, pad=pad, threshold=threshold, enlarge=enlarge)
+    assert (tight, box) == (expected_tight, expected_box)
+    assert crop.dtype == expected.dtype == np.float64
+    assert crop.shape == expected.shape
+    # equal values, and the padding zeros are +0.0 as np.pad writes them
+    assert np.array_equal(crop, expected)
+    assert np.array_equal(np.signbit(crop), np.signbit(expected))
+    assert np.array_equal(bbox_extract(image, pad=pad, threshold=threshold, enlarge=enlarge), crop)
+
+
+@pytest.mark.parametrize("name", [n for n in _CROP_CASES if "-pad" in n])
+def test_border_cases_clamp_the_box_at_the_frame(name):
+    image, pad, threshold, enlarge = _CROP_CASES[name]
+    _, _, box = bbox_compute(image, pad=pad, threshold=threshold, enlarge=enlarge)
+    frame = (image.shape[0] + 2 * pad, image.shape[1] + 2 * pad)
+    reached = {
+        "top": box.row0 == 0,
+        "bottom": box.row1 == frame[0],
+        "left": box.col0 == 0,
+        "right": box.col1 == frame[1],
+    }
+    side = name.split("-")[0]
+    assert all(reached.values()) if side == "all" else reached[side]
+
+
+@pytest.mark.parametrize("threshold", [math.nan, 0.0, -0.5, 1.0000001, 2.0])
+def test_threshold_out_of_range_raises(threshold):
+    img = np.zeros((10, 10))
+    img[4, 4] = 1.0
+    for routine in (bbox_compute, bbox_extract):
+        with pytest.raises(ValueError, match="threshold must be in"):
+            routine(img, threshold=threshold)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import warnings
@@ -481,6 +482,35 @@ def test_features_csv_header_only(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="no data rows"):
             read_features_csv(out)
+
+
+def _csv_module_writer(path, matrix, paths, labels=None):
+    """The writer the feature CSV format was defined by: csv.writer on
+    format(v, ".17g") fields."""
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
+        writer.writerow([path_label(p) for p in paths] + (["label"] if labels is not None else []))
+        for i, row in enumerate(matrix):
+            out = [format(v, ".17g") for v in row]
+            if labels is not None:
+                out.append(str(int(labels[i])))
+            writer.writerow(out)
+
+
+_EXTREMES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4])
+@pytest.mark.parametrize("labelled", [True, False], ids=["labels", "no-labels"])
+def test_features_csv_bytes_match_csv_module_writer(tmp_path, rows, labelled):
+    paths = feature_paths(1, 8)[:7]
+    matrix = np.array([np.roll(_EXTREMES, i) for i in range(rows)]).reshape(rows, 7)
+    labels = [3, 0, 12, 7][:rows] if labelled else None
+    write_features_csv(tmp_path / "a.csv", matrix, paths, labels)
+    _csv_module_writer(tmp_path / "b.csv", matrix, paths, labels)
+    written = (tmp_path / "a.csv").read_bytes()
+    assert written == (tmp_path / "b.csv").read_bytes()
+    assert written.count(b"\r\n") == rows + 1
 
 
 @pytest.mark.parametrize(
