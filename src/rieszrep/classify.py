@@ -170,6 +170,10 @@ def svm_fit(
     # cheaper than a broadcast multiply
     staged = np.empty((n, 1, dim + 1))
     rows = staged[:, 0]
+    staged_signs = np.empty_like(signs)
+    # each step's (row, (1, dim+1) row, signs) views, made once; every
+    # epoch refills the buffers behind them
+    views = list(zip(rows, staged, staged_signs))
     u_col = np.empty((class_count, 1))
     u = u_col[:, 0]
     outer = np.empty_like(A)
@@ -178,11 +182,13 @@ def svm_fit(
     for _ in range(epochs):
         order = rng.permutation(n)
         steps = np.arange(t + 1, t + n + 1, dtype=np.float64)
+        thresholds = reg * (steps - 1.0) + 1.0
         rows[:, :dim] = X[order]
-        rows[:, dim] = reg * (steps - 1.0) + 1.0
+        rows[:, dim] = thresholds
+        staged_signs[:] = signs[order]
         etas = (1.0 / (reg * steps + 1.0)).tolist()
-        for r, r_row, s, eta in zip(rows, staged, signs[order], etas):
-            np.multiply(s, s * A.dot(r) < r[dim], out=u)
+        for (r, r_row, s), threshold, eta in zip(views, thresholds.tolist(), etas):
+            np.multiply(s, s * A.dot(r) < threshold, out=u)
             r[dim] = eta
             np.dot(u_col, r_row, out=outer)
             A += outer

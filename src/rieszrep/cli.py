@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import itertools
 import logging
 import os
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -180,30 +182,70 @@ def load_input_images(config):
     raise ConfigError("either 'images'+'labels' or 'image_dir' is required")
 
 
+def _thread_count() -> int:
+    """Threads ``extract_matrix`` runs: the CPUs this process may use, at most 2.
+
+    Capped at two because the peak memory of two workspaces is what was
+    measured to stay within budget.
+    """
+    return min(2, len(os.sched_getaffinity(0)))
+
+
 def extract_matrix(images, config):
-    """Feature matrix for a list of images; flagged rows are all-NaN.
+    """Feature matrix for a sequence of images; flagged rows are all-NaN.
 
     Blank images (no bounding box) and images whose samples or feature
-    maps are not finite are logged with the image index and the run
-    continues.  One ``Workspace`` lends the engine's buffers from each
-    image to the next while the shape repeats.  No images give a
+    maps are not finite are logged with the image index, in index order,
+    and the run continues.  The images go through the calling thread
+    and, when ``_thread_count`` allows two, one helper thread: each
+    takes the next index from one shared counter, extracts with its own
+    ``Workspace`` (which lends the engine's buffers from each image to
+    the next while the shape repeats) and stores the row by its index,
+    so the matrix is byte-identical whatever the thread count.  numpy
+    releases the GIL in the FFTs, products and elementwise passes the
+    engine is made of.  Any other exception stops both threads after
+    their current image and is raised here.  No images give a
     (0, feature count) matrix.
     """
     cfg = riesz_config(config)
     width = feature_count(cfg.depth, cfg.angles)
-    workspace = Workspace()
-    rows = []
-    for index, img in enumerate(images):
+    rows = [None] * len(images)
+    flagged = {}
+    errors = []
+    # next() on a count is one C call, so each index goes to one thread
+    indices = itertools.count()
+
+    def work():
+        workspace = Workspace()
         try:
-            # an overflowing image is flagged once, below, not also by
-            # numpy's floating-point warnings
-            with np.errstate(over="ignore", invalid="ignore"):
-                if config["bbox"]:
-                    img = bbox_extract(img, **_pick(config, _CROP))
-                rows.append(extract_features(img, cfg, workspace=workspace))
-        except (BlankImageError, NonFiniteImageError) as exc:
-            log.warning("image %d flagged: %s", index, exc)
-            rows.append(np.full(width, np.nan))
+            for index in indices:
+                if index >= len(rows) or errors:
+                    return
+                try:
+                    # an overflowing image is flagged once, below, not also
+                    # by numpy's floating-point warnings
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        img = images[index]
+                        if config["bbox"]:
+                            img = bbox_extract(img, **_pick(config, _CROP))
+                        rows[index] = extract_features(img, cfg, workspace=workspace)
+                except (BlankImageError, NonFiniteImageError) as exc:
+                    flagged[index] = exc
+                    rows[index] = np.full(width, np.nan)
+        except BaseException as exc:  # noqa: BLE001 - re-raised after the join
+            errors.append(exc)
+
+    helper = None
+    if min(_thread_count(), len(rows)) > 1:
+        helper = threading.Thread(target=work, name="extract-helper", daemon=True)
+        helper.start()
+    work()
+    if helper is not None:
+        helper.join()
+    if errors:
+        raise errors[0]
+    for index in sorted(flagged):
+        log.warning("image %d flagged: %s", index, flagged[index])
     return np.array(rows).reshape(len(rows), width)
 
 
@@ -405,8 +447,8 @@ def cmd_bench(
 
     ``features`` is the mean over 4 consecutive images of the size run
     through ``extract_matrix`` without bbox cropping, as ``extract`` runs
-    them, so the engine's buffers are lent from image to image; the
-    filter caches are warmed first.
+    them (on up to two threads, each lending its engine buffers from
+    image to image); the filter caches are warmed first.
     """
     cfg = riesz_config(config)
     run = dict(config, bbox=False)

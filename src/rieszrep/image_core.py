@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import re
 import struct
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -101,11 +102,33 @@ def _read_exact(fh, count: int, path, what: str) -> bytes:
     return fh.read(count)
 
 
+class IdxImages(Sequence):
+    """The images of an IDX file, scaled to [0, 1] when each is taken.
+
+    Holds the (N, H, W) pixel bytes; indexing gives one (H, W) float64
+    image, ``pixels[i] / 255.0``, and slicing another ``IdxImages`` over
+    the same bytes.  A float64 stack would take 8x the file's memory for
+    the life of the run, while extraction needs one image at a time.
+    """
+
+    def __init__(self, pixels: np.ndarray):
+        self.pixels = pixels
+
+    def __len__(self):
+        return len(self.pixels)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return IdxImages(self.pixels[index])
+        return self.pixels[index].astype(np.float64) / 255.0
+
+
 def load_idx(images_path, labels_path):
     """Load a big-endian IDX image/label file pair as (images, labels).
 
-    ``images`` is one (N, H, W) float64 array, pixel bytes mapped to
-    [0, 1] by dividing by 255; ``labels`` is an int64 array of length N.
+    ``images`` is an ``IdxImages`` sequence of N (H, W) float64 images,
+    pixel bytes mapped to [0, 1] by dividing by 255 when each image is
+    taken; ``labels`` is an int64 array of length N.
     """
     with open(images_path, "rb") as fh:
         magic, count, height, width = struct.unpack(
@@ -135,9 +158,7 @@ def load_idx(images_path, labels_path):
                 f"{labels_path}: label count {label_count} does not match image count {count}"
             )
         label_bytes = _read_exact(fh, label_count, labels_path, "IDX label payload")
-    raw = np.frombuffer(payload, dtype=np.uint8).reshape(count, height, width)
-    images = raw.astype(np.float64)
-    images /= 255.0
+    images = IdxImages(np.frombuffer(payload, dtype=np.uint8).reshape(count, height, width))
     labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
     return images, labels
 

@@ -14,7 +14,8 @@ first-order part c R1 + s R2.  The engine therefore transforms each
 parent map once with a real forward FFT and computes the five
 components with five real (half-spectrum) inverse transforms, whatever
 M is, from a cached bank of multipliers that is checked Hermitian when
-it is built.  One matrix product steers them to all M angles, writing
+it is built.  One matrix product per chunk of angles (all M unless
+the map is large) steers them, writing
 each response as second-order + i * first-order part, so the amplitude
 is the complex modulus.  Per image that is sum_{k<K} M^k real forward
 and 5 * sum_{k<K} M^k real inverse 2d transforms: 63 complex-FFT
@@ -66,7 +67,8 @@ SHAPE_CACHE_SIZE = 32
 # image ``extract_features`` transposes (see ``_transposes``)
 _DFT_MAX_WIDTH = 256
 
-# bytes of one parent group's (g, M, H, W) complex buffer; see _level_chunks
+# bytes of one parent group's (g, M, H, W) complex buffer; the steering
+# buffer stays within it down to one angle per chunk; see _level_chunks
 _BATCH_BYTES = 512 * 1024
 
 
@@ -235,11 +237,12 @@ def _steering(angles: int, scale: float, transposed: bool) -> np.ndarray:
 class Workspace:
     """Engine buffers lent from one image to the next of the same shape.
 
-    One run over a list of images (``cli.extract_matrix``) makes one and
-    passes it to every ``extract_features`` call; it dies with the run,
-    so no buffer outlives it or is shared between threads.  It holds at
-    most one entry, keyed by everything the buffer shapes depend on
-    (image shape, M, K and the group size, which ``_BATCH_BYTES`` sets).
+    One run over a list of images (``cli.extract_matrix``) makes one per
+    thread and passes it to every ``extract_features`` call that thread
+    makes; it dies with the run, so no buffer outlives it or is shared
+    between threads.  It holds at most one entry, keyed by everything
+    the buffer shapes depend on (image shape, M, K, and the group size
+    and angle chunk, which ``_BATCH_BYTES`` sets).
     Buffers are kept only while the key repeats: a new key releases the
     kept buffers before the engine allocates its own, and the next call
     with the same key allocates again and keeps those.  With ``--bbox``
@@ -284,9 +287,15 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed
     buffer, so the amplitude is one ``np.abs``: ``np.hypot`` on two real
     (8, 128, 128) arrays took 3.7 ms against 0.33 ms for ``np.abs`` on
     the same data held as complex.  The weights carry the scale constant
-    C.  One finiteness check follows.  Yields one (g*M, H, W) chunk per
-    group, valid until the next one: the deepest level's chunks share
-    one group buffer.
+    C.  The angles are steered in chunks: all M of them, halved while
+    the (g, chunk, H*W) complex buffer exceeds ``_BATCH_BYTES``, so a
+    128x128 map with M=8 is steered two angles at a time through a
+    0.5 MB buffer instead of 2.1 MB, and every group of g > 1 parents
+    takes all M at once.  Each angle's (H*W, 5) @ (5, 2) product is its
+    own GEMM whatever the chunk, so the maps are bit-identical.  One
+    finiteness check follows.  Yields one (g*M, H, W) chunk per group,
+    valid until the next one: the deepest level's chunks share one
+    group buffer.
 
     The two real transforms are ``np.fft.rfft`` and ``np.fft.irfft``
     unless ``_real_dft`` has matrices for the width (below 64, or up to
@@ -308,9 +317,9 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed
 
     The scratch buffers and the level arrays come from ``workspace``
     (see ``Workspace``; a fresh one when none is given), keyed by
-    (H, W, M, K, g); every element the engine reads it has written for
-    this image first, so leftovers of an earlier image, or of one
-    flagged part-way, never reach the output.
+    (H, W, M, K, g, chunk); every element the engine reads it has
+    written for this image first, so leftovers of an earlier image, or
+    of one flagged part-way, never reach the output.
     """
     depth, angles = config.depth, config.angles
     if depth == 0:
@@ -321,6 +330,9 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed
     weights = _steering(angles, config.scale_constant, transposed)
     bank, dft = _basis_bank(height, width), _real_dft(width)
     group = min(max(1, _BATCH_BYTES // (16 * angles * f.size)), angles ** (depth - 1))
+    chunk = angles
+    while chunk > 1 and 16 * group * chunk * f.size > _BATCH_BYTES:
+        chunk //= 2
 
     def allocate():
         # level k < K holds its M^(k-1) parents' children; level K one group's
@@ -329,11 +341,12 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed
             np.empty((group, height, width // 2 + 1), dtype=np.complex128),
             np.empty((group, *bank.shape), dtype=np.complex128),
             np.empty((group, 5, height, width)),
-            np.empty((group, angles, f.size), dtype=np.complex128),
+            np.empty(group * chunk * f.size, dtype=np.complex128),
             [np.empty((n, angles, height, width)) for n in sizes],
         )
 
-    buffers = (workspace or Workspace()).buffers((height, width, angles, depth, group), allocate)
+    key = (height, width, angles, depth, group, chunk)
+    buffers = (workspace or Workspace()).buffers(key, allocate)
     spec, basis_spec, basis, steered, levels = buffers
     level = f[None]
     for k, nxt in enumerate(levels, 1):
@@ -341,7 +354,7 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed
             parents = level[start : start + group]
             n = len(parents)
             out = nxt[:n] if k == depth else nxt[start : start + n]
-            s, b, r, c = spec[:n], basis_spec[:n], basis[:n], steered[:n]
+            s, b, r = spec[:n], basis_spec[:n], basis[:n]
             if dft is None:
                 np.fft.rfft(parents, axis=-1, out=s)
             else:
@@ -353,13 +366,14 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed
                 np.fft.irfft(b, n=width, axis=-1, out=r)
             else:
                 np.matmul(b.view(np.float64), dft[1], out=r)
-            # (n, 1, H*W, 5) @ (M, 5, 2) -> (n, M, H*W, 2) = real, imag
-            np.matmul(
-                r.reshape(n, 1, 5, -1).swapaxes(-1, -2),
-                weights,
-                out=c.view(np.float64).reshape(n, angles, -1, 2),
-            )
-            np.abs(c, out=out.reshape(n, angles, -1))
+            components = r.reshape(n, 1, 5, -1).swapaxes(-1, -2)
+            amplitudes = out.reshape(n, angles, -1)
+            for k0 in range(0, angles, chunk):
+                w = weights[k0 : k0 + chunk]
+                c = steered[: n * len(w) * f.size].reshape(n, len(w), -1)
+                # (n, 1, H*W, 5) @ (a, 5, 2) -> (n, a, H*W, 2) = real, imag
+                np.matmul(components, w, out=c.view(np.float64).reshape(n, len(w), -1, 2))
+                np.abs(c, out=amplitudes[:, k0 : k0 + chunk])
             if not math.isfinite(out.max()):  # max propagates nan and inf
                 raise NonFiniteImageError("image contains non-finite samples")
             yield out.reshape(-1, height, width)

@@ -1,6 +1,8 @@
 import argparse
 import inspect
 import struct
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -936,14 +938,16 @@ def test_bench_output(capsys):
     assert all(float(line.rsplit(",", 1)[1]) > 0 for line in lines[1:])
 
 
-def test_bench_features_row_runs_images_through_one_workspace(capsys, monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_bench_features_row_runs_images_through_one_workspace_per_thread(capsys, monkeypatch, cpus):
     import rieszrep.cli as cli
 
-    workspaces = []
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    calls = []
     original = cli.extract_features
 
     def spy(f, cfg, *, workspace=None):
-        workspaces.append(workspace)
+        calls.append((threading.get_ident(), workspace))
         return original(f, cfg, workspace=workspace)
 
     monkeypatch.setattr(cli, "extract_features", spy)
@@ -952,10 +956,123 @@ def test_bench_features_row_runs_images_through_one_workspace(capsys, monkeypatc
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].startswith("16,features,")
     assert float(lines[1].split(",")[2]) > 0
-    timed = workspaces[1:]  # the first call warms the caches
-    assert len(timed) == 4 and timed[0] is not None
-    assert all(w is timed[0] for w in timed)
-    assert timed[0]._buffers is not None
+    timed = calls[1:]  # the first call warms the caches
+    assert len(timed) == 4 and all(w is not None for _, w in timed)
+    # one workspace per thread, never shared between threads
+    per_thread = {}
+    for ident, workspace in timed:
+        per_thread.setdefault(ident, []).append(workspace)
+    assert 1 <= len(per_thread) <= cpus
+    owners = [ws[0] for ws in per_thread.values()]
+    assert len({id(w) for w in owners}) == len(owners)
+    for ws in per_thread.values():
+        assert all(w is ws[0] for w in ws)
+        # a second same-shape image keeps the buffers it allocates
+        assert (ws[0]._buffers is not None) == (len(ws) > 1)
+    if cpus == 1:
+        assert len(per_thread) == 1
+
+
+def _mixed_images(rng):
+    """Two crop sizes, a blank, a nan image and a full 128x128 crop, repeated."""
+    noise = rng.random((128, 128))
+    noise[[0, -1], :] = noise[:, [0, -1]] = 1.0  # its tight box is the whole image
+    images = [
+        synthetic_digit(48),
+        np.zeros((30, 30)),
+        synthetic_digit(96),
+        np.full((20, 20), np.nan),
+        noise,
+        synthetic_digit(48),
+        synthetic_digit(96),
+        np.zeros((12, 12)),
+        synthetic_digit(48)[::-1],
+    ]
+    return images, {1: "no foreground pixels above threshold",
+                    3: "image contains non-finite samples",
+                    7: "no foreground pixels above threshold"}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_extract_matrix_threads_match_serial_rows(monkeypatch, rng, caplog, cpus):
+    # rows stored by index on either thread equal one-image-at-a-time
+    # extraction byte for byte; flag lines come once each, in index order
+    import rieszrep.cli as cli
+    from rieszrep.preprocess import bbox_extract
+    from rieszrep.representation import RieszConfig, extract_features
+
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert cli._thread_count() == cpus
+    images, flagged = _mixed_images(rng)
+    # no padding or enlarging, so the noise image is cropped to all of its 128x128
+    config = _default_config(depth=2, angles=8, bbox=True, pad=0, enlarge=0.0)
+    before = threading.active_count()
+    matrix = cli.extract_matrix(images, config)
+    assert threading.active_count() == before
+    cfg = RieszConfig(depth=2, angles=8)
+    assert matrix.shape == (len(images), 73)
+    assert bbox_extract(images[4], pad=0, enlarge=0.0).shape == (128, 128)
+    for i, img in enumerate(images):
+        if i in flagged:
+            assert np.isnan(matrix[i]).all()
+        else:
+            expected = extract_features(bbox_extract(img, pad=0, enlarge=0.0), cfg)
+            assert matrix[i].tobytes() == expected.tobytes()
+    lines = [r.getMessage() for r in caplog.records if "flagged" in r.getMessage()]
+    assert lines == [f"image {i} flagged: {reason}" for i, reason in sorted(flagged.items())]
+
+
+def test_extract_matrix_takes_each_index_once_under_fast_switching(monkeypatch):
+    # image i is constant i, so its mean feature names it; a thread
+    # switch every microsecond would show a lost or doubled index
+    import rieszrep.cli as cli
+
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    original = cli.extract_features
+    seen = []
+
+    def spy(f, cfg, *, workspace=None):
+        seen.append(int(f[0, 0]))
+        return original(f, cfg, workspace=workspace)
+
+    monkeypatch.setattr(cli, "extract_features", spy)
+    images = [np.full((6, 5), float(i)) for i in range(300)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        matrix = cli.extract_matrix(images, _default_config(depth=1))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(seen) == list(range(300))
+    assert_array_equal(matrix[:, 0], np.arange(300.0))
+
+
+@pytest.mark.parametrize("raiser", ["helper", "caller"])
+def test_extract_matrix_error_on_either_thread_propagates(monkeypatch, rng, raiser):
+    import rieszrep.cli as cli
+
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    original = cli.extract_features
+    # each thread holds its first image until the other has one, so both
+    # get a share whatever the scheduler does
+    both_started = threading.Barrier(2, timeout=30)
+    started = set()
+
+    def spy(f, cfg, *, workspace=None):
+        if threading.get_ident() not in started:
+            started.add(threading.get_ident())
+            both_started.wait()
+        on_caller = threading.current_thread() is threading.main_thread()
+        if on_caller == (raiser == "caller"):
+            raise RuntimeError(f"boom on the {raiser}")
+        return original(f, cfg, workspace=workspace)
+
+    monkeypatch.setattr(cli, "extract_features", spy)
+    images = [rng.random((16, 16)) for _ in range(8)]
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"boom on the {raiser}"):
+        cli.extract_matrix(images, _default_config(depth=1))
+    assert threading.active_count() == before
 
 
 def test_pipeline_scale_commutation_smoke(tmp_path):

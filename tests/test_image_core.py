@@ -112,11 +112,23 @@ def _write_idx_pair(tmp_path, images, labels, image_magic=0x803, label_magic=0x8
     return ipath, lpath
 
 
+def _taken(images):
+    """Every image of a loaded IDX sequence, by index and by iteration."""
+    by_index = [images[i] for i in range(len(images))]
+    by_iteration = list(images)
+    for a, b in zip(by_index, by_iteration, strict=True):
+        assert a.tobytes() == b.tobytes()
+    return by_index
+
+
 def test_load_idx_zeros(tmp_path):
     ipath, lpath = _write_idx_pair(tmp_path, np.zeros((2, 4, 4)), [0, 1])
     images, labels = load_idx(ipath, lpath)
-    assert images.shape == (2, 4, 4) and images.dtype == np.float64
-    assert_allclose(images, 0)
+    taken = _taken(images)
+    assert len(taken) == 2
+    for img in taken:
+        assert img.shape == (4, 4) and img.dtype == np.float64
+        assert_array_equal(img, 0)
     assert list(labels) == [0, 1]
 
 
@@ -124,9 +136,33 @@ def test_load_idx_value_scaling(tmp_path):
     pixels = np.arange(24).reshape(2, 3, 4) * 11
     ipath, lpath = _write_idx_pair(tmp_path, pixels, [3, 4])
     images, _ = load_idx(ipath, lpath)
-    assert images.shape == (2, 3, 4)
     # the same division, byte for byte, as one image at a time
-    assert_array_equal(images, [p.astype(np.float64) / 255.0 for p in pixels.astype(np.uint8)])
+    expected = [p.astype(np.float64) / 255.0 for p in pixels.astype(np.uint8)]
+    taken = _taken(images)
+    assert [img.shape for img in taken] == [(3, 4)] * 2
+    assert_array_equal(taken, expected)
+
+
+@pytest.mark.parametrize("limit", [None, 0, 1, 3, 7])
+@pytest.mark.parametrize("count", [0, 5])
+def test_load_idx_images_are_scaled_when_taken(tmp_path, rng, count, limit):
+    # each image, also after a --limit slice and of a zero-image file, is
+    # the file's bytes as float64 divided by 255, as one (H, W) array
+    raw = rng.integers(0, 256, size=(count, 6, 5), dtype=np.uint8)
+    ipath, lpath = _write_idx_pair(tmp_path, raw, [1] * count)
+    images, labels = load_idx(ipath, lpath)
+    assert_array_equal(images.pixels, raw)
+    sliced = images[:limit]
+    taken = _taken(sliced)
+    assert len(sliced) == len(taken) == len(raw[:limit]) == len(labels[:limit])
+    for img, pixels in zip(taken, raw[:limit], strict=True):
+        expected = pixels.astype(np.float64) / 255.0
+        assert img.dtype == np.float64 and img.shape == (6, 5)
+        assert img.tobytes() == expected.tobytes()
+    if count:
+        assert images[-1].tobytes() == (raw[-1].astype(np.float64) / 255.0).tobytes()
+        with pytest.raises(IndexError):
+            images[count]
 
 
 def test_load_idx_bad_magic(tmp_path):

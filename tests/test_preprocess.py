@@ -74,7 +74,8 @@ def test_bbox_near_idempotent():
 def padded_reference(f, pad, threshold, enlarge):
     """The crop and boxes found on an explicitly zero-padded frame."""
     padded = np.pad(minmax_normalize(f), pad)
-    tight = tight_bbox(padded >= threshold)
+    mask = padded >= threshold
+    tight = tight_bbox(mask.any(axis=1), mask.any(axis=0))
     box = enlarge_bbox(tight, enlarge, *padded.shape)
     return padded[box.row0 : box.row1, box.col0 : box.col1], tight, box
 

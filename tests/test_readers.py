@@ -91,10 +91,12 @@ def test_load_idx(workdir, images, labels, header):
     lpath.write_bytes(labels)
     loaded = _loads_or_names(lambda: load_idx(ipath, lpath), (ipath, lpath), FormatError)
     if loaded is not None:
-        pixels, classes = loaded
-        assert pixels.dtype == np.float64 and pixels.ndim == 3
-        assert ((pixels >= 0) & (pixels <= 1)).all()
-        assert classes.dtype == np.int64 and classes.shape == pixels.shape[:1]
+        images, classes = loaded
+        assert images.pixels.dtype == np.uint8 and images.pixels.ndim == 3
+        for img in images:
+            assert img.dtype == np.float64 and img.shape == images.pixels.shape[1:]
+            assert ((img >= 0) & (img <= 1)).all()
+        assert classes.dtype == np.int64 and classes.shape == (len(images),)
 
 
 _GRAY_SEEDS = [

@@ -202,6 +202,29 @@ def test_engine_outputs_independent_of_group_size(monkeypatch, rng, shape, name)
         assert_array_equal(np.array(layer), np.array(results[0][1]))
 
 
+@pytest.mark.parametrize("depth, angles", [(2, 8), (3, 4)], ids=["K2M8", "K3M4"])
+@pytest.mark.parametrize(
+    "shape, transposed",
+    [((16, 12), False), ((15, 13), False), ((29, 12), True), ((1, 9), False)],
+    ids=["even", "odd", "transposed", "1xN"],
+)
+def test_angle_chunks_give_bit_identical_maps(monkeypatch, rng, depth, angles, shape, transposed):
+    # a budget of `chunk` angles of one map gives one parent per group,
+    # steered and taken the amplitude of `chunk` angles at a time
+    cfg = RieszConfig(depth=depth, angles=angles)
+    f = rng.standard_normal(shape)
+    results = {}
+    for chunk in (1, 2, angles):
+        monkeypatch.setattr(representation, "_BATCH_BYTES", 16 * chunk * f.size)
+        workspace = Workspace()
+        chunks = representation._level_chunks(f, cfg, workspace, transposed)
+        results[chunk] = np.concatenate([c.copy() for c in chunks])
+        assert workspace._key[-2:] == (1, chunk)
+    assert results[1].shape == (feature_count(depth, angles) - 1, *shape[:: -1 if transposed else 1])
+    for maps in results.values():
+        assert maps.tobytes() == results[angles].tobytes()
+
+
 def _largest_prime_factor(n):
     largest, p = 1, 2
     while n > 1:
