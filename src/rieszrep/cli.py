@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import itertools
 import logging
 import os
 import sys
@@ -26,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classify, verify
-from .image_core import NonFiniteImageError, load_gray_image, load_idx, save_gray_pgm
+from .image_core import NonFiniteImageError, as_image, load_gray_image, load_idx, save_gray_pgm
 from .preprocess import BlankImageError, bbox_compute, bbox_extract, check_crop_settings
 from .representation import (
     RieszConfig,
@@ -34,6 +33,7 @@ from .representation import (
     extract_features,
     feature_count,
     feature_paths,
+    group_size,
     read_features_csv,
     write_features_csv,
 )
@@ -186,9 +186,19 @@ def _thread_count() -> int:
     """Threads ``extract_matrix`` runs: the CPUs this process may use, at most 2.
 
     Capped at two because the peak memory of two workspaces is what was
-    measured to stay within budget.
+    measured to stay within budget.  Where the affinity mask cannot be
+    read (macOS, Windows), every CPU counts.
     """
-    return min(2, len(os.sched_getaffinity(0)))
+    if hasattr(os, "sched_getaffinity"):
+        return min(2, len(os.sched_getaffinity(0)))
+    return min(2, os.cpu_count() or 1)
+
+
+# The most images ``extract_matrix`` holds at once: taken from the input
+# but not yet extracted, whether waiting for their shape's batch to fill
+# or in a batch being extracted.  A batch is at most half of it, so the
+# thread that asks for one always finds images to take or a batch to cut.
+_LOOKAHEAD = 128
 
 
 def extract_matrix(images, config):
@@ -196,15 +206,27 @@ def extract_matrix(images, config):
 
     Blank images (no bounding box) and images whose samples or feature
     maps are not finite are logged with the image index, in index order,
-    and the run continues.  The images go through the calling thread
-    and, when ``_thread_count`` allows two, one helper thread: each
-    takes the next index from one shared counter, extracts with its own
-    ``Workspace`` (which lends the engine's buffers from each image to
-    the next while the shape repeats) and stores the row by its index,
-    so the matrix is byte-identical whatever the thread count.  numpy
-    releases the GIL in the FFTs, products and elementwise passes the
-    engine is made of.  Any other exception stops both threads after
-    their current image and is raised here.  No images give a
+    and the run continues.  Each image is cropped (with ``bbox``) and
+    put in the batch of its shape; a batch is extracted as one stack
+    (``extract_features``) once it holds as many images as fill one
+    level-1 engine group (``group_size``, at most half of
+    ``_LOOKAHEAD``), so a shape whose one image fills a group (128x128
+    at M=8, a scale-4 digit crop) is extracted image by image, as soon
+    as it is cropped.  When the input or the look-ahead is used up, the
+    fullest unfilled batch is extracted as it is.  A batch whose stack
+    raises ``NonFiniteImageError`` is extracted again one image at a
+    time, so that only the bad image is flagged.
+
+    The batches go through the calling thread and, when
+    ``_thread_count`` allows two, one helper thread: each takes the next
+    image or batch from one shared state, extracts with its own
+    ``Workspace`` (which lends the engine's buffers from each stack to
+    the next while the stack shape repeats) and stores the rows by image
+    index, so the matrix is byte-identical whatever the thread count or
+    batching: each row equals that image's own ``extract_features``.
+    numpy releases the GIL in the FFTs, products and elementwise passes
+    the engine is made of.  Any other exception stops both threads
+    after their current batch and is raised here.  No images give a
     (0, feature count) matrix.
     """
     cfg = riesz_config(config)
@@ -212,26 +234,74 @@ def extract_matrix(images, config):
     rows = [None] * len(images)
     flagged = {}
     errors = []
-    # next() on a count is one C call, so each index goes to one thread
-    indices = itertools.count()
+    lock = threading.Lock()
+    held = {}  # shape -> [(index, image)] waiting for its batch to fill
+    taken = unfinished = 0  # images taken from the input; of them, not yet extracted
+
+    def finish(count):
+        nonlocal unfinished
+        with lock:
+            unfinished -= count
+
+    def flag(index, exc):
+        flagged[index] = exc
+        rows[index] = np.full(width, np.nan)
+
+    def take():
+        """The next batch of (index, image) pairs; None when none is left."""
+        nonlocal taken, unfinished
+        while True:
+            with lock:
+                if errors:
+                    return None
+                index = taken
+                if index < len(rows) and unfinished < _LOOKAHEAD:
+                    taken, unfinished = taken + 1, unfinished + 1
+                elif held:
+                    # the input or the look-ahead is used up: the fullest batch goes as it is
+                    return held.pop(max(held, key=lambda shape: len(held[shape])))
+                else:
+                    return None
+            try:
+                img = images[index]
+                img = bbox_extract(img, **_pick(config, _CROP)) if config["bbox"] else as_image(img)
+            except (BlankImageError, NonFiniteImageError) as exc:
+                flag(index, exc)
+                finish(1)
+                continue
+            with lock:
+                batch = held.setdefault(img.shape, [])
+                batch.append((index, img))
+                if len(batch) == min(group_size(*img.shape, cfg.angles), _LOOKAHEAD // 2):
+                    return held.pop(img.shape)
+
+    def extract(batch, workspace):
+        """Store a batch's rows, from one stack unless a map of it is not finite."""
+        if len(batch) > 1:
+            stack = np.stack([img for _, img in batch])
+            try:
+                matrix = extract_features(stack, cfg, workspace=workspace)
+            except NonFiniteImageError:
+                pass  # extracted again below, one image at a time
+            else:
+                for (index, _), row in zip(batch, matrix):
+                    rows[index] = row
+                return
+        for index, img in batch:
+            try:
+                rows[index] = extract_features(img, cfg, workspace=workspace)
+            except NonFiniteImageError as exc:
+                flag(index, exc)
 
     def work():
         workspace = Workspace()
         try:
-            for index in indices:
-                if index >= len(rows) or errors:
-                    return
-                try:
-                    # an overflowing image is flagged once, below, not also
-                    # by numpy's floating-point warnings
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        img = images[index]
-                        if config["bbox"]:
-                            img = bbox_extract(img, **_pick(config, _CROP))
-                        rows[index] = extract_features(img, cfg, workspace=workspace)
-                except (BlankImageError, NonFiniteImageError) as exc:
-                    flagged[index] = exc
-                    rows[index] = np.full(width, np.nan)
+            # an overflowing image is flagged once, below, not also by
+            # numpy's floating-point warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                while (batch := take()) is not None:
+                    extract(batch, workspace)
+                    finish(len(batch))
         except BaseException as exc:  # noqa: BLE001 - re-raised after the join
             errors.append(exc)
 
@@ -433,32 +503,41 @@ def cmd_verify(config, args) -> int:
 
 
 def cmd_bench(
-    config, args=None, sizes=(24, 64, 128, 256, (97, 67), (67, 97)), train_rows=2000
+    config,
+    args=None,
+    sizes=(24, 64, 128, 256, (97, 67), (67, 97), (25, 17, 16)),
+    train_rows=2000,
 ) -> int:
     """Seconds per image for ``features`` at each size, then seconds per
     ``svm_fit`` (reg 0.01, 50 epochs) on a seeded ``train_rows`` x 85,
     10-class synthetic set, on the row ``<rows>x85,train``.
 
     A size is a square's side or a (height, width) pair, printed as
-    ``<height>x<width>``.  97x67 is the shape of a scale-4 digit crop:
-    both axes prime.  ``extract_features`` transforms it as 67x97, with
-    the larger prime on the engine's DFT-matrix (width) path, so the two
-    rows should time alike.
+    ``<height>x<width>``, each timed on 4 images, or a (height, width,
+    count) triple, printed as ``<height>x<width>*<count>``.  97x67 is
+    the shape of a scale-4 digit crop: both axes prime.
+    ``extract_features`` transforms it as 67x97, with the larger prime
+    on the engine's DFT-matrix (width) path, so the two rows should time
+    alike.  25x17 is the shape of a scale-1 crop; 16 of them fit one
+    engine group at K=3, M=4, so that row times the batched path.
 
-    ``features`` is the mean over 4 consecutive images of the size run
-    through ``extract_matrix`` without bbox cropping, as ``extract`` runs
-    them (on up to two threads, each lending its engine buffers from
-    image to image); the filter caches are warmed first.
+    ``features`` is the mean over the consecutive same-shape images of
+    the size run through ``extract_matrix`` without bbox cropping, as
+    ``extract`` runs them (as one stack when they fit an engine group,
+    else one by one on up to two threads, each lending its engine
+    buffers from call to call); the filter caches are warmed first.
     """
     cfg = riesz_config(config)
     run = dict(config, bbox=False)
     rng = np.random.default_rng(config["seed"])
     print("size,stage,seconds_per_image")
     for size in sizes:
-        square = isinstance(size, int)
-        height, width = (size, size) if square else size
-        name = size if square else f"{height}x{width}"
-        stack = rng.standard_normal((4, height, width))
+        if isinstance(size, int):
+            height, width, count, name = size, size, 4, size
+        else:
+            height, width, count = (*size, 4)[:3]
+            name = f"{height}x{width}" + (f"*{count}" if len(size) == 3 else "")
+        stack = rng.standard_normal((count, height, width))
         extract_features(stack[0], cfg)  # warm the filter caches
         start = time.perf_counter()
         extract_matrix(stack, run)

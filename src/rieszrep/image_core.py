@@ -36,11 +36,13 @@ class NonFiniteImageError(ValueError):
     """An image, or a feature map computed from it, holds nan or inf."""
 
 
-def as_image(a) -> np.ndarray:
-    """Validate and convert to a 2d float64 image grid."""
+def as_image(a, stack=False) -> np.ndarray:
+    """Validate and convert to a 2d float64 image grid, or with ``stack``
+    to a non-empty (n, H, W) stack of same-shape grids."""
     img = np.asarray(a, dtype=np.float64)
-    if img.ndim != 2 or img.shape[0] < 1 or img.shape[1] < 1:
-        raise ValueError(f"expected a 2d image grid, got shape {img.shape}")
+    if img.ndim != 2 + stack or 0 in img.shape:
+        kind = "a 2d image grid or an (n, H, W) stack" if stack else "a 2d image grid"
+        raise ValueError(f"expected {kind}, got shape {img.shape}")
     if not np.all(np.isfinite(img)):
         raise NonFiniteImageError("image contains non-finite samples")
     return img

@@ -20,12 +20,16 @@ each response as second-order + i * first-order part, so the amplitude
 is the complex modulus.  Per image that is sum_{k<K} M^k real forward
 and 5 * sum_{k<K} M^k real inverse 2d transforms: 63 complex-FFT
 equivalents for K=3, M=4 and 27 for K=2, M=8 (105 and 81 with one
-complex inverse per angle).  The parent maps of a level are
-transformed in cache-sized groups, four one-axis transform calls per
-group, so a 25x17 crop with K=3, M=4 costs one group per level (12
-calls per image), while a 128x128 image with M=8 goes one parent per
-group.  The complex (height) axis always goes through numpy's FFT.  The
-real (width) axis does too for a 7-smooth width of 64 or more; any
+complex inverse per angle).  The engine takes a stack of n
+same-shape images (``extract_features`` accepts one image or such a
+stack), and the n * M^(k-1) parent maps of level k are transformed in
+cache-sized groups that may span images, four one-axis transform calls
+per group: a 25x17 crop with K=3, M=4 costs one group per level (12
+calls per image), a stack of 16 such crops 19 groups (4.75 calls per
+image), while a 128x128 image with M=8 goes one parent per group.
+Every image's maps are bit-identical whatever the stack.  The complex
+(height) axis always goes through numpy's FFT.  The real (width) axis
+does too for a 7-smooth width of 64 or more; any
 other width up to 256 is transformed by products with a cached real
 DFT matrix (``_real_dft``): pocketfft takes 4-9x longer on a prime
 length than on a neighbouring smooth one, and a bounding-box crop has
@@ -235,14 +239,14 @@ def _steering(angles: int, scale: float, transposed: bool) -> np.ndarray:
 
 
 class Workspace:
-    """Engine buffers lent from one image to the next of the same shape.
+    """Engine buffers lent from one call to the next of the same stack shape.
 
     One run over a list of images (``cli.extract_matrix``) makes one per
     thread and passes it to every ``extract_features`` call that thread
     makes; it dies with the run, so no buffer outlives it or is shared
     between threads.  It holds at most one entry, keyed by everything
-    the buffer shapes depend on (image shape, M, K, and the group size
-    and angle chunk, which ``_BATCH_BYTES`` sets).
+    the buffer shapes depend on (stack size, image shape, M, K, and the
+    group size and angle chunk, which ``_BATCH_BYTES`` sets).
     Buffers are kept only while the key repeats: a new key releases the
     kept buffers before the engine allocates its own, and the next call
     with the same key allocates again and keeps those.  With ``--bbox``
@@ -266,17 +270,30 @@ class Workspace:
         return self._buffers
 
 
-def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed=False):
-    """Maps of levels 1..K of the validated image f, in path order.
+def group_size(height: int, width: int, angles: int) -> int:
+    """Parent maps the engine transforms per group, before the level caps it.
 
-    With ``transposed`` the engine runs on f.T and yields the transposes
-    of f's maps, still in f's path order: ``_steering`` gives slot k the
-    angle of f.T that is angle k of f.
+    As many (M, H, W) complex buffers as fit ``_BATCH_BYTES``, at least
+    one; see ``_level_chunks``.
+    """
+    return max(1, _BATCH_BYTES // (16 * angles * height * width))
+
+
+def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed=False):
+    """Maps of levels 1..K of the validated (n, H, W) stack f, in path order.
+
+    Level k holds n * M^(k-1) parent maps, image-major: image i's maps
+    come before image i+1's, each image's in path order.  A stack of
+    one image is the single-image engine.  With ``transposed`` the
+    engine runs on the stack with each image transposed and yields the
+    transposes of the maps, still in path order: ``_steering`` gives
+    slot k the angle of f.T that is angle k of f.
 
     Each level's parent maps are transformed g at a time, with
-    g = min(max(1, _BATCH_BYTES // (16*M*H*W)), M^(K-1)): one real
-    forward transform along axis -1 over (g, H, W) into a half spectrum,
-    one complex FFT along axis -2, one multiply by the broadcast basis
+    g = min(``group_size(H, W, M)``, n * M^(K-1)), so one group may span
+    several images: one real forward transform along axis -1 over
+    (g, H, W) into a half spectrum, one complex FFT along axis -2, one
+    multiply by the broadcast basis
     bank into (g, 5, H, W//2+1), one in-place inverse FFT along axis -2
     and one real inverse along axis -1 into a contiguous (g, 5, H, W)
     buffer.  That gives R11, R22, R12, R1 and R2 of every parent: five
@@ -304,51 +321,53 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed
     reading and writing the complex buffers as interleaved re/im floats.
     numpy makes one GEMM per (H, .) slice, so every product has the same
     shape whatever g is and the maps stay bit-identical across group
-    sizes; one product over the stack flattened to (g*H) rows made them
-    differ by up to 6e-16 relative.
+    sizes, and so across stack sizes: each image's maps equal those of
+    its one-image stack.  One product over the stack flattened to (g*H)
+    rows made them differ by up to 6e-16 relative.
 
     On small crops numpy's per-call overhead dominates, so grouping
-    parents cuts the time; on large maps one whole level per call was
-    slower than one parent per call (33.7 against 21 ms at 128x128,
-    M=8).  The 512 KiB budget keeps a group's complex buffer well inside
+    parents, of one image or of several, cuts the time; on large maps
+    one whole level per call was slower than one parent per call (33.7
+    against 21 ms at 128x128, M=8).  The 512 KiB budget keeps a group's complex buffer well inside
     a 2 MiB per-core L2 cache: a 2 MiB budget lost most of the gain on
     small crops and raised peak memory.  Maps whose (M, H, W) complex
     buffer exceeds 256 KiB (128x128, or 98x63 with M=8) give g = 1.
 
     The scratch buffers and the level arrays come from ``workspace``
     (see ``Workspace``; a fresh one when none is given), keyed by
-    (H, W, M, K, g, chunk); every element the engine reads it has
-    written for this image first, so leftovers of an earlier image, or
+    (n, H, W, M, K, g, chunk); every element the engine reads it has
+    written for this stack first, so leftovers of an earlier stack, or
     of one flagged part-way, never reach the output.
     """
     depth, angles = config.depth, config.angles
     if depth == 0:
         return
     if transposed:
-        f = np.ascontiguousarray(f.T)
-    height, width = f.shape
+        f = np.ascontiguousarray(f.swapaxes(1, 2))
+    images, height, width = f.shape
+    size = height * width
     weights = _steering(angles, config.scale_constant, transposed)
     bank, dft = _basis_bank(height, width), _real_dft(width)
-    group = min(max(1, _BATCH_BYTES // (16 * angles * f.size)), angles ** (depth - 1))
+    group = min(group_size(height, width, angles), images * angles ** (depth - 1))
     chunk = angles
-    while chunk > 1 and 16 * group * chunk * f.size > _BATCH_BYTES:
+    while chunk > 1 and 16 * group * chunk * size > _BATCH_BYTES:
         chunk //= 2
 
     def allocate():
-        # level k < K holds its M^(k-1) parents' children; level K one group's
-        sizes = [angles ** (k - 1) for k in range(1, depth)] + [group]
+        # level k < K holds its n * M^(k-1) parents' children; level K one group's
+        sizes = [images * angles ** (k - 1) for k in range(1, depth)] + [group]
         return (
             np.empty((group, height, width // 2 + 1), dtype=np.complex128),
             np.empty((group, *bank.shape), dtype=np.complex128),
             np.empty((group, 5, height, width)),
-            np.empty(group * chunk * f.size, dtype=np.complex128),
+            np.empty(group * chunk * size, dtype=np.complex128),
             [np.empty((n, angles, height, width)) for n in sizes],
         )
 
-    key = (height, width, angles, depth, group, chunk)
+    key = (images, height, width, angles, depth, group, chunk)
     buffers = (workspace or Workspace()).buffers(key, allocate)
     spec, basis_spec, basis, steered, levels = buffers
-    level = f[None]
+    level = f
     for k, nxt in enumerate(levels, 1):
         for start in range(0, len(level), group):
             parents = level[start : start + group]
@@ -370,7 +389,7 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed
             amplitudes = out.reshape(n, angles, -1)
             for k0 in range(0, angles, chunk):
                 w = weights[k0 : k0 + chunk]
-                c = steered[: n * len(w) * f.size].reshape(n, len(w), -1)
+                c = steered[: n * len(w) * size].reshape(n, len(w), -1)
                 # (n, 1, H*W, 5) @ (a, 5, 2) -> (n, a, H*W, 2) = real, imag
                 np.matmul(components, w, out=c.view(np.float64).reshape(n, len(w), -1, 2))
                 np.abs(c, out=amplitudes[:, k0 : k0 + chunk])
@@ -382,37 +401,46 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed
 
 def layer_S(f: np.ndarray, config: RieszConfig):
     """One transformation layer: C * amplitude of each rotated base response."""
-    (chunk,) = _level_chunks(as_image(f), replace(config, depth=1))
+    (chunk,) = _level_chunks(as_image(f)[None], replace(config, depth=1))
     return list(chunk)
 
 
 def extract_features(f: np.ndarray, config: RieszConfig, *, workspace=None) -> np.ndarray:
     """Mean-pooled feature vector over all paths, in the fixed path order.
 
+    ``f`` is one 2d image, giving an (F,) vector, or an (n, H, W) stack
+    of same-shape images, giving an (n, F) matrix, one row per image,
+    each bit-identical to that image's own vector: the engine runs the
+    stack as one, in groups of parent maps that may span images.
     When ``_transposes`` picks it (a height with a large prime factor
-    and a smoother width), the engine runs on the transposed image and
-    yields the transposes of f's maps in f's path order; they agree with
+    and a smoother width), the engine runs on the transposed images and
+    yields the transposes of their maps in path order; they agree with
     the untransposed engine up to rounding.  Only the levels that feed
     another are held; each chunk of the deepest level is pooled as soon
     as it is computed.  A ``Workspace`` shared by consecutive calls
-    lends the engine's buffers from one image to the next while the
-    shape repeats; none of them escapes, since only pooled values are
-    returned, and the values are bit-identical to a call without one.
-    Raises ``NonFiniteImageError`` when a map or a pooled value is not
-    finite.
+    lends the engine's buffers from one call to the next while the
+    stack shape repeats; none of them escapes, since only pooled values
+    are returned, and the values are bit-identical to a call without
+    one.  Raises ``NonFiniteImageError`` when a map or a pooled value
+    of any image is not finite.
     """
-    f = as_image(f)
-    maps = _level_chunks(f, config, workspace, transposed=_transposes(*f.shape))
-    chunks = itertools.chain([f[None]], maps)
+    single = np.ndim(f) == 2
+    stack = as_image(f)[None] if single else as_image(f, stack=True)
+    images, height, width = stack.shape
+    maps = _level_chunks(stack, config, workspace, transposed=_transposes(height, width))
+    chunks = itertools.chain([stack], maps)
     # each chunk is summed before the engine computes the next; the sums
     # and the one division are what np.mean does, so the means are the same
-    sums = [np.add.reduce(c.reshape(len(c), -1), axis=1) for c in chunks]
-    features = np.concatenate(sums) / f.size
+    sums = np.concatenate([np.add.reduce(c.reshape(len(c), -1), axis=1) for c in chunks])
+    # level k's n * M^k sums are image-major: one (n, M^k) block per level
+    ends = list(itertools.accumulate(images * config.angles**k for k in range(config.depth + 1)))
+    blocks = [sums[start:end].reshape(images, -1) for start, end in zip([0, *ends], ends)]
+    features = np.concatenate(blocks, axis=1) / (height * width)
     # the engine checks its maps, but the mean of the input itself can
     # overflow, which is all there is to check at depth 0
     if not np.isfinite(features).all():
         raise NonFiniteImageError("pooled features are not finite")
-    return features
+    return features[0] if single else features
 
 
 def write_features_csv(path, matrix, paths, labels=None):

@@ -4,12 +4,14 @@ import struct
 import sys
 import threading
 import warnings
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 from rieszrep.cli import build_parser, data_path, load_config_file, main, resolve_config
+from rieszrep.representation import feature_count
 from rieszrep.verify import FAULTS
 
 from conftest import synthetic_digit
@@ -927,14 +929,15 @@ def test_bench_output(capsys):
 
     config = resolve_config(Args())
     config["depth"] = 1
-    # the crop shape in both orientations closes the default size list
-    crops = inspect.signature(cmd_bench).parameters["sizes"].default[-2:]
-    assert crops == ((97, 67), (67, 97))
+    # the scale-4 crop shape in both orientations and 16 scale-1 crops
+    # close the default size list
+    crops = inspect.signature(cmd_bench).parameters["sizes"].default[-3:]
+    assert crops == ((97, 67), (67, 97), (25, 17, 16))
     assert cmd_bench(config, sizes=(16, *crops), train_rows=40) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "size,stage,seconds_per_image"
     rows = [line.rsplit(",", 1)[0] for line in lines[1:]]
-    assert rows == ["16,features", "97x67,features", "67x97,features", "40x85,train"]
+    assert rows == ["16,features", "97x67,features", "67x97,features", "25x17*16,features", "40x85,train"]
     assert all(float(line.rsplit(",", 1)[1]) > 0 for line in lines[1:])
 
 
@@ -947,7 +950,7 @@ def test_bench_features_row_runs_images_through_one_workspace_per_thread(capsys,
     original = cli.extract_features
 
     def spy(f, cfg, *, workspace=None):
-        calls.append((threading.get_ident(), workspace))
+        calls.append((threading.get_ident(), workspace, len(f) if np.ndim(f) == 3 else 1))
         return original(f, cfg, workspace=workspace)
 
     monkeypatch.setattr(cli, "extract_features", spy)
@@ -957,17 +960,18 @@ def test_bench_features_row_runs_images_through_one_workspace_per_thread(capsys,
     assert lines[1].startswith("16,features,")
     assert float(lines[1].split(",")[2]) > 0
     timed = calls[1:]  # the first call warms the caches
-    assert len(timed) == 4 and all(w is not None for _, w in timed)
+    # the four images, counted as stack members
+    assert sum(n for _, _, n in timed) == 4 and all(w is not None for _, w, _ in timed)
     # one workspace per thread, never shared between threads
     per_thread = {}
-    for ident, workspace in timed:
+    for ident, workspace, _ in timed:
         per_thread.setdefault(ident, []).append(workspace)
     assert 1 <= len(per_thread) <= cpus
     owners = [ws[0] for ws in per_thread.values()]
     assert len({id(w) for w in owners}) == len(owners)
     for ws in per_thread.values():
         assert all(w is ws[0] for w in ws)
-        # a second same-shape image keeps the buffers it allocates
+        # a second call with the same stack shape keeps the buffers it allocates
         assert (ws[0]._buffers is not None) == (len(ws) > 1)
     if cpus == 1:
         assert len(per_thread) == 1
@@ -1024,7 +1028,8 @@ def test_extract_matrix_threads_match_serial_rows(monkeypatch, rng, caplog, cpus
 
 def test_extract_matrix_takes_each_index_once_under_fast_switching(monkeypatch):
     # image i is constant i, so its mean feature names it; a thread
-    # switch every microsecond would show a lost or doubled index
+    # switch every microsecond would show a lost or doubled index, in
+    # the batches of any of the three shapes
     import rieszrep.cli as cli
 
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
@@ -1032,11 +1037,11 @@ def test_extract_matrix_takes_each_index_once_under_fast_switching(monkeypatch):
     seen = []
 
     def spy(f, cfg, *, workspace=None):
-        seen.append(int(f[0, 0]))
+        seen.extend(int(image[0, 0]) for image in np.reshape(f, (-1, *np.shape(f)[-2:])))
         return original(f, cfg, workspace=workspace)
 
     monkeypatch.setattr(cli, "extract_features", spy)
-    images = [np.full((6, 5), float(i)) for i in range(300)]
+    images = [np.full((6, 5 + i % 3), float(i)) for i in range(300)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -1068,11 +1073,110 @@ def test_extract_matrix_error_on_either_thread_propagates(monkeypatch, rng, rais
         return original(f, cfg, workspace=workspace)
 
     monkeypatch.setattr(cli, "extract_features", spy)
-    images = [rng.random((16, 16)) for _ in range(8)]
+    # two shapes, so two batches, one for each thread
+    images = [rng.random((16, 16 + i % 2)) for i in range(8)]
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"boom on the {raiser}"):
         cli.extract_matrix(images, _default_config(depth=1))
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("depth", [0, 2])
+@pytest.mark.parametrize("bbox", [False, True], ids=["whole", "bbox"])
+def test_extract_matrix_batches_match_single_images(monkeypatch, rng, caplog, cpus, depth, bbox):
+    # same-shape batches holding a nan and a 1e308 image, blanks (all-zero
+    # images, blank under --bbox) and a 128x128 image that goes alone; each
+    # row must equal that image's own extract_features byte for byte, and
+    # only the bad images be flagged, once each, with their own reason
+    import rieszrep.cli as cli
+    from rieszrep.image_core import NonFiniteImageError
+    from rieszrep.preprocess import BlankImageError, bbox_extract
+    from rieszrep.representation import RieszConfig
+
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    original = cli.extract_features
+    stacks = []
+
+    def spy(f, cfg, *, workspace=None):
+        stacks.append(len(f) if np.ndim(f) == 3 else 1)
+        return original(f, cfg, workspace=workspace)
+
+    monkeypatch.setattr(cli, "extract_features", spy)
+
+    def framed(shape):
+        img = rng.random(shape)
+        img[[0, -1], :] = img[:, [0, -1]] = 1.0  # its tight box is the whole image
+        return img
+
+    images = [framed((25, 17)) for _ in range(7)] + [framed((40, 40)) for _ in range(3)]
+    images[2][3, 4] = np.nan
+    images[5] = np.full((25, 17), 1e308)
+    images += [np.zeros((25, 17)), framed((128, 128)), np.zeros((40, 40)), framed((13, 10))]
+    images = [images[i] for i in (0, 8, 1, 10, 2, 3, 11, 9, 4, 12, 5, 6, 13, 7)]
+    cfg = RieszConfig(depth=depth, angles=8)
+    expected, reasons = [], {}
+    for i, img in enumerate(images):
+        try:
+            with np.errstate(all="ignore"):
+                expected.append(original(bbox_extract(img) if bbox else img, cfg))
+        except (BlankImageError, NonFiniteImageError) as exc:
+            expected.append(np.full(feature_count(depth, 8), np.nan))
+            reasons[i] = exc
+    assert len(reasons) == (4 if bbox else 2)
+    matrix = cli.extract_matrix(images, _default_config(depth=depth, angles=8, bbox=bbox))
+    assert matrix.tobytes() == np.array(expected).tobytes()
+    assert max(stacks) > 1
+    lines = [r.getMessage() for r in caplog.records if "flagged" in r.getMessage()]
+    assert lines == [f"image {i} flagged: {reason}" for i, reason in sorted(reasons.items())]
+
+
+def test_extract_matrix_holds_at_most_the_lookahead(monkeypatch):
+    # twelve shapes whose batches fill only at 4 images: the images taken
+    # from the input but not yet extracted reach the bound and stay within it
+    import rieszrep.cli as cli
+
+    monkeypatch.setattr(cli, "_LOOKAHEAD", 8)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    original = cli.extract_features
+    done = []
+
+    def spy(f, cfg, *, workspace=None):
+        features = original(f, cfg, workspace=workspace)
+        done.append(len(f) if np.ndim(f) == 3 else 1)
+        return features
+
+    monkeypatch.setattr(cli, "extract_features", spy)
+    open_counts = []
+
+    class Lazy(Sequence):
+        taken = 0
+
+        def __len__(self):
+            return 60
+
+        def __getitem__(self, index):
+            self.taken += 1
+            open_counts.append(self.taken - sum(done))
+            return np.full((6, 5 + index % 12), float(index))
+
+    images = Lazy()
+    matrix = cli.extract_matrix(images, _default_config(depth=1))
+    assert images.taken == 60 and sum(done) == 60
+    assert max(open_counts) == 8
+    assert_array_equal(matrix[:, 0], np.arange(60.0))
+
+
+@pytest.mark.parametrize("cpus, threads", [(None, 1), (1, 1), (2, 2), (8, 2)])
+def test_thread_count_without_affinity_mask_counts_cpus(monkeypatch, rng, cpus, threads):
+    # macOS and Windows have no os.sched_getaffinity
+    import rieszrep.cli as cli
+
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert cli._thread_count() == threads
+    images = [rng.random((12, 10)) for _ in range(3)]
+    assert cli.extract_matrix(images, _default_config(depth=1)).shape == (3, 5)
 
 
 def test_pipeline_scale_commutation_smoke(tmp_path):

@@ -217,12 +217,59 @@ def test_angle_chunks_give_bit_identical_maps(monkeypatch, rng, depth, angles, s
     for chunk in (1, 2, angles):
         monkeypatch.setattr(representation, "_BATCH_BYTES", 16 * chunk * f.size)
         workspace = Workspace()
-        chunks = representation._level_chunks(f, cfg, workspace, transposed)
+        chunks = representation._level_chunks(f[None], cfg, workspace, transposed)
         results[chunk] = np.concatenate([c.copy() for c in chunks])
         assert workspace._key[-2:] == (1, chunk)
     assert results[1].shape == (feature_count(depth, angles) - 1, *shape[:: -1 if transposed else 1])
     for maps in results.values():
         assert maps.tobytes() == results[angles].tobytes()
+
+
+def _maps_by_level(chunks, images, depth, angles):
+    """(n, M^k, H, W) maps of levels 1..K from the engine's chunks of an n-image stack."""
+    maps = np.concatenate([c.copy() for c in chunks])
+    sizes = np.cumsum([images * angles**k for k in range(1, depth)])
+    return [m.reshape(images, -1, *m.shape[1:]) for m in np.split(maps, sizes)]
+
+
+@pytest.mark.parametrize("budget", ["default", "three-maps"])
+@pytest.mark.parametrize("depth, angles", [(2, 8), (3, 4)], ids=["K2M8", "K3M4"])
+@pytest.mark.parametrize(
+    "shape", [(16, 12), (15, 13), (53, 34), (1, 9)], ids=["even", "odd", "transposed", "1xN"]
+)
+def test_stack_maps_equal_single_image_maps(monkeypatch, rng, budget, depth, angles, shape):
+    # groups span images: at the default budget most of a level of these
+    # small maps, with three maps per group a group straddles two images
+    # wherever an image's M^(k-1) parents are not a multiple of three
+    cfg = RieszConfig(depth=depth, angles=angles)
+    stack = rng.standard_normal((3, *shape))
+    if budget == "three-maps":
+        monkeypatch.setattr(representation, "_BATCH_BYTES", 3 * angles * stack[0].size * 16)
+    transposed = representation._transposes(*shape)
+    assert transposed == (shape == (53, 34))
+    workspace = Workspace()
+    got = _maps_by_level(representation._level_chunks(stack, cfg, workspace, transposed), 3, depth, angles)
+    assert workspace._key[0] == 3
+    for i, f in enumerate(stack):
+        chunks = representation._level_chunks(f[None], cfg, transposed=transposed)
+        for level, alone in zip(got, _maps_by_level(chunks, 1, depth, angles)):
+            assert level[i].tobytes() == alone[0].tobytes()
+
+
+def test_features_of_a_stack_are_its_images_features(rng):
+    cfg = RieszConfig(depth=2, angles=4)
+    stack = rng.standard_normal((4, 13, 10))
+    matrix = extract_features(stack, cfg)
+    assert matrix.shape == (4, feature_count(2, 4))
+    for f, row in zip(stack, matrix):
+        assert row.tobytes() == extract_features(f, cfg).tobytes()
+    assert extract_features(stack[:1], cfg).shape == (1, feature_count(2, 4))
+    for bad in (np.ones(5), np.ones((0, 4, 4)), np.ones((2, 0, 4)), np.ones((1, 2, 3, 4))):
+        with pytest.raises(ValueError, match="expected a 2d image grid"):
+            extract_features(bad, cfg)
+    stack[2, 3, 4] = np.nan
+    with pytest.raises(NonFiniteImageError):
+        extract_features(stack, cfg)
 
 
 def _largest_prime_factor(n):
@@ -306,8 +353,8 @@ def test_transposed_engine_yields_transposed_maps_in_path_order(rng, shape, dept
     cfg = RieszConfig(depth=depth, angles=angles)
     f = rng.standard_normal(shape)
     # the deepest level's chunks share one buffer: copy each as it comes
-    expected = [c.copy() for c in representation._level_chunks(f, cfg)]
-    got = [c.copy() for c in representation._level_chunks(f, cfg, transposed=True)]
+    expected = [c.copy() for c in representation._level_chunks(f[None], cfg)]
+    got = [c.copy() for c in representation._level_chunks(f[None], cfg, transposed=True)]
     assert len(got) == len(expected)
     for chunk, straight in zip(got, expected):
         assert_allclose(
@@ -565,6 +612,7 @@ def test_readme_example_and_public_names():
     scope = {}
     exec(block, scope)
     assert scope["vec"].shape == (85,)
+    assert scope["rows"].shape == (16, 85)
     public = {
         name
         for name, value in vars(rieszrep).items()
