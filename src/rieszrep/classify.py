@@ -235,7 +235,9 @@ def evaluate(model, X, y):
 
 
 def _fmt_row(row) -> str:
-    return " ".join(format(float(v), ".17g") for v in np.atleast_1d(row))
+    """The values of ``row`` as one line of ``%.17g`` numbers, by one format."""
+    values = np.atleast_1d(row).tolist()
+    return " ".join(["%.17g"] * len(values)) % tuple(values)
 
 
 def save_model(model, path):

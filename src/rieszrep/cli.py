@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 property/eval failure or runtime error,
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import logging
 import os
@@ -551,7 +552,15 @@ def cmd_bench(
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The ``riesz`` parser, built on the first call and then reused.
+
+    Its handlers and ``--inject-fault`` choices are fixed at import, and
+    ``parse_args`` returns a new namespace on every call, so ``main``
+    parses each argv as a freshly built parser would, without paying
+    for the build again in the same process.
+    """
     parser = argparse.ArgumentParser(
         prog="riesz",
         description="Hierarchical Riesz feature extraction and classification",

@@ -63,8 +63,11 @@ from .riesz import first_order_multipliers
 # Entries of ``_basis_bank`` (the one per-shape filter cache; the
 # multipliers behind it are built per call) and of ``_real_dft`` (per
 # width).  Bounded because --bbox crops come in many shapes (24 among
-# 100 cropped digits, 57 among 80 at mixed scales); 32 keeps every hit
-# an unbounded cache gets there.
+# 100 cropped digits, 57 among 80 at mixed scales).  Within one eval of
+# those 80 crops, 32 keeps every hit an unbounded cache gets (23 of 80).
+# A process that repeats that eval gets no more: the 57 shapes cycle the
+# cache, so every repeat rebuilds all 57 banks (23/57, 46/114 and 69/171
+# hits/misses after 1, 2 and 3 runs).
 SHAPE_CACHE_SIZE = 32
 
 # widest axis ``_real_dft`` builds matrices for, and so the tallest

@@ -14,11 +14,16 @@ Each property draws from its own generator, seeded with
 ``FAULTS`` maps a fault name to a broken stand-in for
 ``riesz.riesz_multiplier``, which ``check`` installs on the module for
 the length of one measurement: it reaches ``riesz_transform`` and its
-adjoint, not the steered transforms or the feature engine.
+adjoint, not the steered transforms or the feature engine.  For the
+same measurement ``check`` also binds ``riesz.first_order_multipliers``
+to a fresh memo of the real function, so a measurement builds each
+shape's multipliers once; the feature engine, which imports its own
+binding, is not affected.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +52,20 @@ def _random_image(rng, height=32, width=32, mean_free=False):
 
 
 _riesz_multiplier = riesz.riesz_multiplier  # the real one, past any stand-in
+_first_order_multipliers = riesz.first_order_multipliers  # likewise
+
+
+def _memoized_multipliers():
+    """A new memo of the real ``first_order_multipliers``, its pairs read-only."""
+
+    @functools.lru_cache(maxsize=None)
+    def first_order_multipliers(height, width):
+        pair = _first_order_multipliers(height, width)
+        for m in pair:
+            m.flags.writeable = False
+        return pair
+
+    return first_order_multipliers
 
 
 def _dc_not_zeroed(order, height, width):
@@ -207,12 +226,13 @@ def check(index: int, seed: int = 0, inject_fault: str | None = None):
         raise ValueError(f"unknown fault {inject_fault!r}")
     name, tolerance, measure = PROPERTIES[index]
     rng = np.random.default_rng([seed, index])
-    original = riesz.riesz_multiplier
-    riesz.riesz_multiplier = FAULTS.get(inject_fault, original)
+    original = riesz.riesz_multiplier, riesz.first_order_multipliers
+    riesz.riesz_multiplier = FAULTS.get(inject_fault, original[0])
+    riesz.first_order_multipliers = _memoized_multipliers()
     try:
         measured = float(max(measure(rng)))
     finally:
-        riesz.riesz_multiplier = original
+        riesz.riesz_multiplier, riesz.first_order_multipliers = original
     return PropertyResult(name, tolerance, measured)
 
 

@@ -4,6 +4,9 @@ from numpy.testing import assert_allclose
 
 from rieszrep.classify import (
     MaxAbsNormalizer,
+    PcaClassModel,
+    SvmModel,
+    _fmt_row,
     evaluate,
     load_model,
     maxabs_fit,
@@ -409,6 +412,47 @@ def test_model_round_trip_pca(tmp_path, rng):
     assert np.array_equal(back.means, model.means)
     for a, b in zip(back.bases, model.bases):
         assert np.array_equal(a, b)
+
+
+# signed zero, the smallest subnormal, the smallest normal, a value
+# with no short exact decimal, one, near the largest float, and an
+# integer beyond 2**53
+_EDGE_VALUES = (-0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1.0, 1e308, 123456789012345678.0)
+
+
+def test_fmt_row_matches_per_value_format():
+    # the loop ``save_model`` wrote each row with before one format
+    # took its place; models must keep their bytes
+    for row in (np.array(_EDGE_VALUES), -np.array(_EDGE_VALUES), np.array(_EDGE_VALUES[3])):
+        expected = " ".join(format(float(v), ".17g") for v in np.atleast_1d(row))
+        assert _fmt_row(row) == expected
+
+
+def test_model_round_trip_edge_values_bit_exact(tmp_path):
+    values = np.array(_EDGE_VALUES)
+    dim = len(values)
+    # the normalizer's scales must be positive
+    scales = np.where(values > 0, values, 0.5)
+    models = (
+        SvmModel(np.stack([values, values[::-1]]), values[:2], 0.1, 3, 7, MaxAbsNormalizer(scales)),
+        PcaClassModel(
+            means=np.stack([values, -values]),
+            bases=(np.stack([values, values[::-1]], axis=1), np.zeros((dim, 0))),
+            components=2,
+        ),
+    )
+    for model in models:
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        back = load_model(path)
+        if isinstance(model, SvmModel):
+            pairs = [(back.weights, model.weights), (back.biases, model.biases),
+                     (back.normalizer.scales, model.normalizer.scales)]
+        else:
+            pairs = [(back.means, model.means), *zip(back.bases, model.bases, strict=True)]
+        for got, expected in pairs:
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
 
 
 def test_model_bad_version(tmp_path):

@@ -145,6 +145,48 @@ def test_subcommand_option_table():
         assert table == _OPTION_TABLE[name], name
 
 
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_parses_like_a_fresh_one(tmp_path, rng):
+    # a flag given in one call must not carry over to the next
+    images, labels = _two_class_images(rng, per_class=2)
+    ipath, lpath = _write_idx_pair(tmp_path, images, labels)
+    args = ["extract", "--images", str(ipath), "--labels", str(lpath), "--depth", "1", "--output"]
+    cropped, after, fresh = (tmp_path / name for name in ("cropped.csv", "after.csv", "fresh.csv"))
+    assert main([*args, str(cropped), "--bbox"]) == 0
+    assert main([*args, str(after)]) == 0
+    build_parser.cache_clear()
+    assert main([*args, str(fresh)]) == 0
+    assert after.read_bytes() == fresh.read_bytes()
+    assert cropped.read_bytes() != fresh.read_bytes()
+
+
+def test_reused_parser_drops_the_injected_fault(capsys):
+    assert main(["verify", "--inject-fault", "dc-not-zeroed"]) == 1
+    capsys.readouterr()
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "12/12 properties passed"
+
+
+def test_reused_parser_drops_print_config(capsys):
+    assert main(["train", "--print-config"]) == 2
+    assert "depth = " in capsys.readouterr().out
+    assert main(["train"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_reused_parser_drops_verbose(tmp_path, caplog):
+    # -v belongs to the top-level parser, whose defaults a shared
+    # namespace would not reset
+    argv = ["train", "--features", str(tmp_path / "missing.csv"), "--output", "m.txt"]
+    assert main(["-v", *argv]) == 1
+    assert main(argv) == 1
+    first, second = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert first.exc_info and not second.exc_info
+
+
 def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "riesz.cfg"
     cfg.write_text("depht = 3\n")
