@@ -21,6 +21,7 @@ import os
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -195,10 +196,9 @@ def _thread_count() -> int:
     return min(2, os.cpu_count() or 1)
 
 
-# The most images ``extract_matrix`` holds at once: taken from the input
-# but not yet extracted, whether waiting for their shape's batch to fill
-# or in a batch being extracted.  A batch is at most half of it, so the
-# thread that asks for one always finds images to take or a batch to cut.
+# The most images ``extract_matrix`` holds waiting for their shape's
+# batch to fill; a batch is extracted once it holds half of it, or
+# fewer when fewer fill an engine group.
 _LOOKAHEAD = 128
 
 
@@ -207,117 +207,107 @@ def extract_matrix(images, config):
 
     Blank images (no bounding box) and images whose samples or feature
     maps are not finite are logged with the image index, in index order,
-    and the run continues.  Each image is cropped (with ``bbox``) and
-    put in the batch of its shape; a batch is extracted as one stack
-    (``extract_features``) once it holds as many images as fill one
-    level-1 engine group (``group_size``, at most half of
-    ``_LOOKAHEAD``), so a shape whose one image fills a group (128x128
-    at M=8, a scale-4 digit crop) is extracted image by image, as soon
-    as it is cropped.  When the input or the look-ahead is used up, the
-    fullest unfilled batch is extracted as it is.  A batch whose stack
-    raises ``NonFiniteImageError`` is extracted again one image at a
-    time, so that only the bad image is flagged.
+    and the run continues.  Each image is cropped (with ``bbox``) and put
+    in its shape's batch, extracted as one stack once it fills a level-1
+    engine group (``group_size``, at most half of ``_LOOKAHEAD``; one
+    image for 128x128 at M=8 or a scale-4 digit crop).  When
+    ``_LOOKAHEAD`` images wait, and once the input is used up, the
+    fullest batch goes as it is: at most ``_LOOKAHEAD`` images wait, and
+    each worker extracts at most one batch on top of them (no
+    ``pipebench`` extraction holds more than 102 images).  A stack that
+    raises ``NonFiniteImageError`` is extracted again image by image, so
+    only the bad image is flagged.
 
-    The batches go through the calling thread and, when
-    ``_thread_count`` allows two, one helper thread: each takes the next
-    image or batch from one shared state, extracts with its own
-    ``Workspace`` (which lends the engine's buffers from each stack to
-    the next while the stack shape repeats) and stores the rows by image
-    index, so the matrix is byte-identical whatever the thread count or
-    batching: each row equals that image's own ``extract_features``.
-    numpy releases the GIL in the FFTs, products and elementwise passes
-    the engine is made of.  Any other exception stops both threads
-    after their current batch and is raised here.  No images give a
-    (0, feature count) matrix.
+    The workers, the calling thread and (when ``_thread_count`` allows
+    two) one helper, each loop over one shared iterator of indices: crop
+    outside the lock, batch under it, extract with the worker's own
+    ``Workspace``.  numpy releases the GIL in the engine's FFTs, products
+    and elementwise passes.  Rows are written by index, each equal to its
+    image's own ``extract_features``, so the matrix is byte-identical
+    whatever the thread count or batching.  Any other exception,
+    ``KeyboardInterrupt`` included, stops the other worker after its
+    current batch and is raised here.  No images give a (0, feature
+    count) matrix.
     """
     cfg = riesz_config(config)
-    width = feature_count(cfg.depth, cfg.angles)
-    rows = [None] * len(images)
+    crop = _pick(config, _CROP)
+    matrix = np.full((len(images), feature_count(cfg.depth, cfg.angles)), np.nan)
     flagged = {}
-    errors = []
+    # next() on a range iterator is atomic under the GIL, so the workers
+    # share it without the lock and each index is taken once
+    indices = iter(range(len(images)))
     lock = threading.Lock()
     held = {}  # shape -> [(index, image)] waiting for its batch to fill
-    taken = unfinished = 0  # images taken from the input; of them, not yet extracted
+    waiting = 0  # images in held
+    stop = False  # set when a worker raises
 
-    def finish(count):
-        nonlocal unfinished
-        with lock:
-            unfinished -= count
-
-    def flag(index, exc):
-        flagged[index] = exc
-        rows[index] = np.full(width, np.nan)
-
-    def take():
-        """The next batch of (index, image) pairs; None when none is left."""
-        nonlocal taken, unfinished
-        while True:
-            with lock:
-                if errors:
-                    return None
-                index = taken
-                if index < len(rows) and unfinished < _LOOKAHEAD:
-                    taken, unfinished = taken + 1, unfinished + 1
-                elif held:
-                    # the input or the look-ahead is used up: the fullest batch goes as it is
-                    return held.pop(max(held, key=lambda shape: len(held[shape])))
-                else:
-                    return None
-            try:
-                img = images[index]
-                img = bbox_extract(img, **_pick(config, _CROP)) if config["bbox"] else as_image(img)
-            except (BlankImageError, NonFiniteImageError) as exc:
-                flag(index, exc)
-                finish(1)
-                continue
-            with lock:
-                batch = held.setdefault(img.shape, [])
-                batch.append((index, img))
-                if len(batch) == min(group_size(*img.shape, cfg.angles), _LOOKAHEAD // 2):
-                    return held.pop(img.shape)
+    def fullest():
+        return max(held, key=lambda shape: len(held[shape]))
 
     def extract(batch, workspace):
-        """Store a batch's rows, from one stack unless a map of it is not finite."""
+        """Fill a batch's rows, from one stack unless a map of it is not finite."""
         if len(batch) > 1:
-            stack = np.stack([img for _, img in batch])
+            rows, crops = zip(*batch)
             try:
-                matrix = extract_features(stack, cfg, workspace=workspace)
+                matrix[list(rows)] = extract_features(np.stack(crops), cfg, workspace=workspace)
+                return
             except NonFiniteImageError:
                 pass  # extracted again below, one image at a time
-            else:
-                for (index, _), row in zip(batch, matrix):
-                    rows[index] = row
-                return
         for index, img in batch:
             try:
-                rows[index] = extract_features(img, cfg, workspace=workspace)
+                matrix[index] = extract_features(img, cfg, workspace=workspace)
             except NonFiniteImageError as exc:
-                flag(index, exc)
+                flagged[index] = exc
 
     def work():
+        nonlocal waiting, stop
         workspace = Workspace()
         try:
-            # an overflowing image is flagged once, below, not also by
+            # an overflowing image is flagged once, above, not also by
             # numpy's floating-point warnings
             with np.errstate(over="ignore", invalid="ignore"):
-                while (batch := take()) is not None:
+                for index in indices:
+                    try:
+                        img = images[index]
+                        img = bbox_extract(img, **crop) if config["bbox"] else as_image(img)
+                    except (BlankImageError, NonFiniteImageError) as exc:
+                        flagged[index] = exc
+                        continue
+                    with lock:
+                        if stop:
+                            return
+                        batch = held.setdefault(img.shape, [])
+                        batch.append((index, img))
+                        waiting += 1
+                        if len(batch) == min(group_size(*img.shape, cfg.angles), _LOOKAHEAD // 2):
+                            shape = img.shape
+                        elif waiting == _LOOKAHEAD:
+                            shape = fullest()
+                        else:
+                            continue
+                        batch = held.pop(shape)
+                        waiting -= len(batch)
                     extract(batch, workspace)
-                    finish(len(batch))
-        except BaseException as exc:  # noqa: BLE001 - re-raised after the join
-            errors.append(exc)
+                while True:
+                    with lock:
+                        if stop or not held:
+                            return
+                        batch = held.pop(fullest())
+                        waiting -= len(batch)
+                    extract(batch, workspace)
+        except BaseException:
+            stop = True
+            raise
 
-    helper = None
-    if min(_thread_count(), len(rows)) > 1:
-        helper = threading.Thread(target=work, name="extract-helper", daemon=True)
-        helper.start()
-    work()
-    if helper is not None:
-        helper.join()
-    if errors:
-        raise errors[0]
+    # the calling thread stays a worker, so that Ctrl-C reaches the loop
+    with ThreadPoolExecutor(1, thread_name_prefix="extract-helper") as pool:
+        helper = pool.submit(work) if min(_thread_count(), len(images)) > 1 else None
+        work()
+        if helper is not None:
+            helper.result()
     for index in sorted(flagged):
         log.warning("image %d flagged: %s", index, flagged[index])
-    return np.array(rows).reshape(len(rows), width)
+    return matrix
 
 
 def cmd_extract(config, args) -> int:
@@ -396,6 +386,9 @@ def cmd_train(config, args) -> int:
     if labels is None:
         raise ConfigError("training features must carry a label column")
     matrix, labels = _finite_rows(matrix, labels)
+    if len(matrix) == 0:
+        log.error("no rows left to train on in %s (none, or all blank or flagged)", config["features"])
+        return 1
     model = _train_model(matrix, labels, config)
     classify.save_model(model, config["output"])
     log.info("wrote model to %s", config["output"])
@@ -524,9 +517,10 @@ def cmd_bench(
 
     ``features`` is the mean over the consecutive same-shape images of
     the size run through ``extract_matrix`` without bbox cropping, as
-    ``extract`` runs them (as one stack when they fit an engine group,
-    else one by one on up to two threads, each lending its engine
-    buffers from call to call); the filter caches are warmed first.
+    ``extract`` runs them: on up to two threads sharing the image
+    indices, as one stack when they fit an engine group, else one by
+    one, each thread lending its engine buffers from call to call.  The
+    filter caches are warmed first.
     """
     cfg = riesz_config(config)
     run = dict(config, bbox=False)

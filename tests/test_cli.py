@@ -3,6 +3,7 @@ import inspect
 import struct
 import sys
 import threading
+import time
 import warnings
 from collections.abc import Sequence
 
@@ -779,6 +780,19 @@ def test_eval_features_all_non_finite_names_the_file(tmp_path, capsys, caplog):
     assert capsys.readouterr().out.splitlines() == ["scale,accuracy"]
 
 
+def test_train_features_all_non_finite_names_the_file(tmp_path, caplog):
+    # every training image blank or flagged is a data condition, as in
+    # eval: an error naming the file, no model, exit 1
+    features, model = tmp_path / "f.csv", tmp_path / "m.txt"
+    _write_labelled_features(features, np.full((2, 1), np.nan), [1, 0])
+    caplog.clear()
+    assert main(["train", "--features", str(features), "--output", str(model)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and str(features) in errors[0]
+    assert "config error" not in caplog.text
+    assert not model.exists()
+
+
 def _train_small_model(features, model):
     matrix = np.array([[2.0, 0.1, 0.0], [-2.0, 0.0, 0.1]])
     _write_labelled_features(features, np.vstack([matrix] * 4), [1, 0] * 4)
@@ -1094,33 +1108,53 @@ def test_extract_matrix_takes_each_index_once_under_fast_switching(monkeypatch):
     assert_array_equal(matrix[:, 0], np.arange(300.0))
 
 
-@pytest.mark.parametrize("raiser", ["helper", "caller"])
-def test_extract_matrix_error_on_either_thread_propagates(monkeypatch, rng, raiser):
+def _check_a_raise_stops_the_other_worker(monkeypatch, rng, raiser, exc):
+    """Run two workers over four shapes, so four batches.  Each worker's
+    first batch waits for the other's; then the raiser's raises ``exc``
+    and the other's returns once the raiser has had time to stop the run.
+    ``exc`` itself must come out of ``extract_matrix``, every thread
+    started must be gone, and the other worker must start no batch after
+    its first."""
     import rieszrep.cli as cli
 
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
     original = cli.extract_features
-    # each thread holds its first image until the other has one, so both
-    # get a share whatever the scheduler does
     both_started = threading.Barrier(2, timeout=30)
-    started = set()
+    raised = threading.Event()
+    starts = {}
 
     def spy(f, cfg, *, workspace=None):
-        if threading.get_ident() not in started:
-            started.add(threading.get_ident())
+        ident = threading.get_ident()
+        starts[ident] = starts.get(ident, 0) + 1
+        if starts[ident] == 1:
             both_started.wait()
         on_caller = threading.current_thread() is threading.main_thread()
         if on_caller == (raiser == "caller"):
-            raise RuntimeError(f"boom on the {raiser}")
-        return original(f, cfg, workspace=workspace)
+            raised.set()
+            raise exc
+        features = original(f, cfg, workspace=workspace)
+        assert raised.wait(30)
+        time.sleep(0.1)
+        return features
 
     monkeypatch.setattr(cli, "extract_features", spy)
-    # two shapes, so two batches, one for each thread
-    images = [rng.random((16, 16 + i % 2)) for i in range(8)]
+    images = [rng.random((16, 16 + i % 4)) for i in range(16)]
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match=f"boom on the {raiser}"):
+    with pytest.raises(type(exc)) as caught:
         cli.extract_matrix(images, _default_config(depth=1))
+    assert caught.value is exc
     assert threading.active_count() == before
+    assert sorted(starts.values()) == [1, 1]
+
+
+@pytest.mark.parametrize("raiser", ["helper", "caller"])
+def test_extract_matrix_error_on_either_thread_propagates(monkeypatch, rng, raiser):
+    _check_a_raise_stops_the_other_worker(monkeypatch, rng, raiser, RuntimeError(f"boom on the {raiser}"))
+
+
+def test_extract_matrix_keyboard_interrupt_on_the_caller_stops_the_helper(monkeypatch, rng):
+    # Ctrl-C reaches the calling thread, which is a worker
+    _check_a_raise_stops_the_other_worker(monkeypatch, rng, "caller", KeyboardInterrupt())
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -1174,39 +1208,49 @@ def test_extract_matrix_batches_match_single_images(monkeypatch, rng, caplog, cp
 
 
 def test_extract_matrix_holds_at_most_the_lookahead(monkeypatch):
-    # twelve shapes whose batches fill only at 4 images: the images taken
-    # from the input but not yet extracted reach the bound and stay within it
+    # look-ahead 8: 30 images in two alternating shapes fill batches of 4,
+    # half the look-ahead; then 30 in twelve new shapes fill none, so 8
+    # images wait and the fullest batch goes.  A worker takes its batch
+    # from the waiting images, so the images taken and not yet extracted
+    # are at most the 8 waiting plus the other worker's batch, and reach 8
     import rieszrep.cli as cli
 
     monkeypatch.setattr(cli, "_LOOKAHEAD", 8)
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
     original = cli.extract_features
-    done = []
+    lock = threading.Lock()
 
     def spy(f, cfg, *, workspace=None):
+        n = len(f) if np.ndim(f) == 3 else 1
+        with lock:
+            stacks.append(n)
+            held.append(count["taken"] - count["done"])
         features = original(f, cfg, workspace=workspace)
-        done.append(len(f) if np.ndim(f) == 3 else 1)
+        with lock:
+            count["done"] += n
         return features
 
     monkeypatch.setattr(cli, "extract_features", spy)
-    open_counts = []
 
     class Lazy(Sequence):
-        taken = 0
-
         def __len__(self):
             return 60
 
         def __getitem__(self, index):
-            self.taken += 1
-            open_counts.append(self.taken - sum(done))
-            return np.full((6, 5 + index % 12), float(index))
+            with lock:
+                count["taken"] += 1
+                held.append(count["taken"] - count["done"])
+            width = 5 + index % 2 if index < 30 else 7 + index % 12
+            return np.full((6, width), float(index))
 
-    images = Lazy()
-    matrix = cli.extract_matrix(images, _default_config(depth=1))
-    assert images.taken == 60 and sum(done) == 60
-    assert max(open_counts) == 8
-    assert_array_equal(matrix[:, 0], np.arange(60.0))
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        count = {"taken": 0, "done": 0}
+        held, stacks = [], []
+        matrix = cli.extract_matrix(Lazy(), _default_config(depth=1))
+        assert count == {"taken": 60, "done": 60}
+        assert max(stacks) == 4
+        assert max(held) == 8 if cpus == 1 else 8 <= max(held) <= 8 + 4
+        assert_array_equal(matrix[:, 0], np.arange(60.0))
 
 
 @pytest.mark.parametrize("cpus, threads", [(None, 1), (1, 1), (2, 2), (8, 2)])
