@@ -31,7 +31,7 @@ MODEL_FORMAT_VERSION = "riesz-model v1"
 
 def _as_matrix(X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1:
+    if X.ndim != 2 or 0 in X.shape:
         raise ValueError(f"expected a non-empty 2d feature matrix, got {X.shape}")
     return X
 

@@ -30,6 +30,7 @@ from . import classify, verify
 from .image_core import NonFiniteImageError, as_image, load_gray_image, load_idx, save_gray_pgm
 from .preprocess import BlankImageError, bbox_compute, bbox_extract, check_crop_settings
 from .representation import (
+    NON_FINITE_FEATURES,
     RieszConfig,
     Workspace,
     extract_features,
@@ -205,18 +206,18 @@ _LOOKAHEAD = 128
 def extract_matrix(images, config):
     """Feature matrix for a sequence of images; flagged rows are all-NaN.
 
-    Blank images (no bounding box) and images whose samples or feature
-    maps are not finite are logged with the image index, in index order,
-    and the run continues.  Each image is cropped (with ``bbox``) and put
+    Blank images (no bounding box) and images whose samples, feature
+    maps or means are not finite are logged with the image index, in
+    index order, and the run continues.  Each image is cropped (with ``bbox``) and put
     in its shape's batch, extracted as one stack once it fills a level-1
     engine group (``group_size``, at most half of ``_LOOKAHEAD``; one
     image for 128x128 at M=8 or a scale-4 digit crop).  When
     ``_LOOKAHEAD`` images wait, and once the input is used up, the
     fullest batch goes as it is: at most ``_LOOKAHEAD`` images wait, and
     each worker extracts at most one batch on top of them (no
-    ``pipebench`` extraction holds more than 102 images).  A stack that
-    raises ``NonFiniteImageError`` is extracted again image by image, so
-    only the bad image is flagged.
+    ``pipebench`` extraction holds more than 102 images).  Each batch is
+    one ``extract_features`` stack, one image included; a row that is
+    not finite stays NaN and its image is flagged.
 
     The workers, the calling thread and (when ``_thread_count`` allows
     two) one helper, each loop over one shared iterator of indices: crop
@@ -245,19 +246,14 @@ def extract_matrix(images, config):
         return max(held, key=lambda shape: len(held[shape]))
 
     def extract(batch, workspace):
-        """Fill a batch's rows, from one stack unless a map of it is not finite."""
-        if len(batch) > 1:
-            rows, crops = zip(*batch)
-            try:
-                matrix[list(rows)] = extract_features(np.stack(crops), cfg, workspace=workspace)
-                return
-            except NonFiniteImageError:
-                pass  # extracted again below, one image at a time
-        for index, img in batch:
-            try:
-                matrix[index] = extract_features(img, cfg, workspace=workspace)
-            except NonFiniteImageError as exc:
-                flagged[index] = exc
+        """Fill a batch's finite rows from one stack; flag the others."""
+        crops = np.stack([img for _, img in batch])
+        features = extract_features(crops, cfg, workspace=workspace)
+        for (index, _), row in zip(batch, features):
+            if np.isfinite(row).all():
+                matrix[index] = row
+            else:
+                flagged[index] = NON_FINITE_FEATURES
 
     def work():
         nonlocal waiting, stop

@@ -239,12 +239,3 @@ def save_gray_pgm(path, img: np.ndarray, maxval: int = 255):
         fh.write(f"P2\n{img.shape[1]} {img.shape[0]}\n{maxval}\n")
         for row in quantized:
             fh.write(" ".join(str(v) for v in row) + "\n")
-
-
-def minmax_normalize(img: np.ndarray) -> np.ndarray:
-    """Affine-map gray values to [0, 1]; constant images map to zeros."""
-    img = as_image(img)
-    lo, hi = img.min(), img.max()
-    if hi == lo:
-        return np.zeros_like(img)
-    return (img - lo) / (hi - lo)

@@ -77,16 +77,16 @@ def enlarge_bbox(box: BoundingBox, enlarge: float, height: int, width: int) -> B
 def check_crop_settings(pad, threshold, enlarge):
     """Raise ValueError naming the first setting out of range.
 
-    ``pad`` must be >= 0 and ``enlarge`` > -1.  Images are normalized to
-    [0, 1], so ``threshold`` must be in (0, 1]: above 0 the zero padding
-    is never foreground, and above 1 no pixel would be.
+    ``pad`` must be >= 0 and ``enlarge`` finite and > -1.  Images are
+    normalized to [0, 1], so ``threshold`` must be in (0, 1]: above 0 the
+    zero padding is never foreground, and above 1 no pixel would be.
     """
     if pad < 0:
         raise ValueError(f"pad must be >= 0, got {pad}")
     if not 0 < threshold <= 1:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    if not enlarge > -1:
-        raise ValueError(f"enlarge must be > -1, got {enlarge}")
+    if not -1 < enlarge < math.inf:
+        raise ValueError(f"enlarge must be finite and > -1, got {enlarge}")
 
 
 def bbox_compute(

@@ -45,6 +45,12 @@ Feature maps are ordered depth-major, then lexicographically by the
 sequence of rotation indices, so the empty path (the raw input) comes
 first.  Mean pooling makes the representation exactly invariant to
 circular shifts.
+
+The engine does not check its maps for overflow.  Each transform and
+product acts on one map, so an inf or nan stays in its image's maps,
+and as every map is pooled and amplitudes are >= 0, it cannot cancel
+out of the sum: an image's row is finite exactly when all its maps and
+means are, so the pooled row is the one check.
 """
 
 from __future__ import annotations
@@ -73,6 +79,9 @@ SHAPE_CACHE_SIZE = 32
 # widest axis ``_real_dft`` builds matrices for, and so the tallest
 # image ``extract_features`` transposes (see ``_transposes``)
 _DFT_MAX_WIDTH = 256
+
+# the reason an image's row is refused (``as_image`` refuses nan or inf samples)
+NON_FINITE_FEATURES = "feature maps or their means are not finite"
 
 # bytes of one parent group's (g, M, H, W) complex buffer; the steering
 # buffer stays within it down to one angle per chunk; see _level_chunks
@@ -312,10 +321,10 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed
     128x128 map with M=8 is steered two angles at a time through a
     0.5 MB buffer instead of 2.1 MB, and every group of g > 1 parents
     takes all M at once.  Each angle's (H*W, 5) @ (5, 2) product is its
-    own GEMM whatever the chunk, so the maps are bit-identical.  One
-    finiteness check follows.  Yields one (g*M, H, W) chunk per group,
-    valid until the next one: the deepest level's chunks share one
-    group buffer.
+    own GEMM whatever the chunk, so the maps are bit-identical.  Yields
+    one (g*M, H, W) chunk per group, valid until the next one: the
+    deepest level's chunks share one group buffer.  The maps are not
+    checked for overflow (see the module docstring).
 
     The two real transforms are ``np.fft.rfft`` and ``np.fft.irfft``
     unless ``_real_dft`` has matrices for the width (below 64, or up to
@@ -331,16 +340,17 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed
     On small crops numpy's per-call overhead dominates, so grouping
     parents, of one image or of several, cuts the time; on large maps
     one whole level per call was slower than one parent per call (33.7
-    against 21 ms at 128x128, M=8).  The 512 KiB budget keeps a group's complex buffer well inside
-    a 2 MiB per-core L2 cache: a 2 MiB budget lost most of the gain on
-    small crops and raised peak memory.  Maps whose (M, H, W) complex
-    buffer exceeds 256 KiB (128x128, or 98x63 with M=8) give g = 1.
+    against 21 ms at 128x128, M=8).  The 512 KiB budget keeps a group's
+    complex buffer well inside a 2 MiB per-core L2 cache: a 2 MiB budget
+    lost most of the gain on small crops and raised peak memory.  Maps
+    whose (M, H, W) complex buffer exceeds 256 KiB (128x128, or 98x63
+    with M=8) give g = 1.
 
     The scratch buffers and the level arrays come from ``workspace``
     (see ``Workspace``; a fresh one when none is given), keyed by
     (n, H, W, M, K, g, chunk); every element the engine reads it has
-    written for this stack first, so leftovers of an earlier stack, or
-    of one flagged part-way, never reach the output.
+    written for this stack first, so leftovers of an earlier stack
+    never reach the output.
     """
     depth, angles = config.depth, config.angles
     if depth == 0:
@@ -396,14 +406,12 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed
                 # (n, 1, H*W, 5) @ (a, 5, 2) -> (n, a, H*W, 2) = real, imag
                 np.matmul(components, w, out=c.view(np.float64).reshape(n, len(w), -1, 2))
                 np.abs(c, out=amplitudes[:, k0 : k0 + chunk])
-            if not math.isfinite(out.max()):  # max propagates nan and inf
-                raise NonFiniteImageError("image contains non-finite samples")
             yield out.reshape(-1, height, width)
         level = nxt.reshape(-1, height, width)
 
 
 def layer_S(f: np.ndarray, config: RieszConfig):
-    """One transformation layer: C * amplitude of each rotated base response."""
+    """One layer: C * amplitude of each rotated base response, inf or nan where it overflows."""
     (chunk,) = _level_chunks(as_image(f)[None], replace(config, depth=1))
     return list(chunk)
 
@@ -424,8 +432,8 @@ def extract_features(f: np.ndarray, config: RieszConfig, *, workspace=None) -> n
     lends the engine's buffers from one call to the next while the
     stack shape repeats; none of them escapes, since only pooled values
     are returned, and the values are bit-identical to a call without
-    one.  Raises ``NonFiniteImageError`` when a map or a pooled value
-    of any image is not finite.
+    one.  A stack returns all its rows, finite or not; a 2d image whose
+    vector is not finite raises ``NonFiniteImageError``.
     """
     single = np.ndim(f) == 2
     stack = as_image(f)[None] if single else as_image(f, stack=True)
@@ -439,10 +447,8 @@ def extract_features(f: np.ndarray, config: RieszConfig, *, workspace=None) -> n
     ends = list(itertools.accumulate(images * config.angles**k for k in range(config.depth + 1)))
     blocks = [sums[start:end].reshape(images, -1) for start, end in zip([0, *ends], ends)]
     features = np.concatenate(blocks, axis=1) / (height * width)
-    # the engine checks its maps, but the mean of the input itself can
-    # overflow, which is all there is to check at depth 0
-    if not np.isfinite(features).all():
-        raise NonFiniteImageError("pooled features are not finite")
+    if single and not np.isfinite(features).all():
+        raise NonFiniteImageError(NON_FINITE_FEATURES)
     return features[0] if single else features
 
 
@@ -478,9 +484,9 @@ def read_features_csv(path):
     The header goes through the ``csv`` module, since path labels such
     as ``"[0,1]"`` are quoted and contain commas; the numeric rows go
     through numpy's C parser.  Blank lines are skipped.  Text that is not
-    ASCII, a bad path label, a ragged row, a field that is not a number,
-    a width other than the header's or a label that is not an int64
-    integer raises ``ValueError`` naming the path.
+    ASCII, a bad path label, no feature column, a ragged row, a field
+    that is not a number, a width other than the header's or a label
+    that is not an int64 integer raises ``ValueError`` naming the path.
     """
     try:
         with open(path, newline="", encoding="ascii") as fh:
@@ -498,6 +504,8 @@ def read_features_csv(path):
             raise ValueError(f"{data.shape[1]} data columns, {len(header)} in the header")
         has_labels = bool(header) and header[-1] == "label"
         paths = [parse_path_label(h) for h in (header[:-1] if has_labels else header)]
+        if not paths:
+            raise ValueError("no feature columns")
         if not has_labels:
             return data, paths, None
         column = data[:, -1]

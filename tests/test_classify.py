@@ -372,6 +372,18 @@ def test_evaluate_hand_counted():
     assert confusion[0].sum() == 6 and confusion[1].sum() == 4
 
 
+@pytest.mark.parametrize("fit", ["maxabs", "pca", "svm"])
+def test_fit_rejects_a_matrix_without_columns(fit):
+    X, y = np.empty((2, 0)), np.array([0, 1])
+    with pytest.raises(ValueError, match="non-empty 2d feature matrix"):
+        if fit == "maxabs":
+            maxabs_fit(X)
+        elif fit == "pca":
+            pca_fit(X, y, 1)
+        else:
+            svm_fit(X, y)
+
+
 def test_evaluate_empty_rejected():
     with pytest.raises(ValueError):
         evaluate(None, np.zeros((1, 2)), np.array([], dtype=int))

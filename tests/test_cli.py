@@ -441,7 +441,7 @@ def test_extract_non_finite_image_flagged(tmp_path, rng, caplog):
     expected, _, _ = read_features_csv(clean)
     assert np.isnan(matrix[1]).all()
     assert_array_equal(matrix[[0, 2]], expected)
-    assert "image 1 flagged: image contains non-finite samples" in caplog.text
+    assert "image 1 flagged: feature maps or their means are not finite" in caplog.text
 
 
 def test_extract_nan_matrix_text_flagged(tmp_path, rng, caplog):
@@ -473,19 +473,19 @@ def test_flagged_image_logs_once_without_warnings(tmp_path, caplog):
     assert code == 0
     flagged = [r for r in caplog.records if "flagged" in r.getMessage()]
     assert [r.getMessage() for r in flagged] == [
-        "image 0 flagged: image contains non-finite samples"
+        "image 0 flagged: feature maps or their means are not finite"
     ]
 
 
 @pytest.mark.parametrize(
-    "shape, depth, reason",
+    "shape, depth",
     [
-        ((19, 67), 3, "image contains non-finite samples"),  # width on the DFT-matrix path
-        ((8, 8), 0, "pooled features are not finite"),  # only the mean overflows
+        ((19, 67), 3),  # width on the DFT-matrix path
+        ((8, 8), 0),  # only the mean overflows
     ],
     ids=["dft-matrix-width", "depth-0"],
 )
-def test_overflowing_image_flagged_once(tmp_path, caplog, shape, depth, reason):
+def test_overflowing_image_flagged_once(tmp_path, caplog, shape, depth):
     from rieszrep.representation import feature_count, read_features_csv
 
     d = tmp_path / "imgs"
@@ -497,7 +497,7 @@ def test_overflowing_image_flagged_once(tmp_path, caplog, shape, depth, reason):
         code = main(["extract", "--image-dir", str(d), "--depth", str(depth), "--output", str(out)])
     assert code == 0
     flagged = [r.getMessage() for r in caplog.records if "flagged" in r.getMessage()]
-    assert flagged == [f"image 0 flagged: {reason}"]
+    assert flagged == ["image 0 flagged: feature maps or their means are not finite"]
     matrix, _, _ = read_features_csv(out)
     assert matrix.shape == (1, feature_count(depth, 4)) and np.isnan(matrix).all()
 
@@ -509,6 +509,9 @@ def test_overflowing_image_flagged_once(tmp_path, caplog, shape, depth, reason):
         (["extract", "--bbox", "--pad", "-3"], None, "pad"),
         (["extract", "--bbox", "--enlarge", "-1"], None, "enlarge"),
         (["extract"], "enlarge = -1.5", "enlarge"),
+        (["extract", "--bbox", "--enlarge", "inf"], None, "enlarge"),
+        (["bbox", "--enlarge", "inf"], None, "enlarge"),
+        (["extract"], "enlarge = inf", "enlarge"),
         (["bbox", "--limit", "-2"], None, "limit"),
         (["extract", "--angles", "3"], None, "angles"),
         (["extract", "--depth", "-1"], None, "depth"),
@@ -519,7 +522,8 @@ def test_overflowing_image_flagged_once(tmp_path, caplog, shape, depth, reason):
         (["extract"], "threshold = -0.5", "threshold"),
         (["bbox"], "threshold = nan", "threshold"),
     ],
-    ids=["limit", "pad", "enlarge", "config-file-enlarge", "bbox-limit", "angles", "depth",
+    ids=["limit", "pad", "enlarge", "config-file-enlarge", "enlarge-inf", "bbox-enlarge-inf",
+         "config-file-enlarge-inf", "bbox-limit", "angles", "depth",
          "config-file-angles", "threshold-nan", "threshold-zero", "bbox-threshold-above-1",
          "config-file-threshold-negative", "bbox-config-file-threshold-nan"],
 )
@@ -790,6 +794,19 @@ def test_train_features_all_non_finite_names_the_file(tmp_path, caplog):
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and str(features) in errors[0]
     assert "config error" not in caplog.text
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("classifier", ["svm", "pca"])
+def test_train_features_without_feature_columns_names_the_file(tmp_path, caplog, classifier):
+    # a model of dim 0 would only be refused later, by eval
+    features, model = tmp_path / "f.csv", tmp_path / "m.txt"
+    features.write_text("label\r\n0\r\n1\r\n", encoding="ascii")
+    caplog.clear()
+    argv = ["train", "--features", str(features), "--classifier", classifier, "--output", str(model)]
+    assert main(argv) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and str(features) in errors[0] and "no feature columns" in errors[0]
     assert not model.exists()
 
 
@@ -1205,6 +1222,50 @@ def test_extract_matrix_batches_match_single_images(monkeypatch, rng, caplog, cp
     assert max(stacks) > 1
     lines = [r.getMessage() for r in caplog.records if "flagged" in r.getMessage()]
     assert lines == [f"image {i} flagged: {reason}" for i, reason in sorted(reasons.items())]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_extract_matrix_flags_the_overflowing_rows_of_a_stack(monkeypatch, rng, caplog, cpus):
+    # finite and overflowing images of three shapes: the 25x17 and 8x8
+    # ones go as stacks of 8, the 70x97 ones alone, each batch as one
+    # stack; a row is flagged exactly when its image's own call raises
+    import rieszrep.cli as cli
+    from rieszrep.image_core import NonFiniteImageError
+    from rieszrep.representation import RieszConfig
+
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    original = cli.extract_features
+    stacks = []
+
+    def spy(f, cfg, *, workspace=None):
+        stacks.append(np.shape(f))
+        return original(f, cfg, workspace=workspace)
+
+    monkeypatch.setattr(cli, "extract_features", spy)
+    scales = [1.0, 1.7e308, 1e300, 1e307, 1.0, 1e306, 1.7e308, 1e300]
+    images = []
+    for i in range(24):
+        shape = [(25, 17), (8, 8), (70, 97)][i % 3]
+        img = rng.random(shape) * scales[i % len(scales)]
+        if i % 2:  # a finite mean, while the maps may overflow
+            img *= (-1.0) ** np.add.outer(*map(np.arange, shape))
+        images.append(img)
+    cfg = RieszConfig(depth=2, angles=4)
+    expected, flagged = [], []
+    for i, img in enumerate(images):
+        try:
+            with np.errstate(all="ignore"):
+                expected.append(original(img, cfg))
+        except NonFiniteImageError:
+            expected.append(np.full(21, np.nan))
+            flagged.append(i)
+    assert 0 < len(flagged) < len(images)
+    matrix = cli.extract_matrix(images, _default_config(depth=2, angles=4))
+    assert matrix.tobytes() == np.array(expected).tobytes()
+    assert sorted(stacks) == [(1, 70, 97)] * 8 + [(8, 8, 8), (8, 25, 17)]
+    lines = [r.getMessage() for r in caplog.records if "flagged" in r.getMessage()]
+    reason = "feature maps or their means are not finite"
+    assert lines == [f"image {i} flagged: {reason}" for i in flagged]
 
 
 def test_extract_matrix_holds_at_most_the_lookahead(monkeypatch):

@@ -13,7 +13,6 @@ from rieszrep.image_core import (
     ifft2,
     load_gray_image,
     load_idx,
-    minmax_normalize,
     save_gray_pgm,
     signed_freq,
 )
@@ -333,18 +332,3 @@ def test_pgm_round_trip(tmp_path, rng):
     save_gray_pgm(path, img)
     back = load_gray_image(path)
     assert np.abs(back - img).max() <= 0.5 / 255 + 1e-12
-
-
-def test_minmax_normalize_affine():
-    assert_allclose(
-        minmax_normalize([[2, 4], [6, 8]]), [[0, 1 / 3], [2 / 3, 1]], atol=1e-15
-    )
-
-
-def test_minmax_normalize_constant():
-    assert_allclose(minmax_normalize(np.full((3, 3), 7.0)), 0)
-
-
-def test_minmax_normalize_identity():
-    img = np.array([[0.0, 0.5], [0.25, 1.0]])
-    assert_allclose(minmax_normalize(img), img)

@@ -486,8 +486,55 @@ def test_overflowing_image_rejected(rng, kind):
     else:
         f = rng.standard_normal((8, 8)) * 1e307
     with np.errstate(all="ignore"):
-        with pytest.raises(NonFiniteImageError, match="non-finite samples"):
+        with pytest.raises(NonFiniteImageError, match="feature maps or their means are not finite"):
             extract_features(f, RieszConfig())
+
+
+# both width paths: DFT matrices (below 64, and 67 and 97, 97x67 running
+# transposed) and pocketfft (64 and 128); 1x9 and 8x8 are the smallest
+_OVERFLOW_SHAPES = [(25, 17), (128, 128), (97, 67), (8, 8), (1, 9), (33, 64), (70, 97)]
+_OVERFLOW_CASES = [
+    pytest.param(shape, depth, angles, id=f"{shape[0]}x{shape[1]}-K{depth}-M{angles}")
+    for shape in _OVERFLOW_SHAPES
+    for depth in range(4)
+    for angles in (4, 8)
+    # K=3, M=8 takes 0.6-1.2 s on each of the three large shapes
+    if not (depth == 3 and angles == 8 and shape[0] * shape[1] > 4096)
+]
+# uniform images in [0, 1) times the scale, or with the signs of a
+# checkerboard: their means stay finite while the maps overflow
+_OVERFLOW_SCALES = np.array([1.7e308, 1.0, 1e300, 1e306, 1e307, 1.7e308])
+_CHECKERED = np.array([False, True, False, True, True, True])
+
+
+def overflow_stack(rng, shape):
+    """Six finite images scaled from 1 to 1.7e308; see ``_OVERFLOW_SCALES``."""
+    stack = rng.random((len(_OVERFLOW_SCALES), *shape)) * _OVERFLOW_SCALES[:, None, None]
+    stack[_CHECKERED] *= (-1.0) ** np.add.outer(*map(np.arange, shape))
+    return stack
+
+
+@pytest.mark.parametrize("shape, depth, angles", _OVERFLOW_CASES)
+def test_stack_rows_are_finite_exactly_where_the_image_alone_is(rng, shape, depth, angles):
+    # a stack returns every row: those of images whose own call returns
+    # are byte-equal to it, those of images whose own call raises are not
+    # finite, whatever the other images of the stack
+    cfg = RieszConfig(depth=depth, angles=angles)
+    stack = overflow_stack(rng, shape)
+    alone = []
+    with np.errstate(all="ignore"):
+        rows = extract_features(stack, cfg)
+        for f in stack:
+            try:
+                alone.append(extract_features(f, cfg))
+            except NonFiniteImageError:
+                alone.append(None)
+    raised = [vector is None for vector in alone]
+    assert [not np.isfinite(row).all() for row in rows] == raised
+    assert 0 < sum(raised) < len(stack)
+    for row, vector in zip(rows, alone):
+        if vector is not None:
+            assert row.tobytes() == vector.tobytes()
 
 
 def test_features_constant_image():
@@ -581,6 +628,14 @@ def test_features_csv_bytes_match_csv_module_writer(tmp_path, rows, labelled):
     written = (tmp_path / "a.csv").read_bytes()
     assert written == (tmp_path / "b.csv").read_bytes()
     assert written.count(b"\r\n") == rows + 1
+
+
+def test_features_csv_without_feature_columns_names_the_file(tmp_path):
+    out = tmp_path / "f.csv"
+    out.write_text("label\r\n0\r\n1\r\n", encoding="ascii")
+    with pytest.raises(ValueError, match="no feature columns") as caught:
+        read_features_csv(out)
+    assert str(out) in str(caught.value)
 
 
 @pytest.mark.parametrize(
