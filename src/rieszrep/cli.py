@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import inspect
+import itertools
 import logging
 import os
 import sys
@@ -155,34 +156,34 @@ def riesz_config(config) -> RieszConfig:
         raise ConfigError(str(exc))
 
 
-def _one_source(config, first, second):
-    """Reject two input sources given together, from flags or a file."""
-    if config[first] and config[second]:
-        raise ConfigError(f"'{first}' and '{second}' cannot both be given; choose one input source")
+def check_inputs(config, args):
+    """Raise ConfigError unless ``config`` gives every key of ``args.requires``
+    and, of the ``args.sources`` alternatives, one whole and no key of another.
+    ``main`` calls this before the handler, so no input file is read first."""
+    if not all(config[key] for key in args.requires):
+        raise ConfigError(f"{args.command} requires " + " and ".join(f"'{k}'" for k in args.requires))
+    for first, second in itertools.combinations(args.sources, 2):
+        for a, b in itertools.product(first, second):
+            if config[a] and config[b]:
+                raise ConfigError(f"'{a}' and '{b}' cannot both be given; choose one input source")
+    if args.sources and not any(all(config[key] for key in keys) for keys in args.sources):
+        sources = " or ".join("+".join(f"'{k}'" for k in keys) for keys in args.sources)
+        raise ConfigError(f"{args.command} requires {sources}")
 
 
 def load_input_images(config):
-    """Images plus optional labels from an IDX pair or an image directory."""
-    _one_source(config, "images", "image_dir")
-    _one_source(config, "labels", "image_dir")
+    """Images and labels from the IDX pair, else images from the directory;
+    ``check_inputs`` (or a manifest shard's pair) has made sure one is given."""
     limit = config["limit"]
     if config["images"]:
-        if not config["labels"]:
-            raise ConfigError("'images' requires 'labels' (IDX pair)")
         images, labels = load_idx(data_path(config["images"]), data_path(config["labels"]))
         return images[:limit], labels[:limit]
-    if config["image_dir"]:
-        directory = data_path(config["image_dir"])
-        files = sorted(
-            p
-            for p in directory.iterdir()
-            if p.suffix.lower() in (".pgm", ".pnm", ".txt")
-        )
-        if not files:
-            raise ConfigError(f"no graymap or matrix files in {directory}")
-        # files past the limit are never read
-        return [load_gray_image(p) for p in files[:limit]], None
-    raise ConfigError("either 'images'+'labels' or 'image_dir' is required")
+    directory = data_path(config["image_dir"])
+    files = sorted(p for p in directory.iterdir() if p.suffix.lower() in (".pgm", ".pnm", ".txt"))
+    if not files:
+        raise ConfigError(f"no graymap or matrix files in {directory}")
+    # files past the limit are never read
+    return [load_gray_image(p) for p in files[:limit]], None
 
 
 def _thread_count() -> int:
@@ -247,7 +248,8 @@ def extract_matrix(images, config):
 
     def extract(batch, workspace):
         """Fill a batch's finite rows from one stack; flag the others."""
-        crops = np.stack([img for _, img in batch])
+        # a lone crop goes as a view, not a copy
+        crops = batch[0][1][None] if len(batch) == 1 else np.stack([img for _, img in batch])
         features = extract_features(crops, cfg, workspace=workspace)
         for (index, _), row in zip(batch, features):
             if np.isfinite(row).all():
@@ -307,8 +309,7 @@ def extract_matrix(images, config):
 
 
 def cmd_extract(config, args) -> int:
-    if not config["output"]:
-        raise ConfigError("extract requires 'output'")
+    """Write the feature CSV of the input images to ``output``."""
     images, labels = load_input_images(config)
     if len(images) == 0:
         source = config["images"] or config["image_dir"]
@@ -324,8 +325,7 @@ def cmd_extract(config, args) -> int:
 
 
 def cmd_bbox(config, args) -> int:
-    if not config["out_dir"]:
-        raise ConfigError("bbox requires 'out_dir'")
+    """Write each input image's crop to ``out_dir``; blank ones are skipped."""
     images, _ = load_input_images(config)
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -376,8 +376,7 @@ def _finite_rows(matrix, labels):
 
 
 def cmd_train(config, args) -> int:
-    if not config["features"] or not config["output"]:
-        raise ConfigError("train requires 'features' and 'output'")
+    """Fit the classifier to the finite rows of ``features``; save it to ``output``."""
     matrix, _, labels = read_features_csv(config["features"])
     if labels is None:
         raise ConfigError("training features must carry a label column")
@@ -430,24 +429,19 @@ def _eval_sets(config, model_width):
         width = feature_count(cfg.depth, cfg.angles)
         check_width(width, f"depth {cfg.depth} and angles {cfg.angles} give")
         for scale, images_path, labels_path in shards:
-            # eval takes no image directory; a shared config file's is not a source
-            shard = dict(config, images=images_path, labels=labels_path, image_dir=None)
+            shard = dict(config, images=images_path, labels=labels_path)
             images, labels = load_input_images(shard)
             yield f"{scale:g}", images_path, extract_matrix(images, config), labels
-    elif config["features"]:
+    else:
         matrix, _, labels = read_features_csv(config["features"])
         if labels is None:
             raise ConfigError("evaluation features must carry a label column")
         check_width(matrix.shape[1], f"{config['features']} has")
         yield "all", config["features"], matrix, labels
-    else:
-        raise ConfigError("eval requires 'features' or 'manifest'")
 
 
 def cmd_eval(config, args) -> int:
-    if not config["model"]:
-        raise ConfigError("eval requires 'model'")
-    _one_source(config, "features", "manifest")
+    """Report the accuracy of ``model`` on each set of ``_eval_sets``, also to ``output``."""
     model = classify.load_model(config["model"])
     fitted = model.means if isinstance(model, classify.PcaClassModel) else model.weights
     report_rows = []
@@ -511,12 +505,9 @@ def cmd_bench(
     alike.  25x17 is the shape of a scale-1 crop; 16 of them fit one
     engine group at K=3, M=4, so that row times the batched path.
 
-    ``features`` is the mean over the consecutive same-shape images of
-    the size run through ``extract_matrix`` without bbox cropping, as
-    ``extract`` runs them: on up to two threads sharing the image
-    indices, as one stack when they fit an engine group, else one by
-    one, each thread lending its engine buffers from call to call.  The
-    filter caches are warmed first.
+    ``features`` is the mean over the size's same-shape images, run
+    through ``extract_matrix`` without bbox cropping as ``extract`` runs
+    them (see there), after the filter caches are warmed.
     """
     cfg = riesz_config(config)
     run = dict(config, bbox=False)
@@ -560,21 +551,28 @@ def build_parser():
     riesz = tuple(_RIESZ)
     inputs = ("images", "labels", "image_dir", "limit")
     bbox = ("bbox", *_CROP)
-    # name, handler, help, and the schema keys it takes as flags; each
-    # flag is the key with '-' for '_', so its dest is the key
+    idx_or_dir = (("images", "labels"), ("image_dir",))
+    # name, handler, help, the schema keys it takes as flags, the keys it
+    # requires, and its input sources: alternatives of keys given
+    # together (see check_inputs); each flag is the key with '-' for '_',
+    # so its dest is the key
     commands = (
-        ("extract", cmd_extract, "write a feature CSV", (*riesz, *inputs, *bbox, "output")),
-        ("bbox", cmd_bbox, "write cropped graymaps", (*inputs, *bbox, "out_dir")),
+        ("extract", cmd_extract, "write a feature CSV",
+         (*riesz, *inputs, *bbox, "output"), ("output",), idx_or_dir),
+        ("bbox", cmd_bbox, "write cropped graymaps",
+         (*inputs, *bbox, "out_dir"), ("out_dir",), idx_or_dir),
         ("train", cmd_train, "train a classifier from a feature CSV",
-         ("features", "classifier", "components", "reg", "epochs", "seed", "output")),
+         ("features", "classifier", "components", "reg", "epochs", "seed", "output"),
+         ("features", "output"), ()),
         ("eval", cmd_eval, "evaluate a model",
-         (*riesz, *bbox, "features", "manifest", "limit", "model", "output")),
-        ("verify", cmd_verify, "run the numerical property suite", ("seed",)),
-        ("bench", cmd_bench, "time the pipeline stages", (*riesz, "seed")),
+         (*riesz, *bbox, "features", "manifest", "limit", "model", "output"),
+         ("model",), (("features",), ("manifest",))),
+        ("verify", cmd_verify, "run the numerical property suite", ("seed",), (), ()),
+        ("bench", cmd_bench, "time the pipeline stages", (*riesz, "seed"), (), ()),
     )
-    for name, handler, help_text, keys in commands:
+    for name, handler, help_text, keys, requires, sources in commands:
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, requires=requires, sources=sources)
         p.add_argument("--config", help="flat 'key = value' configuration file")
         p.add_argument("--print-config", action="store_true")
         for key in keys:
@@ -599,6 +597,7 @@ def main(argv=None) -> int:
         if getattr(args, "print_config", False):
             for key in sorted(config):
                 print(f"{key} = {config[key]}")
+        check_inputs(config, args)
         return args.handler(config, args)
     except ConfigError as exc:
         log.error("config error: %s", exc)

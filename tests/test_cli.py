@@ -125,6 +125,17 @@ _OPTION_TABLE = {
     },
     "bench": _COMMON | _RIESZ | {_SEED},
 }
+_IDX_OR_DIR = (("images", "labels"), ("image_dir",))
+# (required keys, input-source alternatives) that main checks before
+# each handler runs
+_INPUT_TABLE = {
+    "extract": (("output",), _IDX_OR_DIR),
+    "bbox": (("out_dir",), _IDX_OR_DIR),
+    "train": (("features", "output"), ()),
+    "eval": (("model",), (("features",), ("manifest",))),
+    "verify": ((), ()),
+    "bench": ((), ()),
+}
 
 
 def test_subcommand_option_table():
@@ -144,6 +155,11 @@ def test_subcommand_option_table():
             for a in parser._actions
         }
         assert table == _OPTION_TABLE[name], name
+        declared = (parser.get_default("requires"), parser.get_default("sources"))
+        assert declared == _INPUT_TABLE[name], name
+        # every declared key is one the command takes as a flag
+        dests = {a.dest for a in parser._actions}
+        assert {*declared[0], *(key for keys in declared[1] for key in keys)} <= dests, name
 
 
 def test_parser_is_built_once():
@@ -241,21 +257,65 @@ def test_config_file_bad_line(tmp_path):
     assert main(["verify", "--config", str(cfg)]) == 2
 
 
-def test_print_config(tmp_path, capsys):
+def test_print_config(tmp_path, capsys, caplog):
     cfg = tmp_path / "riesz.cfg"
     cfg.write_text("depth = 2\n")
     # flag overrides file; the config is printed before train stops at
-    # its missing inputs, so no property suite runs
+    # its missing inputs
     assert main(["train", "--config", str(cfg), "--print-config", "--seed", "5"]) == 2
     out = capsys.readouterr().out
     assert "depth = 2" in out
     assert "seed = 5" in out
+    (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error == "config error: train requires 'features' and 'output'"
 
 
-def test_missing_required_option():
-    assert main(["extract"]) == 2  # no input source
-    assert main(["train"]) == 2  # no features/output
-    assert main(["eval"]) == 2  # no model
+_IMAGE_SOURCES = "'images'+'labels' or 'image_dir'"
+
+
+@pytest.mark.parametrize(
+    "argv, config_line, message",
+    [
+        (["extract", "--images", "i.idx", "--labels", "l.idx"], None, "extract requires 'output'"),
+        (["extract", "--image-dir", "d"], None, "extract requires 'output'"),
+        (["extract", "--output", "out"], None, f"extract requires {_IMAGE_SOURCES}"),
+        (["extract", "--images", "i.idx", "--output", "out"], None,
+         f"extract requires {_IMAGE_SOURCES}"),
+        (["extract", "--labels", "l.idx", "--output", "out"], None,
+         f"extract requires {_IMAGE_SOURCES}"),
+        (["extract", "--output", "out"], "images = i.idx", f"extract requires {_IMAGE_SOURCES}"),
+        (["bbox", "--images", "i.idx", "--labels", "l.idx"], None, "bbox requires 'out_dir'"),
+        (["bbox", "--out-dir", "out"], None, f"bbox requires {_IMAGE_SOURCES}"),
+        (["bbox", "--images", "i.idx", "--out-dir", "out"], None,
+         f"bbox requires {_IMAGE_SOURCES}"),
+        (["bbox", "--labels", "l.idx", "--out-dir", "out"], None,
+         f"bbox requires {_IMAGE_SOURCES}"),
+        (["train", "--features", "f.csv"], None, "train requires 'features' and 'output'"),
+        (["train", "--output", "out"], None, "train requires 'features' and 'output'"),
+        (["train"], "features = f.csv", "train requires 'features' and 'output'"),
+        (["eval", "--features", "f.csv"], None, "eval requires 'model'"),
+        (["eval", "--manifest", "m.txt"], None, "eval requires 'model'"),
+        (["eval", "--model", "m.txt"], None, "eval requires 'features' or 'manifest'"),
+        # a config file's image directory is no source for eval
+        (["eval", "--model", "m.txt"], "image_dir = d", "eval requires 'features' or 'manifest'"),
+    ],
+    ids=["extract-no-output-idx", "extract-no-output-dir", "extract-no-source",
+         "extract-images-without-labels", "extract-labels-without-images",
+         "extract-config-file-images-without-labels", "bbox-no-out-dir", "bbox-no-source",
+         "bbox-images-without-labels", "bbox-labels-without-images", "train-no-output",
+         "train-no-features", "train-config-file-no-output", "eval-features-no-model",
+         "eval-manifest-no-model", "eval-model-no-source", "eval-config-file-dir-no-source"],
+)
+def test_missing_required_option(tmp_path, monkeypatch, caplog, argv, config_line, message):
+    # no input file exists, the model included: reading one would exit 1
+    monkeypatch.chdir(tmp_path)
+    if config_line:
+        (tmp_path / "riesz.cfg").write_text(config_line + "\n")
+        argv = [*argv, "--config", "riesz.cfg"]
+    assert main(argv) == 2
+    (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error == f"config error: {message}"
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_riesz_config(tmp_path, rng):
@@ -574,13 +634,16 @@ def test_negative_seed_exits_2_before_any_file_is_read(tmp_path, caplog, argv, c
         (["extract", "--images", "i.idx", "--labels", "l.idx", "--image-dir", "d"], None,
          ("images", "image_dir")),
         (["extract", "--labels", "l.idx"], "image_dir = d", ("labels", "image_dir")),
+        (["extract", "--images", "i.idx", "--image-dir", "d"], None, ("images", "image_dir")),
         (["bbox", "--images", "i.idx", "--labels", "l.idx"], "image_dir = d",
          ("images", "image_dir")),
+        (["bbox", "--image-dir", "d", "--labels", "l.idx"], None, ("labels", "image_dir")),
+        (["bbox", "--images", "i.idx", "--image-dir", "d"], None, ("images", "image_dir")),
         (["eval", "--features", "f.csv", "--manifest", "m.txt"], None, ("features", "manifest")),
         (["eval", "--features", "f.csv"], "manifest = m.txt", ("features", "manifest")),
     ],
-    ids=["dir-labels", "idx-dir", "config-file-dir", "bbox-config-file-dir", "features-manifest",
-         "config-file-manifest"],
+    ids=["dir-labels", "idx-dir", "config-file-dir", "images-dir", "bbox-config-file-dir",
+         "bbox-dir-labels", "bbox-images-dir", "features-manifest", "config-file-manifest"],
 )
 def test_conflicting_input_sources_exit_2_before_any_read(
     tmp_path, monkeypatch, caplog, argv, config_line, keys
