@@ -18,6 +18,7 @@ import functools
 import inspect
 import itertools
 import logging
+import math
 import os
 import sys
 import threading
@@ -28,8 +29,15 @@ from pathlib import Path
 import numpy as np
 
 from . import classify, verify
-from .image_core import NonFiniteImageError, as_image, load_gray_image, load_idx, save_gray_pgm
-from .preprocess import BlankImageError, bbox_compute, bbox_extract, check_crop_settings
+from .image_core import (
+    IdxImages,
+    NonFiniteImageError,
+    as_image,
+    load_gray_image,
+    load_idx,
+    save_gray_pgm,
+)
+from .preprocess import BlankImageError, check_crop_settings, find_crops
 from .representation import (
     NON_FINITE_FEATURES,
     RieszConfig,
@@ -54,11 +62,11 @@ def _parse_bool(value):
     raise ValueError(f"expected 1/true/yes or 0/false/no, got {value!r}")
 
 
-# the keys that build a RieszConfig and those passed on to bbox_compute,
+# the keys that build a RieszConfig and those passed on to find_crops,
 # with their parsers; both take their defaults from there
 _RIESZ = {"depth": int, "angles": int, "scale_constant": float}
 _CROP = {"pad": int, "threshold": float, "enlarge": float}
-_CROP_DEFAULTS = inspect.signature(bbox_compute).parameters
+_CROP_DEFAULTS = inspect.signature(find_crops).parameters
 
 # key -> (parser, default); config files and flags share this schema
 _SCHEMA = {
@@ -79,6 +87,19 @@ _SCHEMA = {
     "model": (str, None),
     "output": (str, None),
     "out_dir": (str, None),
+}
+
+_CLASSIFIERS = ("pca", "svm")
+
+# key -> (test, rule) of the other numeric keys whose range
+# ``resolve_config`` checks; ``check_crop_settings`` and ``RieszConfig``
+# check the crop and Riesz keys
+_RANGES = {
+    "limit": (lambda v: v is None or v >= 0, ">= 0"),
+    "seed": (lambda v: v >= 0, ">= 0"),
+    "components": (lambda v: v >= 1, ">= 1"),
+    "epochs": (lambda v: v >= 1, ">= 1"),
+    "reg": (lambda v: 0 <= v < math.inf, "finite and >= 0"),
 }
 
 
@@ -124,11 +145,12 @@ def resolve_config(args) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
-    # checked here, before any command reads an image
-    if config["limit"] is not None and config["limit"] < 0:
-        raise ConfigError(f"limit must be >= 0, got {config['limit']}")
-    if config["seed"] < 0:
-        raise ConfigError(f"seed must be >= 0, got {config['seed']}")
+    # checked here, before any command reads a file
+    for key, (test, rule) in _RANGES.items():
+        if not test(config[key]):
+            raise ConfigError(f"{key} must be {rule}, got {config[key]}")
+    if config["classifier"] not in _CLASSIFIERS:
+        raise ConfigError(f"unknown classifier {config['classifier']!r}")
     try:
         check_crop_settings(**_pick(config, _CROP))
     except ValueError as exc:
@@ -186,6 +208,20 @@ def load_input_images(config):
     return [load_gray_image(p) for p in files[:limit]], None
 
 
+def _crop_finder(images, config):
+    """A function giving the ``Crop`` of ``images[index]``.
+
+    An ``IdxImages`` input's crops are all found here, in one pass over
+    its bytes (``find_crops``); any other image is cropped as a stack of
+    one when its index is asked for, and raises NonFiniteImageError then
+    if it holds a non-finite sample.
+    """
+    crop = _pick(config, _CROP)
+    if isinstance(images, IdxImages):
+        return find_crops(images, **crop).__getitem__
+    return lambda index: find_crops(as_image(images[index])[None], **crop)[0]
+
+
 def _thread_count() -> int:
     """Threads ``extract_matrix`` runs: the CPUs this process may use, at most 2.
 
@@ -209,7 +245,11 @@ def extract_matrix(images, config):
 
     Blank images (no bounding box) and images whose samples, feature
     maps or means are not finite are logged with the image index, in
-    index order, and the run continues.  Each image is cropped (with ``bbox``) and put
+    index order, and the run continues.  With ``bbox``, an ``IdxImages``
+    input's crop boxes are all found before the workers start, in one
+    pass over its bytes (``find_crops``), and a worker cuts each crop
+    from the bytes when it takes the index; any other image is cropped
+    as a stack of one when taken (``_crop_finder``).  Each image is put
     in its shape's batch, extracted as one stack once it fills a level-1
     engine group (``group_size``, at most half of ``_LOOKAHEAD``; one
     image for 128x128 at M=8 or a scale-4 digit crop).  When
@@ -232,7 +272,7 @@ def extract_matrix(images, config):
     count) matrix.
     """
     cfg = riesz_config(config)
-    crop = _pick(config, _CROP)
+    crop_at = _crop_finder(images, config) if config["bbox"] else None
     matrix = np.full((len(images), feature_count(cfg.depth, cfg.angles)), np.nan)
     flagged = {}
     # next() on a range iterator is atomic under the GIL, so the workers
@@ -266,10 +306,12 @@ def extract_matrix(images, config):
             with np.errstate(over="ignore", invalid="ignore"):
                 for index in indices:
                     try:
-                        img = images[index]
-                        img = bbox_extract(img, **crop) if config["bbox"] else as_image(img)
+                        img = crop_at(index).cut() if crop_at else as_image(images[index])
                     except (BlankImageError, NonFiniteImageError) as exc:
-                        flagged[index] = exc
+                        # the message only: a kept exception's traceback
+                        # holds this frame, and so the crops, in a cycle
+                        # until the next garbage collection
+                        flagged[index] = str(exc)
                         continue
                     with lock:
                         if stop:
@@ -329,9 +371,11 @@ def cmd_bbox(config, args) -> int:
     images, _ = load_input_images(config)
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i, img in enumerate(images):
+    crop_at = _crop_finder(images, config)
+    for i in range(len(images)):
         try:
-            crop, tight, box = bbox_compute(img, **_pick(config, _CROP))
+            found = crop_at(i)
+            crop = found.cut()
         except (BlankImageError, NonFiniteImageError) as exc:
             log.warning("image %d skipped: %s", i, exc)
             continue
@@ -339,10 +383,10 @@ def cmd_bbox(config, args) -> int:
         log.info(
             "image %d: tight %dx%d, enlarged %dx%d",
             i,
-            tight.height,
-            tight.width,
-            box.height,
-            box.width,
+            found.tight.height,
+            found.tight.width,
+            found.box.height,
+            found.box.width,
         )
     return 0
 
@@ -352,19 +396,17 @@ def _train_model(matrix, labels, config):
     try:
         if config["classifier"] == "pca":
             return classify.pca_fit(matrix, labels, config["components"])
-        if config["classifier"] == "svm":
-            normalizer = classify.maxabs_fit(matrix)
-            return classify.svm_fit(
-                matrix,
-                labels,
-                reg=config["reg"],
-                epochs=config["epochs"],
-                seed=config["seed"],
-                normalizer=normalizer,
-            )
+        normalizer = classify.maxabs_fit(matrix)
+        return classify.svm_fit(
+            matrix,
+            labels,
+            reg=config["reg"],
+            epochs=config["epochs"],
+            seed=config["seed"],
+            normalizer=normalizer,
+        )
     except ValueError as exc:
         raise ConfigError(str(exc))
-    raise ConfigError(f"unknown classifier {config['classifier']!r}")
 
 
 def _finite_rows(matrix, labels):
@@ -580,7 +622,7 @@ def build_parser():
             if key == "bbox":
                 p.add_argument(flag, action="store_const", const=True)
             else:
-                choices = ("pca", "svm") if key == "classifier" else None
+                choices = _CLASSIFIERS if key == "classifier" else None
                 p.add_argument(flag, type=_SCHEMA[key][0], choices=choices)
     sub.choices["verify"].add_argument("--inject-fault", choices=tuple(verify.FAULTS))
     return parser

@@ -104,13 +104,20 @@ def _read_exact(fh, count: int, path, what: str) -> bytes:
     return fh.read(count)
 
 
+def scale_idx_pixels(pixels):
+    """IDX pixel bytes as float64 samples in [0, 1]: each byte / 255."""
+    return pixels / 255.0
+
+
 class IdxImages(Sequence):
     """The images of an IDX file, scaled to [0, 1] when each is taken.
 
     Holds the (N, H, W) pixel bytes; indexing gives one (H, W) float64
-    image, ``pixels[i] / 255.0``, and slicing another ``IdxImages`` over
-    the same bytes.  A float64 stack would take 8x the file's memory for
-    the life of the run, while extraction needs one image at a time.
+    image, ``scale_idx_pixels(pixels[i])``, and slicing another
+    ``IdxImages`` over the same bytes.  A float64 stack would take 8x the
+    file's memory for the life of the run, while extraction needs one
+    image at a time, and the crop search (``preprocess.find_crops``)
+    reads the bytes themselves.
     """
 
     def __init__(self, pixels: np.ndarray):
@@ -122,7 +129,7 @@ class IdxImages(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return IdxImages(self.pixels[index])
-        return self.pixels[index].astype(np.float64) / 255.0
+        return scale_idx_pixels(self.pixels[index])
 
 
 def load_idx(images_path, labels_path):

@@ -6,16 +6,28 @@ framed by ``pad`` zero pixels on every side, but that frame is never
 built: with a threshold above 0 the padding is never foreground, so the
 tight box is found on the image alone and shifted by ``pad``, and the
 crop is zeros plus the part of the image the enlarged box overlaps.
+
+The boxes of a whole same-shape stack are found at once
+(``find_crops``), from each image's row and column maxima and its
+minimum.  (x - lo) / (hi - lo) never decreases as x grows, so a row or
+column has a pixel at or above the threshold exactly when its maximum
+does once normalized.  An IDX stack is reduced over its stored bytes:
+byte / 255 grows with the byte too, so the maxima and minima of the
+bytes are those of the images.  Only those reductions and, when a crop
+is cut, the pixels it keeps are made float64, the way ``IdxImages``
+makes them (``scale_idx_pixels``); no float64 copy of the stack is made.
+``bbox_compute`` is the one-image case.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .image_core import as_image
+from .image_core import IdxImages, NonFiniteImageError, as_image, scale_idx_pixels
 
 
 class BlankImageError(ValueError):
@@ -36,24 +48,6 @@ class BoundingBox:
     @property
     def col1(self):
         return self.col0 + self.width
-
-
-def tight_bbox(row_mask: np.ndarray, col_mask: np.ndarray) -> BoundingBox:
-    """The smallest box holding every flagged row and column.
-
-    ``row_mask[i]`` says whether row i has a foreground pixel,
-    ``col_mask[j]`` the same of column j.
-    """
-    rows = np.flatnonzero(row_mask)
-    cols = np.flatnonzero(col_mask)
-    if rows.size == 0:
-        raise BlankImageError("no foreground pixels above threshold")
-    return BoundingBox(
-        row0=int(rows[0]),
-        col0=int(cols[0]),
-        height=int(rows[-1] - rows[0] + 1),
-        width=int(cols[-1] - cols[0] + 1),
-    )
 
 
 def enlarge_bbox(box: BoundingBox, enlarge: float, height: int, width: int) -> BoundingBox:
@@ -89,10 +83,89 @@ def check_crop_settings(pad, threshold, enlarge):
         raise ValueError(f"enlarge must be finite and > -1, got {enlarge}")
 
 
+@dataclass(frozen=True)
+class Crop:
+    """One image's boxes, and what cuts its crop.
+
+    ``samples`` is the image as stored, ``to_float`` makes its pixels
+    float64 and ``lo`` and ``span`` normalize them.  A blank image (span
+    0) and one whose sample range overflows float64 (span inf) have no
+    boxes.
+    """
+
+    samples: np.ndarray
+    to_float: Callable
+    lo: float
+    span: float
+    pad: int
+    tight: BoundingBox | None = None
+    box: BoundingBox | None = None
+
+    def cut(self) -> np.ndarray:
+        """The enlarged box cut from the padded, normalized image.
+
+        Raises BlankImageError for a blank image and NonFiniteImageError
+        for an overflowing one.
+        """
+        if self.span == 0:  # normalizes to zeros, below any threshold
+            raise BlankImageError("no foreground pixels above threshold")
+        if self.span == math.inf:
+            raise NonFiniteImageError("sample range overflows float64")
+        box, pad = self.box, self.pad
+        height, width = self.samples.shape
+        # the box's overlap with the image, in image coordinates
+        r0, r1 = max(box.row0 - pad, 0), min(box.row1 - pad, height)
+        c0, c1 = max(box.col0 - pad, 0), min(box.col1 - pad, width)
+        dr, dc = pad - box.row0, pad - box.col0
+        crop = np.zeros((box.height, box.width))
+        pixels = self.to_float(self.samples[r0:r1, c0:c1])
+        crop[r0 + dr : r1 + dr, c0 + dc : c1 + dc] = (pixels - self.lo) / self.span
+        return crop
+
+
+def find_crops(images, pad: int = 50, threshold: float = 0.5, enlarge: float = 0.4) -> list[Crop]:
+    """The ``Crop`` of each image of a same-shape stack.
+
+    ``images`` is an ``IdxImages`` or an (n, H, W) stack of float images
+    (``as_image``, so a non-finite sample raises NonFiniteImageError).
+    The row maxima, column maxima and minima of the whole stack are one
+    reduction each, an ``IdxImages``'s over its bytes (see the module
+    docstring).  A flagged image's ``Crop`` raises from ``cut``.  Raises
+    ValueError for settings that ``check_crop_settings`` rejects.
+    """
+    check_crop_settings(pad, threshold, enlarge)
+    if isinstance(images, IdxImages):
+        samples, to_float = images.pixels, scale_idx_pixels
+    else:
+        samples, to_float = as_image(images, stack=True), np.asarray
+    _, height, width = samples.shape
+    col_max = to_float(samples.max(axis=1))
+    row_max = to_float(samples.max(axis=2))
+    lo = to_float(samples.min(axis=(1, 2)))
+    # the masks of a blank image (span 0) or an overflowing one (span
+    # inf) are never read
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        span = col_max.max(axis=1) - lo
+        rows = (row_max - lo[:, None]) / span[:, None] >= threshold
+        cols = (col_max - lo[:, None]) / span[:, None] >= threshold
+    # each image's first foreground row and column, and its last as the
+    # first of the reversed masks
+    ends = [mask.argmax(axis=1).tolist() for mask in (rows, cols, rows[:, ::-1], cols[:, ::-1])]
+    crops = []
+    for image, low, s, r0, c0, r_end, c_end in zip(samples, lo.tolist(), span.tolist(), *ends):
+        if not 0 < s < math.inf:
+            crops.append(Crop(image, to_float, low, s, pad))
+            continue
+        tight = BoundingBox(r0 + pad, c0 + pad, height - r_end - r0, width - c_end - c0)
+        box = enlarge_bbox(tight, enlarge, height + 2 * pad, width + 2 * pad)
+        crops.append(Crop(image, to_float, low, s, pad, tight, box))
+    return crops
+
+
 def bbox_compute(
     f: np.ndarray, pad: int = 50, threshold: float = 0.5, enlarge: float = 0.4
 ):
-    """Run the four-step bounding-box pipeline.
+    """Run the four-step bounding-box pipeline on one image.
 
     Returns (crop, tight_box, enlarged_box).  The boxes are in the
     coordinates of the normalized image padded by ``pad`` zeros on every
@@ -101,36 +174,10 @@ def bbox_compute(
     above the threshold count as foreground, so binary images keep
     their 1-pixels.  Raises ValueError for settings that
     ``check_crop_settings`` rejects and BlankImageError when no pixel
-    is foreground.
+    is foreground.  The image is a stack of one to ``find_crops``.
     """
-    check_crop_settings(pad, threshold, enlarge)
-    f = as_image(f)
-    height, width = f.shape
-    col_max = f.max(axis=0)
-    lo, hi = f.min(), col_max.max()
-    if hi == lo:  # normalizes to zeros, below any threshold
-        raise BlankImageError("no foreground pixels above threshold")
-    # (x - lo) / (hi - lo) never decreases as x grows, so a column or row
-    # has a pixel at or above the threshold exactly when its maximum does
-    # once normalized.  Rows are searched between the first and the last
-    # such column only, and only the pixels the crop keeps are normalized.
-    span = hi - lo
-    cols = (col_max - lo) / span >= threshold
-    c0, c1 = np.flatnonzero(cols)[[0, -1]]
-    # the row maxima as column maxima of the transposed copy: numpy reduces
-    # those as elementwise maxima of contiguous rows, 3 against 9 us
-    # for 12 columns of a 112-row frame
-    row_max = np.ascontiguousarray(f[:, c0 : c1 + 1].T).max(axis=0)
-    inner = tight_bbox((row_max - lo) / span >= threshold, cols)
-    tight = BoundingBox(inner.row0 + pad, inner.col0 + pad, inner.height, inner.width)
-    box = enlarge_bbox(tight, enlarge, height + 2 * pad, width + 2 * pad)
-    # the box's overlap with the image, in image coordinates
-    r0, r1 = max(box.row0 - pad, 0), min(box.row1 - pad, height)
-    c0, c1 = max(box.col0 - pad, 0), min(box.col1 - pad, width)
-    dr, dc = pad - box.row0, pad - box.col0
-    crop = np.zeros((box.height, box.width))
-    crop[r0 + dr : r1 + dr, c0 + dc : c1 + dc] = (f[r0:r1, c0:c1] - lo) / span
-    return crop, tight, box
+    crop = find_crops(as_image(f)[None], pad, threshold, enlarge)[0]
+    return crop.cut(), crop.tight, crop.box
 
 
 def bbox_extract(

@@ -628,6 +628,41 @@ def test_negative_seed_exits_2_before_any_file_is_read(tmp_path, caplog, argv, c
 
 
 @pytest.mark.parametrize(
+    "argv, config_line, message",
+    [
+        (["--epochs", "-1"], None, "epochs must be >= 1, got -1"),
+        (["--epochs", "0"], None, "epochs must be >= 1, got 0"),
+        ([], "epochs = -2", "epochs must be >= 1, got -2"),
+        (["--components", "0"], None, "components must be >= 1, got 0"),
+        ([], "components = -1", "components must be >= 1, got -1"),
+        (["--reg", "nan"], None, "reg must be finite and >= 0, got nan"),
+        (["--reg", "-0.5"], None, "reg must be finite and >= 0, got -0.5"),
+        ([], "reg = inf", "reg must be finite and >= 0, got inf"),
+        ([], "classifier = foo", "unknown classifier 'foo'"),
+    ],
+    ids=["epochs-negative", "epochs-zero", "config-file-epochs", "components-zero",
+         "config-file-components", "reg-nan", "reg-negative", "config-file-reg-inf",
+         "config-file-classifier"],
+)
+@pytest.mark.parametrize("csv", ["missing", "existing"])
+def test_train_settings_exit_2_before_any_file_is_read(tmp_path, caplog, argv, config_line, message, csv):
+    # the same exit and message whether or not the feature file exists:
+    # reading a missing one would exit 1
+    features = tmp_path / "f.csv"
+    if csv == "existing":
+        features.write_text("[0],label\n0.5,0\n0.25,1\n")
+    argv = ["train", *argv, "--features", str(features), "--output", str(tmp_path / "m")]
+    if config_line:
+        cfg = tmp_path / "riesz.cfg"
+        cfg.write_text(config_line + "\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error == f"config error: {message}"
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize(
     "argv, config_line, keys",
     [
         (["extract", "--image-dir", "d", "--labels", "l.idx"], None, ("labels", "image_dir")),
@@ -715,10 +750,13 @@ def test_bbox_command_skips_non_finite_image(tmp_path, caplog):
     d.mkdir()
     write_matrix(d / "a.txt", synthetic_digit(32))
     (d / "b.txt").write_text("2 2\nnan 1\n0 1\n")
+    # finite, but max - min overflows: it cannot be normalized
+    (d / "c.txt").write_text("2 2\n-1e308 1\n0 1e308\n")
     out_dir = tmp_path / "crops"
     assert main(["bbox", "--image-dir", str(d), "--out-dir", str(out_dir)]) == 0
     assert sorted(p.name for p in out_dir.iterdir()) == ["crop_00000.pgm"]
     assert "image 1 skipped: image contains non-finite samples" in caplog.text
+    assert "image 2 skipped: sample range overflows float64" in caplog.text
 
 
 def test_train_eval_round_trip(tmp_path, rng, capsys):
@@ -1285,6 +1323,35 @@ def test_extract_matrix_batches_match_single_images(monkeypatch, rng, caplog, cp
     assert max(stacks) > 1
     lines = [r.getMessage() for r in caplog.records if "flagged" in r.getMessage()]
     assert lines == [f"image {i} flagged: {reason}" for i, reason in sorted(reasons.items())]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("limit", [None, 9])
+def test_extract_matrix_on_idx_bytes_matches_its_float_images(monkeypatch, rng, caplog, cpus, limit):
+    # an IDX input's crops, found from its bytes before the workers start,
+    # give the rows and flag lines of the same images taken as floats,
+    # each cropped as a stack of one; blank and constant images included
+    import rieszrep.cli as cli
+    from rieszrep.image_core import IdxImages
+
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    pixels = np.zeros((14, 28, 28), dtype=np.uint8)
+    for i, img in enumerate(pixels):
+        size = 6 + 3 * (i % 4)  # four crop shapes
+        img[4 : 4 + size, 5 : 5 + size] = rng.integers(0, 256, (size, size))
+    pixels[3] = 0
+    pixels[8] = 200
+    pixels[12, 0, :] = 255  # foreground on the top border
+    images = IdxImages(pixels)[:limit]
+    floats = [images[i] for i in range(len(images))]
+    config = _default_config(depth=2, angles=4, bbox=True, pad=2)
+    runs = []
+    for source in (images, floats):
+        caplog.clear()
+        matrix = cli.extract_matrix(source, config)
+        runs.append((matrix.tobytes(), [r.getMessage() for r in caplog.records]))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == [f"image {i} flagged: no foreground pixels above threshold" for i in (3, 8)]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

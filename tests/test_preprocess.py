@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from rieszrep.image_core import IdxImages, NonFiniteImageError
 from rieszrep.preprocess import (
     BlankImageError,
+    BoundingBox,
     bbox_compute,
     bbox_extract,
     enlarge_bbox,
-    tight_bbox,
+    find_crops,
 )
 
 from conftest import synthetic_digit
@@ -75,7 +79,8 @@ def padded_reference(f, pad, threshold, enlarge):
     lo, hi = f.min(), f.max()
     padded = np.pad((f - lo) / (hi - lo), pad)
     mask = padded >= threshold
-    tight = tight_bbox(mask.any(axis=1), mask.any(axis=0))
+    rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+    tight = BoundingBox(rows[0], cols[0], rows[-1] - rows[0] + 1, cols[-1] - cols[0] + 1)
     box = enlarge_bbox(tight, enlarge, *padded.shape)
     return padded[box.row0 : box.row1, box.col0 : box.col1], tight, box
 
@@ -145,3 +150,100 @@ def test_threshold_out_of_range_raises(threshold):
     for routine in (bbox_compute, bbox_extract):
         with pytest.raises(ValueError, match="threshold must be in"):
             routine(img, threshold=threshold)
+
+
+def per_image_reference(f, pad, threshold, enlarge):
+    """The crop and boxes of one float image, searched image by image: on
+    its own float64 column maxima, then on the row maxima between its
+    first and last foreground column."""
+    height, width = f.shape
+    col_max = f.max(axis=0)
+    lo, hi = f.min(), col_max.max()
+    if hi == lo:
+        raise BlankImageError("no foreground pixels above threshold")
+    span = hi - lo
+    cols = np.flatnonzero((col_max - lo) / span >= threshold)
+    row_max = f[:, cols[0] : cols[-1] + 1].max(axis=1)
+    rows = np.flatnonzero((row_max - lo) / span >= threshold)
+    tight = BoundingBox(
+        int(rows[0]) + pad, int(cols[0]) + pad, int(rows[-1] - rows[0] + 1), int(cols[-1] - cols[0] + 1)
+    )
+    box = enlarge_bbox(tight, enlarge, height + 2 * pad, width + 2 * pad)
+    frame = np.pad((f - lo) / span, pad)
+    return frame[box.row0 : box.row1, box.col0 : box.col1], tight, box
+
+
+@st.composite
+def uint8_image(draw, height, width):
+    """A blank, constant, single-pixel, border-touching or random image."""
+    kind = draw(st.sampled_from(["blank", "constant", "single-pixel", "border", "random"]))
+    byte = st.integers(0, 255)
+    img = np.full((height, width), draw(byte) if kind == "constant" else 0, dtype=np.uint8)
+    if kind == "single-pixel":
+        img[draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))] = draw(byte)
+    elif kind == "border":
+        img[draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))] = draw(byte)
+        rows, cols = [0, -1] if draw(st.booleans()) else slice(None), draw(st.sampled_from([0, -1]))
+        img[rows, cols] = draw(byte)
+    elif kind == "random":
+        values = draw(st.lists(byte, min_size=height * width, max_size=height * width))
+        img[...] = np.reshape(values, (height, width))
+    return img
+
+
+@st.composite
+def uint8_stack(draw):
+    # 1xN, Nx1 and non-square shapes included
+    height, width = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    count = draw(st.integers(1, 5))
+    return np.stack([draw(uint8_image(height, width)) for _ in range(count)])
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    stack=uint8_stack(),
+    pad=st.sampled_from([0, 1, 3]),
+    threshold=st.sampled_from([1.0, 0.5, 0.3]),
+    enlarge=st.sampled_from([-0.5, 0.0, 0.4, 2.0]),
+)
+def test_stack_search_equals_per_image_crop(stack, pad, threshold, enlarge):
+    # each image of an IDX stack, found from the stack's bytes, has the
+    # boxes and the crop, byte for byte and sign bit included, that its
+    # own float image gives alone; so does a float stack of the same
+    images = IdxImages(stack)
+    floats = np.stack([images[i] for i in range(len(images))])
+    for found in (find_crops(images, pad, threshold, enlarge), find_crops(floats, pad, threshold, enlarge)):
+        assert len(found) == len(stack)
+        for crop, img in zip(found, floats):
+            try:
+                expected, tight, box = per_image_reference(img, pad, threshold, enlarge)
+            except BlankImageError:
+                assert (crop.tight, crop.box) == (None, None)
+                with pytest.raises(BlankImageError, match="no foreground pixels above threshold"):
+                    crop.cut()
+                continue
+            assert (crop.tight, crop.box) == (tight, box)
+            cut = crop.cut()
+            assert cut.dtype == np.float64 and cut.shape == expected.shape
+            assert cut.tobytes() == expected.tobytes()
+            assert np.array_equal(np.signbit(cut), np.signbit(expected))
+
+
+def test_find_crops_flags_an_overflowing_range():
+    # each sample is finite, but max - min is not: the image cannot be
+    # normalized, so its crop is flagged instead of cut at a wrong box
+    img = np.array([[-1e308, 0.0], [0.5, 1e308]])
+    (crop,) = find_crops(img[None])
+    assert crop.box is None
+    with pytest.raises(NonFiniteImageError, match="sample range overflows"):
+        crop.cut()
+    with pytest.raises(NonFiniteImageError):
+        bbox_extract(img)
+
+
+def test_find_crops_rejects_a_non_finite_float_stack():
+    stack = np.ones((2, 4, 4))
+    stack[1, 2, 2] = np.nan
+    with pytest.raises(NonFiniteImageError):
+        find_crops(stack)
