@@ -21,31 +21,19 @@ import logging
 import math
 import os
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import classify, verify
-from .image_core import (
-    IdxImages,
-    NonFiniteImageError,
-    as_image,
-    load_gray_image,
-    load_idx,
-    save_gray_pgm,
-)
-from .preprocess import BlankImageError, check_crop_settings, find_crops
+from .extraction import extract_matrix
+from .image_core import NonFiniteImageError, load_gray_image, load_idx, save_gray_pgm
+from .preprocess import BlankImageError, check_crop_settings, crop_finder, find_crops
 from .representation import (
-    NON_FINITE_FEATURES,
     RieszConfig,
-    Workspace,
-    extract_features,
     feature_count,
     feature_paths,
-    group_size,
     read_features_csv,
     write_features_csv,
 )
@@ -208,145 +196,14 @@ def load_input_images(config):
     return [load_gray_image(p) for p in files[:limit]], None
 
 
-def _crop_finder(images, config):
-    """A function giving the ``Crop`` of ``images[index]``.
-
-    An ``IdxImages`` input's crops are all found here, in one pass over
-    its bytes (``find_crops``); any other image is cropped as a stack of
-    one when its index is asked for, and raises NonFiniteImageError then
-    if it holds a non-finite sample.
-    """
-    crop = _pick(config, _CROP)
-    if isinstance(images, IdxImages):
-        return find_crops(images, **crop).__getitem__
-    return lambda index: find_crops(as_image(images[index])[None], **crop)[0]
-
-
-def _thread_count() -> int:
-    """Threads ``extract_matrix`` runs: the CPUs this process may use, at most 2.
-
-    Capped at two because the peak memory of two workspaces is what was
-    measured to stay within budget.  Where the affinity mask cannot be
-    read (macOS, Windows), every CPU counts.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        return min(2, len(os.sched_getaffinity(0)))
-    return min(2, os.cpu_count() or 1)
-
-
-# The most images ``extract_matrix`` holds waiting for their shape's
-# batch to fill; a batch is extracted once it holds half of it, or
-# fewer when fewer fill an engine group.
-_LOOKAHEAD = 128
-
-
-def extract_matrix(images, config):
-    """Feature matrix for a sequence of images; flagged rows are all-NaN.
-
-    Blank images (no bounding box) and images whose samples, feature
-    maps or means are not finite are logged with the image index, in
-    index order, and the run continues.  With ``bbox``, an ``IdxImages``
-    input's crop boxes are all found before the workers start, in one
-    pass over its bytes (``find_crops``), and a worker cuts each crop
-    from the bytes when it takes the index; any other image is cropped
-    as a stack of one when taken (``_crop_finder``).  Each image is put
-    in its shape's batch, extracted as one stack once it fills a level-1
-    engine group (``group_size``, at most half of ``_LOOKAHEAD``; one
-    image for 128x128 at M=8 or a scale-4 digit crop).  When
-    ``_LOOKAHEAD`` images wait, and once the input is used up, the
-    fullest batch goes as it is: at most ``_LOOKAHEAD`` images wait, and
-    each worker extracts at most one batch on top of them (no
-    ``pipebench`` extraction holds more than 102 images).  Each batch is
-    one ``extract_features`` stack, one image included; a row that is
-    not finite stays NaN and its image is flagged.
-
-    The workers, the calling thread and (when ``_thread_count`` allows
-    two) one helper, each loop over one shared iterator of indices: crop
-    outside the lock, batch under it, extract with the worker's own
-    ``Workspace``.  numpy releases the GIL in the engine's FFTs, products
-    and elementwise passes.  Rows are written by index, each equal to its
-    image's own ``extract_features``, so the matrix is byte-identical
-    whatever the thread count or batching.  Any other exception,
-    ``KeyboardInterrupt`` included, stops the other worker after its
-    current batch and is raised here.  No images give a (0, feature
-    count) matrix.
-    """
-    cfg = riesz_config(config)
-    crop_at = _crop_finder(images, config) if config["bbox"] else None
-    matrix = np.full((len(images), feature_count(cfg.depth, cfg.angles)), np.nan)
-    flagged = {}
-    # next() on a range iterator is atomic under the GIL, so the workers
-    # share it without the lock and each index is taken once
-    indices = iter(range(len(images)))
-    lock = threading.Lock()
-    held = {}  # shape -> [(index, image)] waiting for its batch to fill
-    waiting = 0  # images in held
-    stop = False  # set when a worker raises
-
-    def fullest():
-        return max(held, key=lambda shape: len(held[shape]))
-
-    def extract(batch, workspace):
-        """Fill a batch's finite rows from one stack; flag the others."""
-        # a lone crop goes as a view, not a copy
-        crops = batch[0][1][None] if len(batch) == 1 else np.stack([img for _, img in batch])
-        features = extract_features(crops, cfg, workspace=workspace)
-        for (index, _), row in zip(batch, features):
-            if np.isfinite(row).all():
-                matrix[index] = row
-            else:
-                flagged[index] = NON_FINITE_FEATURES
-
-    def work():
-        nonlocal waiting, stop
-        workspace = Workspace()
-        try:
-            # an overflowing image is flagged once, above, not also by
-            # numpy's floating-point warnings
-            with np.errstate(over="ignore", invalid="ignore"):
-                for index in indices:
-                    try:
-                        img = crop_at(index).cut() if crop_at else as_image(images[index])
-                    except (BlankImageError, NonFiniteImageError) as exc:
-                        # the message only: a kept exception's traceback
-                        # holds this frame, and so the crops, in a cycle
-                        # until the next garbage collection
-                        flagged[index] = str(exc)
-                        continue
-                    with lock:
-                        if stop:
-                            return
-                        batch = held.setdefault(img.shape, [])
-                        batch.append((index, img))
-                        waiting += 1
-                        if len(batch) == min(group_size(*img.shape, cfg.angles), _LOOKAHEAD // 2):
-                            shape = img.shape
-                        elif waiting == _LOOKAHEAD:
-                            shape = fullest()
-                        else:
-                            continue
-                        batch = held.pop(shape)
-                        waiting -= len(batch)
-                    extract(batch, workspace)
-                while True:
-                    with lock:
-                        if stop or not held:
-                            return
-                        batch = held.pop(fullest())
-                        waiting -= len(batch)
-                    extract(batch, workspace)
-        except BaseException:
-            stop = True
-            raise
-
-    # the calling thread stays a worker, so that Ctrl-C reaches the loop
-    with ThreadPoolExecutor(1, thread_name_prefix="extract-helper") as pool:
-        helper = pool.submit(work) if min(_thread_count(), len(images)) > 1 else None
-        work()
-        if helper is not None:
-            helper.result()
-    for index in sorted(flagged):
-        log.warning("image %d flagged: %s", index, flagged[index])
+def _extract_matrix(images, config, bbox=True):
+    """``extraction.extract_matrix`` of ``images`` under ``config``, cropped
+    when ``bbox`` and the ``bbox`` key are both set; each flagged image
+    is logged, in index order."""
+    crop = _pick(config, _CROP) if bbox and config["bbox"] else None
+    matrix, flagged = extract_matrix(images, riesz_config(config), crop)
+    for index, reason in flagged.items():
+        log.warning("image %d flagged: %s", index, reason)
     return matrix
 
 
@@ -357,11 +214,8 @@ def cmd_extract(config, args) -> int:
         source = config["images"] or config["image_dir"]
         limit = "" if config["limit"] is None else f" after limit {config['limit']}"
         raise ConfigError(f"no input images to extract from {source}{limit}")
-    matrix = extract_matrix(images, config)
-    cfg = riesz_config(config)
-    write_features_csv(
-        config["output"], matrix, feature_paths(cfg.depth, cfg.angles), labels
-    )
+    matrix = _extract_matrix(images, config)
+    write_features_csv(config["output"], matrix, feature_paths(config["depth"], config["angles"]), labels)
     log.info("wrote %d rows x %d features to %s", *matrix.shape, config["output"])
     return 0
 
@@ -371,7 +225,7 @@ def cmd_bbox(config, args) -> int:
     images, _ = load_input_images(config)
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    crop_at = _crop_finder(images, config)
+    crop_at = crop_finder(images, **_pick(config, _CROP))
     for i in range(len(images)):
         try:
             found = crop_at(i)
@@ -467,13 +321,12 @@ def _eval_sets(config, model_width):
 
     if config["manifest"]:
         shards = _parse_manifest(data_path(config["manifest"]))
-        cfg = riesz_config(config)
-        width = feature_count(cfg.depth, cfg.angles)
-        check_width(width, f"depth {cfg.depth} and angles {cfg.angles} give")
+        depth, angles = config["depth"], config["angles"]
+        check_width(feature_count(depth, angles), f"depth {depth} and angles {angles} give")
         for scale, images_path, labels_path in shards:
             shard = dict(config, images=images_path, labels=labels_path)
             images, labels = load_input_images(shard)
-            yield f"{scale:g}", images_path, extract_matrix(images, config), labels
+            yield f"{scale:g}", images_path, _extract_matrix(images, config), labels
     else:
         matrix, _, labels = read_features_csv(config["features"])
         if labels is None:
@@ -548,11 +401,9 @@ def cmd_bench(
     engine group at K=3, M=4, so that row times the batched path.
 
     ``features`` is the mean over the size's same-shape images, run
-    through ``extract_matrix`` without bbox cropping as ``extract`` runs
-    them (see there), after the filter caches are warmed.
+    through ``extraction.extract_matrix`` without bbox cropping as
+    ``extract`` runs them (see there), after the filter caches are warmed.
     """
-    cfg = riesz_config(config)
-    run = dict(config, bbox=False)
     rng = np.random.default_rng(config["seed"])
     print("size,stage,seconds_per_image")
     for size in sizes:
@@ -562,9 +413,9 @@ def cmd_bench(
             height, width, count = (*size, 4)[:3]
             name = f"{height}x{width}" + (f"*{count}" if len(size) == 3 else "")
         stack = rng.standard_normal((count, height, width))
-        extract_features(stack[0], cfg)  # warm the filter caches
+        _extract_matrix(stack[:1], config, bbox=False)  # warm the filter caches
         start = time.perf_counter()
-        extract_matrix(stack, run)
+        _extract_matrix(stack, config, bbox=False)
         print(f"{name},features,{(time.perf_counter() - start) / len(stack):.6f}")
     centers = rng.standard_normal((10, 85))
     labels = np.arange(train_rows) % 10

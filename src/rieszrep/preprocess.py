@@ -162,9 +162,20 @@ def find_crops(images, pad: int = 50, threshold: float = 0.5, enlarge: float = 0
     return crops
 
 
-def bbox_compute(
-    f: np.ndarray, pad: int = 50, threshold: float = 0.5, enlarge: float = 0.4
-):
+def crop_finder(images, pad, threshold, enlarge) -> Callable[[int], Crop]:
+    """A function giving the ``Crop`` of ``images[index]``.
+
+    An ``IdxImages`` input's crops are all found here, in one pass over
+    its bytes (``find_crops``); any other image is cropped as a stack of
+    one when its index is asked for, and raises NonFiniteImageError then
+    if it holds a non-finite sample.
+    """
+    if isinstance(images, IdxImages):
+        return find_crops(images, pad, threshold, enlarge).__getitem__
+    return lambda index: find_crops(as_image(images[index])[None], pad, threshold, enlarge)[0]
+
+
+def bbox_compute(f: np.ndarray, pad: int = 50, threshold: float = 0.5, enlarge: float = 0.4):
     """Run the four-step bounding-box pipeline on one image.
 
     Returns (crop, tight_box, enlarged_box).  The boxes are in the
@@ -179,9 +190,3 @@ def bbox_compute(
     crop = find_crops(as_image(f)[None], pad, threshold, enlarge)[0]
     return crop.cut(), crop.tight, crop.box
 
-
-def bbox_extract(
-    f: np.ndarray, pad: int = 50, threshold: float = 0.5, enlarge: float = 0.4
-) -> np.ndarray:
-    """Crop the enlarged foreground bounding box from the padded image."""
-    return bbox_compute(f, pad=pad, threshold=threshold, enlarge=enlarge)[0]

@@ -253,12 +253,12 @@ def _steering(angles: int, scale: float, transposed: bool) -> np.ndarray:
 class Workspace:
     """Engine buffers lent from one call to the next of the same stack shape.
 
-    One run over a list of images (``cli.extract_matrix``) makes one per
-    thread and passes it to every ``extract_features`` call that thread
-    makes; it dies with the run, so no buffer outlives it or is shared
-    between threads.  It holds at most one entry, keyed by everything
-    the buffer shapes depend on (stack size, image shape, M, K, and the
-    group size and angle chunk, which ``_BATCH_BYTES`` sets).
+    One run over a list of images (``extraction.extract_matrix``) makes
+    one per thread and passes it to every ``extract_features`` call that
+    thread makes; it dies with the run, so no buffer outlives it or is
+    shared between threads.  It holds at most one entry, keyed by
+    everything the buffer shapes depend on (stack size, image shape, M,
+    K, and the group size and angle chunk, which ``_BATCH_BYTES`` sets).
     Buffers are kept only while the key repeats: a new key releases the
     kept buffers before the engine allocates its own, and the next call
     with the same key allocates again and keeps those.  With ``--bbox``

@@ -72,7 +72,7 @@ def adjoint_riesz_transform(f: np.ndarray, order) -> np.ndarray:
     return ifft2(np.conj(riesz_multiplier(order, *spec.shape)) * spec)
 
 
-def steered_multiplier(phi: float, height: int, width: int) -> np.ndarray:
+def _steered_multiplier(phi: float, height: int, width: int) -> np.ndarray:
     """Fused first-order multiplier of the direction (cos phi, sin phi)."""
     m1, m2 = first_order_multipliers(height, width)
     return math.cos(phi) * m1 + math.sin(phi) * m2
@@ -81,13 +81,13 @@ def steered_multiplier(phi: float, height: int, width: int) -> np.ndarray:
 def hilbert_steered(f: np.ndarray, phi: float) -> np.ndarray:
     """Directional Hilbert transform cos(phi)*R1 f + sin(phi)*R2 f."""
     spec = fft2(f)
-    return ifft2(steered_multiplier(phi, *spec.shape) * spec)
+    return ifft2(_steered_multiplier(phi, *spec.shape) * spec)
 
 
 def hilbert2_steered(f: np.ndarray, phi: float) -> np.ndarray:
     """Second-order directional Hilbert transform (squared steered multiplier)."""
     spec = fft2(f)
-    m = steered_multiplier(phi, *spec.shape)
+    m = _steered_multiplier(phi, *spec.shape)
     return ifft2(m * m * spec)
 
 

@@ -19,7 +19,7 @@ import pytest
 
 from rieszrep.classify import evaluate, maxabs_fit, pca_fit, svm_fit
 from rieszrep.image_core import load_gray_image, load_idx
-from rieszrep.preprocess import bbox_extract
+from rieszrep.preprocess import bbox_compute
 from rieszrep.representation import (
     RieszConfig,
     extract_features,
@@ -101,7 +101,7 @@ def test_scale_equivariance():
 def _mnist_features(images, cfg):
     rows = []
     for img in images:
-        rows.append(extract_features(bbox_extract(img), cfg))
+        rows.append(extract_features(bbox_compute(img)[0], cfg))
     return np.array(rows)
 
 

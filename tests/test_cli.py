@@ -36,6 +36,10 @@ def _default_config(**overrides):
     return dict(resolve_config(argparse.Namespace(config=None)), **overrides)
 
 
+# find_crops's default crop settings, which are also the CLI's
+_CROP = {"pad": 50, "threshold": 0.5, "enlarge": 0.4}
+
+
 def _two_class_images(rng, per_class=12, size=16):
     """Smooth blobs vs. checkerboard texture; easy to separate."""
     images, labels = [], []
@@ -378,27 +382,30 @@ def test_extract_batch_matches_single_image_bytes(tmp_path, rng):
 
 def test_extract_matrix_shape_sequence_matches_single_calls(rng):
     # shapes A A A B A A B B with an overflowing image inside the first A run
-    from rieszrep.cli import extract_matrix
-    from rieszrep.representation import RieszConfig, extract_features
+    from rieszrep.extraction import extract_matrix
+    from rieszrep.representation import NON_FINITE_FEATURES, RieszConfig, extract_features
 
-    config = _default_config(depth=2, angles=4)
+    cfg = RieszConfig(depth=2, angles=4)
     shapes = [(24, 20), (24, 20), (24, 20), (17, 31), (24, 20), (24, 20), (17, 31), (17, 31)]
     images = [rng.random(shape) for shape in shapes]
     images[1] = np.full(shapes[1], 1e308)
     with np.errstate(all="ignore"):
-        matrix = extract_matrix(images, config)
-    cfg = RieszConfig(depth=2, angles=4)
+        matrix, flagged = extract_matrix(images, cfg)
     assert matrix.shape == (8, 21)
     assert np.isnan(matrix[1]).all()
+    assert flagged == {1: NON_FINITE_FEATURES}
     for i in (0, 2, 3, 4, 5, 6, 7):
         assert_array_equal(matrix[i], extract_features(images[i], cfg))
 
 
 def test_extract_matrix_of_no_images_has_feature_width():
-    from rieszrep.cli import extract_matrix
+    from rieszrep.extraction import extract_matrix
+    from rieszrep.representation import RieszConfig
 
-    assert extract_matrix([], _default_config()).shape == (0, 85)
-    assert extract_matrix(np.empty((0, 8, 8)), _default_config(depth=2, angles=8)).shape == (0, 73)
+    matrix, flagged = extract_matrix([], RieszConfig(), _CROP)
+    assert matrix.shape == (0, 85) and flagged == {}
+    matrix, flagged = extract_matrix(np.empty((0, 8, 8)), RieszConfig(depth=2, angles=8))
+    assert matrix.shape == (0, 73) and flagged == {}
 
 
 @pytest.mark.parametrize("trigger", ["empty-idx", "limit-0"])
@@ -1118,22 +1125,23 @@ def test_bench_output(capsys):
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_bench_features_row_runs_images_through_one_workspace_per_thread(capsys, monkeypatch, cpus):
     import rieszrep.cli as cli
+    import rieszrep.extraction as extraction
 
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(extraction.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     calls = []
-    original = cli.extract_features
+    original = extraction.extract_features
 
     def spy(f, cfg, *, workspace=None):
         calls.append((threading.get_ident(), workspace, len(f) if np.ndim(f) == 3 else 1))
         return original(f, cfg, workspace=workspace)
 
-    monkeypatch.setattr(cli, "extract_features", spy)
+    monkeypatch.setattr(extraction, "extract_features", spy)
     config = _default_config(depth=1, bbox=True)  # bench times fixed sizes, never crops
     assert cli.cmd_bench(config, sizes=(16,), train_rows=40) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].startswith("16,features,")
     assert float(lines[1].split(",")[2]) > 0
-    timed = calls[1:]  # the first call warms the caches
+    timed = calls[1:]  # the first run, of one image, warms the caches
     # the four images, counted as stack members
     assert sum(n for _, _, n in timed) == 4 and all(w is not None for _, w, _ in timed)
     # one workspace per thread, never shared between threads
@@ -1172,54 +1180,54 @@ def _mixed_images(rng):
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_extract_matrix_threads_match_serial_rows(monkeypatch, rng, caplog, cpus):
+def test_extract_matrix_threads_match_serial_rows(monkeypatch, rng, cpus):
     # rows stored by index on either thread equal one-image-at-a-time
-    # extraction byte for byte; flag lines come once each, in index order
-    import rieszrep.cli as cli
-    from rieszrep.preprocess import bbox_extract
+    # extraction byte for byte; flags come once each, in index order
+    import rieszrep.extraction as extraction
+    from rieszrep.preprocess import bbox_compute
     from rieszrep.representation import RieszConfig, extract_features
 
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    assert cli._thread_count() == cpus
+    monkeypatch.setattr(extraction.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert extraction._thread_count() == cpus
     images, flagged = _mixed_images(rng)
     # no padding or enlarging, so the noise image is cropped to all of its 128x128
-    config = _default_config(depth=2, angles=8, bbox=True, pad=0, enlarge=0.0)
-    before = threading.active_count()
-    matrix = cli.extract_matrix(images, config)
-    assert threading.active_count() == before
+    crop = dict(_CROP, pad=0, enlarge=0.0)
     cfg = RieszConfig(depth=2, angles=8)
+    before = threading.active_count()
+    matrix, returned = extraction.extract_matrix(images, cfg, crop)
+    assert threading.active_count() == before
     assert matrix.shape == (len(images), 73)
-    assert bbox_extract(images[4], pad=0, enlarge=0.0).shape == (128, 128)
+    assert bbox_compute(images[4], **crop)[0].shape == (128, 128)
     for i, img in enumerate(images):
         if i in flagged:
             assert np.isnan(matrix[i]).all()
         else:
-            expected = extract_features(bbox_extract(img, pad=0, enlarge=0.0), cfg)
+            expected = extract_features(bbox_compute(img, **crop)[0], cfg)
             assert matrix[i].tobytes() == expected.tobytes()
-    lines = [r.getMessage() for r in caplog.records if "flagged" in r.getMessage()]
-    assert lines == [f"image {i} flagged: {reason}" for i, reason in sorted(flagged.items())]
+    assert list(returned.items()) == sorted(flagged.items())
 
 
 def test_extract_matrix_takes_each_index_once_under_fast_switching(monkeypatch):
     # image i is constant i, so its mean feature names it; a thread
     # switch every microsecond would show a lost or doubled index, in
     # the batches of any of the three shapes
-    import rieszrep.cli as cli
+    import rieszrep.extraction as extraction
+    from rieszrep.representation import RieszConfig
 
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
-    original = cli.extract_features
+    monkeypatch.setattr(extraction.os, "sched_getaffinity", lambda pid: {0, 1})
+    original = extraction.extract_features
     seen = []
 
     def spy(f, cfg, *, workspace=None):
         seen.extend(int(image[0, 0]) for image in np.reshape(f, (-1, *np.shape(f)[-2:])))
         return original(f, cfg, workspace=workspace)
 
-    monkeypatch.setattr(cli, "extract_features", spy)
+    monkeypatch.setattr(extraction, "extract_features", spy)
     images = [np.full((6, 5 + i % 3), float(i)) for i in range(300)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        matrix = cli.extract_matrix(images, _default_config(depth=1))
+        matrix, _ = extraction.extract_matrix(images, RieszConfig(depth=1))
     finally:
         sys.setswitchinterval(interval)
     assert sorted(seen) == list(range(300))
@@ -1233,10 +1241,11 @@ def _check_a_raise_stops_the_other_worker(monkeypatch, rng, raiser, exc):
     ``exc`` itself must come out of ``extract_matrix``, every thread
     started must be gone, and the other worker must start no batch after
     its first."""
-    import rieszrep.cli as cli
+    import rieszrep.extraction as extraction
+    from rieszrep.representation import RieszConfig
 
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
-    original = cli.extract_features
+    monkeypatch.setattr(extraction.os, "sched_getaffinity", lambda pid: {0, 1})
+    original = extraction.extract_features
     both_started = threading.Barrier(2, timeout=30)
     raised = threading.Event()
     starts = {}
@@ -1255,11 +1264,11 @@ def _check_a_raise_stops_the_other_worker(monkeypatch, rng, raiser, exc):
         time.sleep(0.1)
         return features
 
-    monkeypatch.setattr(cli, "extract_features", spy)
+    monkeypatch.setattr(extraction, "extract_features", spy)
     images = [rng.random((16, 16 + i % 4)) for i in range(16)]
     before = threading.active_count()
     with pytest.raises(type(exc)) as caught:
-        cli.extract_matrix(images, _default_config(depth=1))
+        extraction.extract_matrix(images, RieszConfig(depth=1))
     assert caught.value is exc
     assert threading.active_count() == before
     assert sorted(starts.values()) == [1, 1]
@@ -1278,25 +1287,25 @@ def test_extract_matrix_keyboard_interrupt_on_the_caller_stops_the_helper(monkey
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("depth", [0, 2])
 @pytest.mark.parametrize("bbox", [False, True], ids=["whole", "bbox"])
-def test_extract_matrix_batches_match_single_images(monkeypatch, rng, caplog, cpus, depth, bbox):
+def test_extract_matrix_batches_match_single_images(monkeypatch, rng, cpus, depth, bbox):
     # same-shape batches holding a nan and a 1e308 image, blanks (all-zero
     # images, blank under --bbox) and a 128x128 image that goes alone; each
     # row must equal that image's own extract_features byte for byte, and
-    # only the bad images be flagged, once each, with their own reason
-    import rieszrep.cli as cli
+    # only the bad images be flagged, each with its own reason
+    import rieszrep.extraction as extraction
     from rieszrep.image_core import NonFiniteImageError
-    from rieszrep.preprocess import BlankImageError, bbox_extract
+    from rieszrep.preprocess import BlankImageError, bbox_compute
     from rieszrep.representation import RieszConfig
 
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    original = cli.extract_features
+    monkeypatch.setattr(extraction.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    original = extraction.extract_features
     stacks = []
 
     def spy(f, cfg, *, workspace=None):
         stacks.append(len(f) if np.ndim(f) == 3 else 1)
         return original(f, cfg, workspace=workspace)
 
-    monkeypatch.setattr(cli, "extract_features", spy)
+    monkeypatch.setattr(extraction, "extract_features", spy)
 
     def framed(shape):
         img = rng.random(shape)
@@ -1313,28 +1322,28 @@ def test_extract_matrix_batches_match_single_images(monkeypatch, rng, caplog, cp
     for i, img in enumerate(images):
         try:
             with np.errstate(all="ignore"):
-                expected.append(original(bbox_extract(img) if bbox else img, cfg))
+                expected.append(original(bbox_compute(img, **_CROP)[0] if bbox else img, cfg))
         except (BlankImageError, NonFiniteImageError) as exc:
             expected.append(np.full(feature_count(depth, 8), np.nan))
-            reasons[i] = exc
+            reasons[i] = str(exc)
     assert len(reasons) == (4 if bbox else 2)
-    matrix = cli.extract_matrix(images, _default_config(depth=depth, angles=8, bbox=bbox))
+    matrix, flagged = extraction.extract_matrix(images, cfg, _CROP if bbox else None)
     assert matrix.tobytes() == np.array(expected).tobytes()
     assert max(stacks) > 1
-    lines = [r.getMessage() for r in caplog.records if "flagged" in r.getMessage()]
-    assert lines == [f"image {i} flagged: {reason}" for i, reason in sorted(reasons.items())]
+    assert flagged == reasons
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("limit", [None, 9])
-def test_extract_matrix_on_idx_bytes_matches_its_float_images(monkeypatch, rng, caplog, cpus, limit):
+def test_extract_matrix_on_idx_bytes_matches_its_float_images(monkeypatch, rng, cpus, limit):
     # an IDX input's crops, found from its bytes before the workers start,
-    # give the rows and flag lines of the same images taken as floats,
-    # each cropped as a stack of one; blank and constant images included
-    import rieszrep.cli as cli
+    # give the rows and flags of the same images taken as floats, each
+    # cropped as a stack of one; blank and constant images included
+    import rieszrep.extraction as extraction
     from rieszrep.image_core import IdxImages
+    from rieszrep.representation import RieszConfig
 
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(extraction.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     pixels = np.zeros((14, 28, 28), dtype=np.uint8)
     for i, img in enumerate(pixels):
         size = 6 + 3 * (i % 4)  # four crop shapes
@@ -1344,34 +1353,33 @@ def test_extract_matrix_on_idx_bytes_matches_its_float_images(monkeypatch, rng, 
     pixels[12, 0, :] = 255  # foreground on the top border
     images = IdxImages(pixels)[:limit]
     floats = [images[i] for i in range(len(images))]
-    config = _default_config(depth=2, angles=4, bbox=True, pad=2)
+    cfg = RieszConfig(depth=2, angles=4)
     runs = []
     for source in (images, floats):
-        caplog.clear()
-        matrix = cli.extract_matrix(source, config)
-        runs.append((matrix.tobytes(), [r.getMessage() for r in caplog.records]))
+        matrix, flagged = extraction.extract_matrix(source, cfg, dict(_CROP, pad=2))
+        runs.append((matrix.tobytes(), flagged))
     assert runs[0] == runs[1]
-    assert runs[0][1] == [f"image {i} flagged: no foreground pixels above threshold" for i in (3, 8)]
+    assert runs[0][1] == {i: "no foreground pixels above threshold" for i in (3, 8)}
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_extract_matrix_flags_the_overflowing_rows_of_a_stack(monkeypatch, rng, caplog, cpus):
+def test_extract_matrix_flags_the_overflowing_rows_of_a_stack(monkeypatch, rng, cpus):
     # finite and overflowing images of three shapes: the 25x17 and 8x8
     # ones go as stacks of 8, the 70x97 ones alone, each batch as one
     # stack; a row is flagged exactly when its image's own call raises
-    import rieszrep.cli as cli
+    import rieszrep.extraction as extraction
     from rieszrep.image_core import NonFiniteImageError
-    from rieszrep.representation import RieszConfig
+    from rieszrep.representation import NON_FINITE_FEATURES, RieszConfig
 
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    original = cli.extract_features
+    monkeypatch.setattr(extraction.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    original = extraction.extract_features
     stacks = []
 
     def spy(f, cfg, *, workspace=None):
         stacks.append(np.shape(f))
         return original(f, cfg, workspace=workspace)
 
-    monkeypatch.setattr(cli, "extract_features", spy)
+    monkeypatch.setattr(extraction, "extract_features", spy)
     scales = [1.0, 1.7e308, 1e300, 1e307, 1.0, 1e306, 1.7e308, 1e300]
     images = []
     for i in range(24):
@@ -1390,12 +1398,10 @@ def test_extract_matrix_flags_the_overflowing_rows_of_a_stack(monkeypatch, rng, 
             expected.append(np.full(21, np.nan))
             flagged.append(i)
     assert 0 < len(flagged) < len(images)
-    matrix = cli.extract_matrix(images, _default_config(depth=2, angles=4))
+    matrix, returned = extraction.extract_matrix(images, cfg)
     assert matrix.tobytes() == np.array(expected).tobytes()
     assert sorted(stacks) == [(1, 70, 97)] * 8 + [(8, 8, 8), (8, 25, 17)]
-    lines = [r.getMessage() for r in caplog.records if "flagged" in r.getMessage()]
-    reason = "feature maps or their means are not finite"
-    assert lines == [f"image {i} flagged: {reason}" for i in flagged]
+    assert returned == dict.fromkeys(flagged, NON_FINITE_FEATURES)
 
 
 def test_extract_matrix_holds_at_most_the_lookahead(monkeypatch):
@@ -1404,10 +1410,11 @@ def test_extract_matrix_holds_at_most_the_lookahead(monkeypatch):
     # images wait and the fullest batch goes.  A worker takes its batch
     # from the waiting images, so the images taken and not yet extracted
     # are at most the 8 waiting plus the other worker's batch, and reach 8
-    import rieszrep.cli as cli
+    import rieszrep.extraction as extraction
+    from rieszrep.representation import RieszConfig
 
-    monkeypatch.setattr(cli, "_LOOKAHEAD", 8)
-    original = cli.extract_features
+    monkeypatch.setattr(extraction, "_LOOKAHEAD", 8)
+    original = extraction.extract_features
     lock = threading.Lock()
 
     def spy(f, cfg, *, workspace=None):
@@ -1420,7 +1427,7 @@ def test_extract_matrix_holds_at_most_the_lookahead(monkeypatch):
             count["done"] += n
         return features
 
-    monkeypatch.setattr(cli, "extract_features", spy)
+    monkeypatch.setattr(extraction, "extract_features", spy)
 
     class Lazy(Sequence):
         def __len__(self):
@@ -1434,10 +1441,10 @@ def test_extract_matrix_holds_at_most_the_lookahead(monkeypatch):
             return np.full((6, width), float(index))
 
     for cpus in (1, 2):
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(extraction.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         count = {"taken": 0, "done": 0}
         held, stacks = [], []
-        matrix = cli.extract_matrix(Lazy(), _default_config(depth=1))
+        matrix, _ = extraction.extract_matrix(Lazy(), RieszConfig(depth=1))
         assert count == {"taken": 60, "done": 60}
         assert max(stacks) == 4
         assert max(held) == 8 if cpus == 1 else 8 <= max(held) <= 8 + 4
@@ -1447,21 +1454,22 @@ def test_extract_matrix_holds_at_most_the_lookahead(monkeypatch):
 @pytest.mark.parametrize("cpus, threads", [(None, 1), (1, 1), (2, 2), (8, 2)])
 def test_thread_count_without_affinity_mask_counts_cpus(monkeypatch, rng, cpus, threads):
     # macOS and Windows have no os.sched_getaffinity
-    import rieszrep.cli as cli
+    import rieszrep.extraction as extraction
+    from rieszrep.representation import RieszConfig
 
-    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    assert cli._thread_count() == threads
+    monkeypatch.delattr(extraction.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(extraction.os, "cpu_count", lambda: cpus)
+    assert extraction._thread_count() == threads
     images = [rng.random((12, 10)) for _ in range(3)]
-    assert cli.extract_matrix(images, _default_config(depth=1)).shape == (3, 5)
+    assert extraction.extract_matrix(images, RieszConfig(depth=1))[0].shape == (3, 5)
 
 
 def test_pipeline_scale_commutation_smoke(tmp_path):
     """Features of a digit and its 2x rendering agree after bbox cropping."""
-    from rieszrep.preprocess import bbox_extract
+    from rieszrep.preprocess import bbox_compute
     from rieszrep.representation import RieszConfig, extract_features
 
     cfg = RieszConfig(depth=3, angles=4)
-    a = extract_features(bbox_extract(synthetic_digit(112)), cfg)
-    b = extract_features(bbox_extract(synthetic_digit(224)), cfg)
+    a = extract_features(bbox_compute(synthetic_digit(112))[0], cfg)
+    b = extract_features(bbox_compute(synthetic_digit(224))[0], cfg)
     assert np.abs(a - b).max() / np.abs(a).max() <= 0.05

@@ -10,7 +10,7 @@ from rieszrep.preprocess import (
     BlankImageError,
     BoundingBox,
     bbox_compute,
-    bbox_extract,
+    crop_finder,
     enlarge_bbox,
     find_crops,
 )
@@ -20,7 +20,7 @@ from conftest import synthetic_digit
 
 def test_blank_image_raises():
     with pytest.raises(BlankImageError):
-        bbox_extract(np.zeros((20, 20)))
+        bbox_compute(np.zeros((20, 20)))
 
 
 def test_single_foreground_pixel():
@@ -60,16 +60,16 @@ def test_integer_scale_equivariance():
 
 def test_bbox_pipeline_scale_match():
     img = synthetic_digit(96)
-    crop1 = bbox_extract(img)
-    crop2 = bbox_extract(np.kron(img, np.ones((2, 2))))
+    crop1 = bbox_compute(img)[0]
+    crop2 = bbox_compute(np.kron(img, np.ones((2, 2))))[0]
     # enlargement rounding may differ by one pixel per side
     assert abs(crop2.shape[0] - 2 * crop1.shape[0]) <= 2
     assert abs(crop2.shape[1] - 2 * crop1.shape[1]) <= 2
 
 
 def test_bbox_near_idempotent():
-    crop = bbox_extract(synthetic_digit(96))
-    again = bbox_extract(crop)
+    crop = bbox_compute(synthetic_digit(96))[0]
+    again = bbox_compute(crop)[0]
     assert abs(again.shape[0] - crop.shape[0]) <= 2
     assert abs(again.shape[1] - crop.shape[1]) <= 2
 
@@ -125,7 +125,8 @@ def test_crop_equals_padded_frame_slice(image, pad, threshold, enlarge):
     # equal values, and the padding zeros are +0.0 as np.pad writes them
     assert np.array_equal(crop, expected)
     assert np.array_equal(np.signbit(crop), np.signbit(expected))
-    assert np.array_equal(bbox_extract(image, pad=pad, threshold=threshold, enlarge=enlarge), crop)
+    # a run over a list of images crops each as this one
+    assert np.array_equal(crop_finder([image], pad, threshold, enlarge)(0).cut(), crop)
 
 
 @pytest.mark.parametrize("name", [n for n in _CROP_CASES if "-pad" in n])
@@ -147,9 +148,8 @@ def test_border_cases_clamp_the_box_at_the_frame(name):
 def test_threshold_out_of_range_raises(threshold):
     img = np.zeros((10, 10))
     img[4, 4] = 1.0
-    for routine in (bbox_compute, bbox_extract):
-        with pytest.raises(ValueError, match="threshold must be in"):
-            routine(img, threshold=threshold)
+    with pytest.raises(ValueError, match="threshold must be in"):
+        bbox_compute(img, threshold=threshold)
 
 
 def per_image_reference(f, pad, threshold, enlarge):
@@ -239,7 +239,7 @@ def test_find_crops_flags_an_overflowing_range():
     with pytest.raises(NonFiniteImageError, match="sample range overflows"):
         crop.cut()
     with pytest.raises(NonFiniteImageError):
-        bbox_extract(img)
+        bbox_compute(img)
 
 
 def test_find_crops_rejects_a_non_finite_float_stack():
