@@ -8,7 +8,7 @@ manifests and the shards they name) are resolved against the
 models and outputs, which the program writes, are taken as given.
 
 Exit codes: 0 success, 1 property/eval failure or runtime error,
-2 configuration error.
+2 configuration error (an unreadable ``--config`` file too).
 """
 
 from __future__ import annotations
@@ -109,8 +109,14 @@ def _text_lines(path):
 
 
 def load_config_file(path) -> dict:
+    """The values of a flat ``key = value`` file; a file that cannot be
+    read or parsed raises ConfigError naming its path."""
+    try:
+        lines = list(_text_lines(path))
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
     values = {}
-    for lineno, line in _text_lines(path):
+    for lineno, line in lines:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")

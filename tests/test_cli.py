@@ -5,7 +5,6 @@ import sys
 import threading
 import time
 import warnings
-from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -214,6 +213,18 @@ def test_config_file_unknown_key(tmp_path):
     assert main(["verify", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "extract"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_config_file_exits_2_naming_it(tmp_path, caplog, command, kind):
+    # like one that does not parse; an unreadable manifest or dataset
+    # file stays a runtime error
+    cfg = tmp_path / "riesz.cfg"
+    if kind == "directory":
+        cfg.mkdir()
+    assert main([command, "--config", str(cfg)]) == 2
+    assert f"config error: {cfg}: " in caplog.text
+
+
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "riesz.cfg"
     cfg.write_text("# comment\ndepth = 2\nangles = 8\nscale_constant = 0.5  # inline\n")
@@ -378,34 +389,6 @@ def test_extract_batch_matches_single_image_bytes(tmp_path, rng):
         header, row = single.read_bytes().splitlines(keepends=True)
         expected += [header] * (i == 0) + [row]
     assert batch.read_bytes() == b"".join(expected)
-
-
-def test_extract_matrix_shape_sequence_matches_single_calls(rng):
-    # shapes A A A B A A B B with an overflowing image inside the first A run
-    from rieszrep.extraction import extract_matrix
-    from rieszrep.representation import NON_FINITE_FEATURES, RieszConfig, extract_features
-
-    cfg = RieszConfig(depth=2, angles=4)
-    shapes = [(24, 20), (24, 20), (24, 20), (17, 31), (24, 20), (24, 20), (17, 31), (17, 31)]
-    images = [rng.random(shape) for shape in shapes]
-    images[1] = np.full(shapes[1], 1e308)
-    with np.errstate(all="ignore"):
-        matrix, flagged = extract_matrix(images, cfg)
-    assert matrix.shape == (8, 21)
-    assert np.isnan(matrix[1]).all()
-    assert flagged == {1: NON_FINITE_FEATURES}
-    for i in (0, 2, 3, 4, 5, 6, 7):
-        assert_array_equal(matrix[i], extract_features(images[i], cfg))
-
-
-def test_extract_matrix_of_no_images_has_feature_width():
-    from rieszrep.extraction import extract_matrix
-    from rieszrep.representation import RieszConfig
-
-    matrix, flagged = extract_matrix([], RieszConfig(), _CROP)
-    assert matrix.shape == (0, 85) and flagged == {}
-    matrix, flagged = extract_matrix(np.empty((0, 8, 8)), RieszConfig(depth=2, angles=8))
-    assert matrix.shape == (0, 73) and flagged == {}
 
 
 @pytest.mark.parametrize("trigger", ["empty-idx", "limit-0"])
@@ -1402,53 +1385,6 @@ def test_extract_matrix_flags_the_overflowing_rows_of_a_stack(monkeypatch, rng, 
     assert matrix.tobytes() == np.array(expected).tobytes()
     assert sorted(stacks) == [(1, 70, 97)] * 8 + [(8, 8, 8), (8, 25, 17)]
     assert returned == dict.fromkeys(flagged, NON_FINITE_FEATURES)
-
-
-def test_extract_matrix_holds_at_most_the_lookahead(monkeypatch):
-    # look-ahead 8: 30 images in two alternating shapes fill batches of 4,
-    # half the look-ahead; then 30 in twelve new shapes fill none, so 8
-    # images wait and the fullest batch goes.  A worker takes its batch
-    # from the waiting images, so the images taken and not yet extracted
-    # are at most the 8 waiting plus the other worker's batch, and reach 8
-    import rieszrep.extraction as extraction
-    from rieszrep.representation import RieszConfig
-
-    monkeypatch.setattr(extraction, "_LOOKAHEAD", 8)
-    original = extraction.extract_features
-    lock = threading.Lock()
-
-    def spy(f, cfg, *, workspace=None):
-        n = len(f) if np.ndim(f) == 3 else 1
-        with lock:
-            stacks.append(n)
-            held.append(count["taken"] - count["done"])
-        features = original(f, cfg, workspace=workspace)
-        with lock:
-            count["done"] += n
-        return features
-
-    monkeypatch.setattr(extraction, "extract_features", spy)
-
-    class Lazy(Sequence):
-        def __len__(self):
-            return 60
-
-        def __getitem__(self, index):
-            with lock:
-                count["taken"] += 1
-                held.append(count["taken"] - count["done"])
-            width = 5 + index % 2 if index < 30 else 7 + index % 12
-            return np.full((6, width), float(index))
-
-    for cpus in (1, 2):
-        monkeypatch.setattr(extraction.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        count = {"taken": 0, "done": 0}
-        held, stacks = [], []
-        matrix, _ = extraction.extract_matrix(Lazy(), RieszConfig(depth=1))
-        assert count == {"taken": 60, "done": 60}
-        assert max(stacks) == 4
-        assert max(held) == 8 if cpus == 1 else 8 <= max(held) <= 8 + 4
-        assert_array_equal(matrix[:, 0], np.arange(60.0))
 
 
 @pytest.mark.parametrize("cpus, threads", [(None, 1), (1, 1), (2, 2), (8, 2)])
