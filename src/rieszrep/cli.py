@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import itertools
 import logging
 import math
@@ -29,7 +28,7 @@ import numpy as np
 from . import classify, verify
 from .extraction import extract_matrix
 from .image_core import NonFiniteImageError, load_gray_image, load_idx, save_gray_pgm
-from .preprocess import BlankImageError, check_crop_settings, crop_finder, find_crops
+from .preprocess import BlankImageError, crop_finder
 from .representation import (
     RieszConfig,
     feature_count,
@@ -50,11 +49,9 @@ def _parse_bool(value):
     raise ValueError(f"expected 1/true/yes or 0/false/no, got {value!r}")
 
 
-# the keys that build a RieszConfig and those passed on to find_crops,
-# with their parsers; both take their defaults from there
+# the keys that build a RieszConfig, with their parsers; their defaults
+# are RieszConfig's
 _RIESZ = {"depth": int, "angles": int, "scale_constant": float}
-_CROP = {"pad": int, "threshold": float, "enlarge": float}
-_CROP_DEFAULTS = inspect.signature(find_crops).parameters
 
 # key -> (parser, default); config files and flags share this schema
 _SCHEMA = {
@@ -66,7 +63,6 @@ _SCHEMA = {
     "manifest": (str, None),
     "limit": (int, None),
     "bbox": (_parse_bool, False),
-    **{key: (parse, _CROP_DEFAULTS[key].default) for key, parse in _CROP.items()},
     "classifier": (str, "svm"),
     "components": (int, 20),
     "reg": (float, 1e-4),
@@ -80,8 +76,7 @@ _SCHEMA = {
 _CLASSIFIERS = ("pca", "svm")
 
 # key -> (test, rule) of the other numeric keys whose range
-# ``resolve_config`` checks; ``check_crop_settings`` and ``RieszConfig``
-# check the crop and Riesz keys
+# ``resolve_config`` checks; ``RieszConfig`` checks the Riesz keys
 _RANGES = {
     "limit": (lambda v: v is None or v >= 0, ">= 0"),
     "seed": (lambda v: v >= 0, ">= 0"),
@@ -145,10 +140,6 @@ def resolve_config(args) -> dict:
             raise ConfigError(f"{key} must be {rule}, got {config[key]}")
     if config["classifier"] not in _CLASSIFIERS:
         raise ConfigError(f"unknown classifier {config['classifier']!r}")
-    try:
-        check_crop_settings(**_pick(config, _CROP))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
     riesz_config(config)
     return config
 
@@ -161,13 +152,9 @@ def data_path(value) -> Path:
     return path
 
 
-def _pick(config, keys) -> dict:
-    return {key: config[key] for key in keys}
-
-
 def riesz_config(config) -> RieszConfig:
     try:
-        return RieszConfig(**_pick(config, _RIESZ))
+        return RieszConfig(**{key: config[key] for key in _RIESZ})
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -202,12 +189,22 @@ def load_input_images(config):
     return [load_gray_image(p) for p in files[:limit]], None
 
 
+def _nonempty_input_images(config, verb):
+    """``load_input_images``, for a command that would ``verb`` them: no
+    images (an empty IDX file, or ``limit`` 0) is a configuration error."""
+    images, labels = load_input_images(config)
+    if len(images) == 0:
+        source = config["images"] or config["image_dir"]
+        limit = "" if config["limit"] is None else f" after limit {config['limit']}"
+        raise ConfigError(f"no input images to {verb} from {source}{limit}")
+    return images, labels
+
+
 def _extract_matrix(images, config, bbox=True):
     """``extraction.extract_matrix`` of ``images`` under ``config``, cropped
     when ``bbox`` and the ``bbox`` key are both set; each flagged image
     is logged, in index order."""
-    crop = _pick(config, _CROP) if bbox and config["bbox"] else None
-    matrix, flagged = extract_matrix(images, riesz_config(config), crop)
+    matrix, flagged = extract_matrix(images, riesz_config(config), bbox and config["bbox"])
     for index, reason in flagged.items():
         log.warning("image %d flagged: %s", index, reason)
     return matrix
@@ -215,11 +212,7 @@ def _extract_matrix(images, config, bbox=True):
 
 def cmd_extract(config, args) -> int:
     """Write the feature CSV of the input images to ``output``."""
-    images, labels = load_input_images(config)
-    if len(images) == 0:
-        source = config["images"] or config["image_dir"]
-        limit = "" if config["limit"] is None else f" after limit {config['limit']}"
-        raise ConfigError(f"no input images to extract from {source}{limit}")
+    images, labels = _nonempty_input_images(config, "extract")
     matrix = _extract_matrix(images, config)
     write_features_csv(config["output"], matrix, feature_paths(config["depth"], config["angles"]), labels)
     log.info("wrote %d rows x %d features to %s", *matrix.shape, config["output"])
@@ -228,10 +221,10 @@ def cmd_extract(config, args) -> int:
 
 def cmd_bbox(config, args) -> int:
     """Write each input image's crop to ``out_dir``; blank ones are skipped."""
-    images, _ = load_input_images(config)
+    images, _ = _nonempty_input_images(config, "crop")
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    crop_at = crop_finder(images, **_pick(config, _CROP))
+    crop_at = crop_finder(images)
     for i in range(len(images)):
         try:
             found = crop_at(i)
@@ -449,7 +442,6 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     riesz = tuple(_RIESZ)
     inputs = ("images", "labels", "image_dir", "limit")
-    bbox = ("bbox", *_CROP)
     idx_or_dir = (("images", "labels"), ("image_dir",))
     # name, handler, help, the schema keys it takes as flags, the keys it
     # requires, and its input sources: alternatives of keys given
@@ -457,14 +449,14 @@ def build_parser():
     # so its dest is the key
     commands = (
         ("extract", cmd_extract, "write a feature CSV",
-         (*riesz, *inputs, *bbox, "output"), ("output",), idx_or_dir),
+         (*riesz, *inputs, "bbox", "output"), ("output",), idx_or_dir),
         ("bbox", cmd_bbox, "write cropped graymaps",
-         (*inputs, *bbox, "out_dir"), ("out_dir",), idx_or_dir),
+         (*inputs, "out_dir"), ("out_dir",), idx_or_dir),
         ("train", cmd_train, "train a classifier from a feature CSV",
          ("features", "classifier", "components", "reg", "epochs", "seed", "output"),
          ("features", "output"), ()),
         ("eval", cmd_eval, "evaluate a model",
-         (*riesz, *bbox, "features", "manifest", "limit", "model", "output"),
+         (*riesz, "bbox", "features", "manifest", "limit", "model", "output"),
          ("model",), (("features",), ("manifest",))),
         ("verify", cmd_verify, "run the numerical property suite", ("seed",), (), ()),
         ("bench", cmd_bench, "time the pipeline stages", (*riesz, "seed"), (), ()),

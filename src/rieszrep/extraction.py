@@ -1,7 +1,7 @@
 """The extraction run: the feature matrix of a sequence of images.
 
-``extract_matrix`` takes a ``RieszConfig`` and, for bounding-box
-cropping, the crop settings; it reads no command-line configuration and
+``extract_matrix`` takes a ``RieszConfig`` and whether to crop each
+image to its bounding box; it reads no command-line configuration and
 logs nothing.  The images it cannot extract are returned as data, each
 index with its reason, and their rows stay NaN.
 """
@@ -32,7 +32,7 @@ def _thread_count() -> int:
     return min(2, os.cpu_count() or 1)
 
 
-def extract_matrix(images, config: RieszConfig, crop=None):
+def extract_matrix(images, config: RieszConfig, bbox=False):
     """(feature matrix, flagged) of a sequence of images.
 
     Row i of the matrix is the features of ``images[i]``; no images give
@@ -40,8 +40,8 @@ def extract_matrix(images, config: RieszConfig, crop=None):
     image that gives no row to its reason, in index order: a blank crop
     (no bounding box), or samples, a sample range, feature maps or means
     that are not finite.  A flagged row is all-NaN, and the run goes on
-    past it.  ``crop`` is None, or the ``pad``, ``threshold`` and
-    ``enlarge`` of ``preprocess.crop_finder``, which crops each image.
+    past it.  With ``bbox`` each image is first cropped by
+    ``preprocess.crop_finder``, at ``find_crops``' one setting.
 
     The batches are planned first, from each image's shape as extracted,
     known without converting a pixel: an ``IdxImages``'s byte shape or
@@ -60,7 +60,7 @@ def extract_matrix(images, config: RieszConfig, crop=None):
     """
     matrix = np.full((len(images), feature_count(config.depth, config.angles)), np.nan)
     flagged = {}
-    crop_at = crop_finder(images, **crop) if crop is not None else None
+    crop_at = crop_finder(images) if bbox else None
     crops = {}  # index -> its preprocess.Crop
 
     def shape_of(index):

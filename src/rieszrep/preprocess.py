@@ -131,7 +131,8 @@ def find_crops(images, pad: int = 50, threshold: float = 0.5, enlarge: float = 0
     The row maxima, column maxima and minima of the whole stack are one
     reduction each, an ``IdxImages``'s over its bytes (see the module
     docstring).  A flagged image's ``Crop`` raises from ``cut``.  Raises
-    ValueError for settings that ``check_crop_settings`` rejects.
+    ValueError for settings that ``check_crop_settings`` rejects.  The
+    defaults are the one setting the program crops with (``crop_finder``).
     """
     check_crop_settings(pad, threshold, enlarge)
     if isinstance(images, IdxImages):
@@ -162,8 +163,9 @@ def find_crops(images, pad: int = 50, threshold: float = 0.5, enlarge: float = 0
     return crops
 
 
-def crop_finder(images, pad, threshold, enlarge) -> Callable[[int], Crop]:
-    """A function giving the ``Crop`` of ``images[index]``.
+def crop_finder(images) -> Callable[[int], Crop]:
+    """A function giving the ``Crop`` of ``images[index]`` at ``find_crops``'
+    default setting, the one every caller of the program crops with.
 
     An ``IdxImages`` input's crops are all found here, in one pass over
     its bytes (``find_crops``); any other image is cropped as a stack of
@@ -171,8 +173,8 @@ def crop_finder(images, pad, threshold, enlarge) -> Callable[[int], Crop]:
     if it holds a non-finite sample.
     """
     if isinstance(images, IdxImages):
-        return find_crops(images, pad, threshold, enlarge).__getitem__
-    return lambda index: find_crops(as_image(images[index])[None], pad, threshold, enlarge)[0]
+        return find_crops(images).__getitem__
+    return lambda index: find_crops(as_image(images[index])[None])[0]
 
 
 def bbox_compute(f: np.ndarray, pad: int = 50, threshold: float = 0.5, enlarge: float = 0.4):

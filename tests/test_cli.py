@@ -1,9 +1,7 @@
 import argparse
 import inspect
 import struct
-import sys
 import threading
-import time
 import warnings
 
 import numpy as np
@@ -33,10 +31,6 @@ def _write_idx_pair(directory, images, labels, stem="set"):
 
 def _default_config(**overrides):
     return dict(resolve_config(argparse.Namespace(config=None)), **overrides)
-
-
-# find_crops's default crop settings, which are also the CLI's
-_CROP = {"pad": 50, "threshold": 0.5, "enlarge": 0.4}
 
 
 def _two_class_images(rng, per_class=12, size=16):
@@ -88,12 +82,7 @@ _RIESZ = {
     (("--angles",), "angles", None, None, int),
     (("--scale-constant",), "scale_constant", None, None, float),
 }
-_BBOX = {
-    (("--bbox",), "bbox", None, True, None),
-    (("--pad",), "pad", None, None, int),
-    (("--threshold",), "threshold", None, None, float),
-    (("--enlarge",), "enlarge", None, None, float),
-}
+_BBOX = (("--bbox",), "bbox", None, True, None)
 _LIMIT = (("--limit",), "limit", None, None, int)
 _OUTPUT = (("--output",), "output", None, None, None)
 _FEATURES = (("--features",), "features", None, None, None)
@@ -104,8 +93,8 @@ _INPUT = {
     _LIMIT,
 }
 _OPTION_TABLE = {
-    "extract": _COMMON | _RIESZ | _INPUT | _BBOX | {_OUTPUT},
-    "bbox": _COMMON | _INPUT | _BBOX | {(("--out-dir",), "out_dir", None, None, None)},
+    "extract": _COMMON | _RIESZ | _INPUT | {_BBOX, _OUTPUT},
+    "bbox": _COMMON | _INPUT | {(("--out-dir",), "out_dir", None, None, None)},
     "train": _COMMON | {
         _FEATURES,
         (("--classifier",), "classifier", ("pca", "svm"), None, None),
@@ -115,7 +104,8 @@ _OPTION_TABLE = {
         _SEED,
         _OUTPUT,
     },
-    "eval": _COMMON | _RIESZ | _BBOX | {
+    "eval": _COMMON | _RIESZ | {
+        _BBOX,
         _FEATURES,
         (("--manifest",), "manifest", None, None, None),
         _LIMIT,
@@ -232,16 +222,20 @@ def test_config_file_parsing(tmp_path):
     assert values == {"depth": 2, "angles": 8, "scale_constant": 0.5}
 
 
-@pytest.mark.parametrize("flag", [["--pooling", "max"], ["--presmooth-sigma", "1"]])
+@pytest.mark.parametrize("flag", [["--pooling", "max"], ["--presmooth-sigma", "1"], ["--pad", "3"],
+                                  ["--threshold", "0.5"], ["--enlarge", "0.4"], ["--bbox"]])
 def test_removed_riesz_flags_exit_2(capsys, flag):
-    # the representation is set by depth, angles and scale constant alone
-    with pytest.raises(SystemExit) as exc:
-        main(["extract", *flag, "--output", "f.csv"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    # the representation is set by depth, angles and scale constant
+    # alone, a crop by find_crops' defaults, and riesz bbox always crops
+    for command in ["bbox"] if flag == ["--bbox"] else ["extract", "eval", "bbox"]:
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["pooling = mean", "presmooth_sigma = 1.5"])
+@pytest.mark.parametrize("line", ["pooling = mean", "presmooth_sigma = 1.5", "pad = 3",
+                                  "threshold = 0.5", "enlarge = 0.4"])
 def test_removed_riesz_keys_are_unknown(tmp_path, caplog, line):
     cfg = tmp_path / "riesz.cfg"
     cfg.write_text(line + "\n")
@@ -391,20 +385,32 @@ def test_extract_batch_matches_single_image_bytes(tmp_path, rng):
     assert batch.read_bytes() == b"".join(expected)
 
 
-@pytest.mark.parametrize("trigger", ["empty-idx", "limit-0"])
-def test_extract_without_images_is_config_error(tmp_path, rng, caplog, trigger):
+def _no_images(tmp_path, rng, trigger):
+    """An IDX pair and flags that give no images: an empty file, or --limit 0."""
     if trigger == "empty-idx":
         ipath, lpath = _write_idx_pair(tmp_path, np.empty((0, 8, 8)), [])
-        extra = []
-    else:
-        ipath, lpath = _write_idx_pair(tmp_path, rng.random((2, 8, 8)), [0, 1])
-        extra = ["--limit", "0"]
+        return ipath, ["--images", str(ipath), "--labels", str(lpath)]
+    ipath, lpath = _write_idx_pair(tmp_path, rng.random((2, 8, 8)), [0, 1])
+    return ipath, ["--images", str(ipath), "--labels", str(lpath), "--limit", "0"]
+
+
+@pytest.mark.parametrize("trigger", ["empty-idx", "limit-0"])
+def test_extract_without_images_is_config_error(tmp_path, rng, caplog, trigger):
+    ipath, args = _no_images(tmp_path, rng, trigger)
     out = tmp_path / "f.csv"
-    code = main(["extract", "--images", str(ipath), "--labels", str(lpath), *extra,
-                 "--output", str(out)])
+    code = main(["extract", *args, "--output", str(out)])
     assert code == 2
     assert f"no input images to extract from {ipath}" in caplog.text
     assert not out.exists()
+
+
+@pytest.mark.parametrize("trigger", ["empty-idx", "limit-0"])
+def test_bbox_without_images_is_config_error(tmp_path, rng, caplog, trigger):
+    ipath, args = _no_images(tmp_path, rng, trigger)
+    out_dir = tmp_path / "crops"
+    assert main(["bbox", *args, "--out-dir", str(out_dir)]) == 2
+    assert f"no input images to crop from {ipath}" in caplog.text
+    assert not out_dir.exists()
 
 
 def test_extract_image_dir(tmp_path, rng):
@@ -556,26 +562,12 @@ def test_overflowing_image_flagged_once(tmp_path, caplog, shape, depth):
     "argv, config_line, key",
     [
         (["extract", "--limit", "-1"], None, "limit"),
-        (["extract", "--bbox", "--pad", "-3"], None, "pad"),
-        (["extract", "--bbox", "--enlarge", "-1"], None, "enlarge"),
-        (["extract"], "enlarge = -1.5", "enlarge"),
-        (["extract", "--bbox", "--enlarge", "inf"], None, "enlarge"),
-        (["bbox", "--enlarge", "inf"], None, "enlarge"),
-        (["extract"], "enlarge = inf", "enlarge"),
         (["bbox", "--limit", "-2"], None, "limit"),
         (["extract", "--angles", "3"], None, "angles"),
         (["extract", "--depth", "-1"], None, "depth"),
         (["extract"], "angles = 6", "angles"),
-        (["extract", "--bbox", "--threshold", "nan"], None, "threshold"),
-        (["extract", "--bbox", "--threshold", "0"], None, "threshold"),
-        (["bbox", "--threshold", "2"], None, "threshold"),
-        (["extract"], "threshold = -0.5", "threshold"),
-        (["bbox"], "threshold = nan", "threshold"),
     ],
-    ids=["limit", "pad", "enlarge", "config-file-enlarge", "enlarge-inf", "bbox-enlarge-inf",
-         "config-file-enlarge-inf", "bbox-limit", "angles", "depth",
-         "config-file-angles", "threshold-nan", "threshold-zero", "bbox-threshold-above-1",
-         "config-file-threshold-negative", "bbox-config-file-threshold-nan"],
+    ids=["limit", "bbox-limit", "angles", "depth", "config-file-angles"],
 )
 def test_out_of_range_values_exit_2_before_any_image_is_read(
     tmp_path, caplog, argv, config_line, key
@@ -1140,264 +1132,6 @@ def test_bench_features_row_runs_images_through_one_workspace_per_thread(capsys,
         assert (ws[0]._buffers is not None) == (len(ws) > 1)
     if cpus == 1:
         assert len(per_thread) == 1
-
-
-def _mixed_images(rng):
-    """Two crop sizes, a blank, a nan image and a full 128x128 crop, repeated."""
-    noise = rng.random((128, 128))
-    noise[[0, -1], :] = noise[:, [0, -1]] = 1.0  # its tight box is the whole image
-    images = [
-        synthetic_digit(48),
-        np.zeros((30, 30)),
-        synthetic_digit(96),
-        np.full((20, 20), np.nan),
-        noise,
-        synthetic_digit(48),
-        synthetic_digit(96),
-        np.zeros((12, 12)),
-        synthetic_digit(48)[::-1],
-    ]
-    return images, {1: "no foreground pixels above threshold",
-                    3: "image contains non-finite samples",
-                    7: "no foreground pixels above threshold"}
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_extract_matrix_threads_match_serial_rows(monkeypatch, rng, cpus):
-    # rows stored by index on either thread equal one-image-at-a-time
-    # extraction byte for byte; flags come once each, in index order
-    import rieszrep.extraction as extraction
-    from rieszrep.preprocess import bbox_compute
-    from rieszrep.representation import RieszConfig, extract_features
-
-    monkeypatch.setattr(extraction.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    assert extraction._thread_count() == cpus
-    images, flagged = _mixed_images(rng)
-    # no padding or enlarging, so the noise image is cropped to all of its 128x128
-    crop = dict(_CROP, pad=0, enlarge=0.0)
-    cfg = RieszConfig(depth=2, angles=8)
-    before = threading.active_count()
-    matrix, returned = extraction.extract_matrix(images, cfg, crop)
-    assert threading.active_count() == before
-    assert matrix.shape == (len(images), 73)
-    assert bbox_compute(images[4], **crop)[0].shape == (128, 128)
-    for i, img in enumerate(images):
-        if i in flagged:
-            assert np.isnan(matrix[i]).all()
-        else:
-            expected = extract_features(bbox_compute(img, **crop)[0], cfg)
-            assert matrix[i].tobytes() == expected.tobytes()
-    assert list(returned.items()) == sorted(flagged.items())
-
-
-def test_extract_matrix_takes_each_index_once_under_fast_switching(monkeypatch):
-    # image i is constant i, so its mean feature names it; a thread
-    # switch every microsecond would show a lost or doubled index, in
-    # the batches of any of the three shapes
-    import rieszrep.extraction as extraction
-    from rieszrep.representation import RieszConfig
-
-    monkeypatch.setattr(extraction.os, "sched_getaffinity", lambda pid: {0, 1})
-    original = extraction.extract_features
-    seen = []
-
-    def spy(f, cfg, *, workspace=None):
-        seen.extend(int(image[0, 0]) for image in np.reshape(f, (-1, *np.shape(f)[-2:])))
-        return original(f, cfg, workspace=workspace)
-
-    monkeypatch.setattr(extraction, "extract_features", spy)
-    images = [np.full((6, 5 + i % 3), float(i)) for i in range(300)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        matrix, _ = extraction.extract_matrix(images, RieszConfig(depth=1))
-    finally:
-        sys.setswitchinterval(interval)
-    assert sorted(seen) == list(range(300))
-    assert_array_equal(matrix[:, 0], np.arange(300.0))
-
-
-def _check_a_raise_stops_the_other_worker(monkeypatch, rng, raiser, exc):
-    """Run two workers over four shapes, so four batches.  Each worker's
-    first batch waits for the other's; then the raiser's raises ``exc``
-    and the other's returns once the raiser has had time to stop the run.
-    ``exc`` itself must come out of ``extract_matrix``, every thread
-    started must be gone, and the other worker must start no batch after
-    its first."""
-    import rieszrep.extraction as extraction
-    from rieszrep.representation import RieszConfig
-
-    monkeypatch.setattr(extraction.os, "sched_getaffinity", lambda pid: {0, 1})
-    original = extraction.extract_features
-    both_started = threading.Barrier(2, timeout=30)
-    raised = threading.Event()
-    starts = {}
-
-    def spy(f, cfg, *, workspace=None):
-        ident = threading.get_ident()
-        starts[ident] = starts.get(ident, 0) + 1
-        if starts[ident] == 1:
-            both_started.wait()
-        on_caller = threading.current_thread() is threading.main_thread()
-        if on_caller == (raiser == "caller"):
-            raised.set()
-            raise exc
-        features = original(f, cfg, workspace=workspace)
-        assert raised.wait(30)
-        time.sleep(0.1)
-        return features
-
-    monkeypatch.setattr(extraction, "extract_features", spy)
-    images = [rng.random((16, 16 + i % 4)) for i in range(16)]
-    before = threading.active_count()
-    with pytest.raises(type(exc)) as caught:
-        extraction.extract_matrix(images, RieszConfig(depth=1))
-    assert caught.value is exc
-    assert threading.active_count() == before
-    assert sorted(starts.values()) == [1, 1]
-
-
-@pytest.mark.parametrize("raiser", ["helper", "caller"])
-def test_extract_matrix_error_on_either_thread_propagates(monkeypatch, rng, raiser):
-    _check_a_raise_stops_the_other_worker(monkeypatch, rng, raiser, RuntimeError(f"boom on the {raiser}"))
-
-
-def test_extract_matrix_keyboard_interrupt_on_the_caller_stops_the_helper(monkeypatch, rng):
-    # Ctrl-C reaches the calling thread, which is a worker
-    _check_a_raise_stops_the_other_worker(monkeypatch, rng, "caller", KeyboardInterrupt())
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("depth", [0, 2])
-@pytest.mark.parametrize("bbox", [False, True], ids=["whole", "bbox"])
-def test_extract_matrix_batches_match_single_images(monkeypatch, rng, cpus, depth, bbox):
-    # same-shape batches holding a nan and a 1e308 image, blanks (all-zero
-    # images, blank under --bbox) and a 128x128 image that goes alone; each
-    # row must equal that image's own extract_features byte for byte, and
-    # only the bad images be flagged, each with its own reason
-    import rieszrep.extraction as extraction
-    from rieszrep.image_core import NonFiniteImageError
-    from rieszrep.preprocess import BlankImageError, bbox_compute
-    from rieszrep.representation import RieszConfig
-
-    monkeypatch.setattr(extraction.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    original = extraction.extract_features
-    stacks = []
-
-    def spy(f, cfg, *, workspace=None):
-        stacks.append(len(f) if np.ndim(f) == 3 else 1)
-        return original(f, cfg, workspace=workspace)
-
-    monkeypatch.setattr(extraction, "extract_features", spy)
-
-    def framed(shape):
-        img = rng.random(shape)
-        img[[0, -1], :] = img[:, [0, -1]] = 1.0  # its tight box is the whole image
-        return img
-
-    images = [framed((25, 17)) for _ in range(7)] + [framed((40, 40)) for _ in range(3)]
-    images[2][3, 4] = np.nan
-    images[5] = np.full((25, 17), 1e308)
-    images += [np.zeros((25, 17)), framed((128, 128)), np.zeros((40, 40)), framed((13, 10))]
-    images = [images[i] for i in (0, 8, 1, 10, 2, 3, 11, 9, 4, 12, 5, 6, 13, 7)]
-    cfg = RieszConfig(depth=depth, angles=8)
-    expected, reasons = [], {}
-    for i, img in enumerate(images):
-        try:
-            with np.errstate(all="ignore"):
-                expected.append(original(bbox_compute(img, **_CROP)[0] if bbox else img, cfg))
-        except (BlankImageError, NonFiniteImageError) as exc:
-            expected.append(np.full(feature_count(depth, 8), np.nan))
-            reasons[i] = str(exc)
-    assert len(reasons) == (4 if bbox else 2)
-    matrix, flagged = extraction.extract_matrix(images, cfg, _CROP if bbox else None)
-    assert matrix.tobytes() == np.array(expected).tobytes()
-    assert max(stacks) > 1
-    assert flagged == reasons
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("limit", [None, 9])
-def test_extract_matrix_on_idx_bytes_matches_its_float_images(monkeypatch, rng, cpus, limit):
-    # an IDX input's crops, found from its bytes before the workers start,
-    # give the rows and flags of the same images taken as floats, each
-    # cropped as a stack of one; blank and constant images included
-    import rieszrep.extraction as extraction
-    from rieszrep.image_core import IdxImages
-    from rieszrep.representation import RieszConfig
-
-    monkeypatch.setattr(extraction.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    pixels = np.zeros((14, 28, 28), dtype=np.uint8)
-    for i, img in enumerate(pixels):
-        size = 6 + 3 * (i % 4)  # four crop shapes
-        img[4 : 4 + size, 5 : 5 + size] = rng.integers(0, 256, (size, size))
-    pixels[3] = 0
-    pixels[8] = 200
-    pixels[12, 0, :] = 255  # foreground on the top border
-    images = IdxImages(pixels)[:limit]
-    floats = [images[i] for i in range(len(images))]
-    cfg = RieszConfig(depth=2, angles=4)
-    runs = []
-    for source in (images, floats):
-        matrix, flagged = extraction.extract_matrix(source, cfg, dict(_CROP, pad=2))
-        runs.append((matrix.tobytes(), flagged))
-    assert runs[0] == runs[1]
-    assert runs[0][1] == {i: "no foreground pixels above threshold" for i in (3, 8)}
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_extract_matrix_flags_the_overflowing_rows_of_a_stack(monkeypatch, rng, cpus):
-    # finite and overflowing images of three shapes: the 25x17 and 8x8
-    # ones go as stacks of 8, the 70x97 ones alone, each batch as one
-    # stack; a row is flagged exactly when its image's own call raises
-    import rieszrep.extraction as extraction
-    from rieszrep.image_core import NonFiniteImageError
-    from rieszrep.representation import NON_FINITE_FEATURES, RieszConfig
-
-    monkeypatch.setattr(extraction.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    original = extraction.extract_features
-    stacks = []
-
-    def spy(f, cfg, *, workspace=None):
-        stacks.append(np.shape(f))
-        return original(f, cfg, workspace=workspace)
-
-    monkeypatch.setattr(extraction, "extract_features", spy)
-    scales = [1.0, 1.7e308, 1e300, 1e307, 1.0, 1e306, 1.7e308, 1e300]
-    images = []
-    for i in range(24):
-        shape = [(25, 17), (8, 8), (70, 97)][i % 3]
-        img = rng.random(shape) * scales[i % len(scales)]
-        if i % 2:  # a finite mean, while the maps may overflow
-            img *= (-1.0) ** np.add.outer(*map(np.arange, shape))
-        images.append(img)
-    cfg = RieszConfig(depth=2, angles=4)
-    expected, flagged = [], []
-    for i, img in enumerate(images):
-        try:
-            with np.errstate(all="ignore"):
-                expected.append(original(img, cfg))
-        except NonFiniteImageError:
-            expected.append(np.full(21, np.nan))
-            flagged.append(i)
-    assert 0 < len(flagged) < len(images)
-    matrix, returned = extraction.extract_matrix(images, cfg)
-    assert matrix.tobytes() == np.array(expected).tobytes()
-    assert sorted(stacks) == [(1, 70, 97)] * 8 + [(8, 8, 8), (8, 25, 17)]
-    assert returned == dict.fromkeys(flagged, NON_FINITE_FEATURES)
-
-
-@pytest.mark.parametrize("cpus, threads", [(None, 1), (1, 1), (2, 2), (8, 2)])
-def test_thread_count_without_affinity_mask_counts_cpus(monkeypatch, rng, cpus, threads):
-    # macOS and Windows have no os.sched_getaffinity
-    import rieszrep.extraction as extraction
-    from rieszrep.representation import RieszConfig
-
-    monkeypatch.delattr(extraction.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(extraction.os, "cpu_count", lambda: cpus)
-    assert extraction._thread_count() == threads
-    images = [rng.random((12, 10)) for _ in range(3)]
-    assert extraction.extract_matrix(images, RieszConfig(depth=1))[0].shape == (3, 5)
 
 
 def test_pipeline_scale_commutation_smoke(tmp_path):

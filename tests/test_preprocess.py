@@ -125,8 +125,9 @@ def test_crop_equals_padded_frame_slice(image, pad, threshold, enlarge):
     # equal values, and the padding zeros are +0.0 as np.pad writes them
     assert np.array_equal(crop, expected)
     assert np.array_equal(np.signbit(crop), np.signbit(expected))
-    # a run over a list of images crops each as this one
-    assert np.array_equal(crop_finder([image], pad, threshold, enlarge)(0).cut(), crop)
+    # a run over a list of images crops each at find_crops' defaults
+    expected = padded_reference(image, pad=50, threshold=0.5, enlarge=0.4)[0]
+    assert np.array_equal(crop_finder([image])(0).cut(), expected)
 
 
 @pytest.mark.parametrize("name", [n for n in _CROP_CASES if "-pad" in n])
