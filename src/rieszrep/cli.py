@@ -1,8 +1,8 @@
 """Command-line entry point: extract, bbox, train, eval, verify, bench.
 
 Configuration is a flat ``key = value`` text file; command-line flags
-override file values.  ``--print-config`` emits the fully resolved
-configuration.  Relative dataset paths (IDX files, image directories,
+override file values.  ``--print-config`` emits the command's resolved
+keys.  Relative dataset paths (IDX files, image directories,
 manifests and the shards they name) are resolved against the
 ``RIESZ_DATA_DIR`` environment variable when it is set; feature CSVs,
 models and outputs, which the program writes, are taken as given.
@@ -50,8 +50,8 @@ def _parse_bool(value):
 
 
 # the keys that build a RieszConfig, with their parsers; their defaults
-# are RieszConfig's
-_RIESZ = {"depth": int, "angles": int, "scale_constant": float}
+# are RieszConfig's, and its scale constant stays at 1
+_RIESZ = {"depth": int, "angles": int}
 
 # key -> (parser, default); config files and flags share this schema
 _SCHEMA = {
@@ -127,20 +127,20 @@ def load_config_file(path) -> dict:
 
 
 def resolve_config(args) -> dict:
-    config = {key: default for key, (_, default) in _SCHEMA.items()}
-    if getattr(args, "config", None):
-        config.update(load_config_file(args.config))
-    for key in _SCHEMA:
-        value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
+    """Each of the command's keys: its flag, else the ``--config`` file's value, else the default."""
+    values = load_config_file(args.config) if args.config else {}
+    config = {}
+    for key in args.keys:
+        flag = getattr(args, key)
+        config[key] = values.get(key, _SCHEMA[key][1]) if flag is None else flag
     # checked here, before any command reads a file
     for key, (test, rule) in _RANGES.items():
-        if not test(config[key]):
+        if key in config and not test(config[key]):
             raise ConfigError(f"{key} must be {rule}, got {config[key]}")
-    if config["classifier"] not in _CLASSIFIERS:
+    if "classifier" in config and config["classifier"] not in _CLASSIFIERS:
         raise ConfigError(f"unknown classifier {config['classifier']!r}")
-    riesz_config(config)
+    if "depth" in config:
+        riesz_config(config)
     return config
 
 
@@ -200,11 +200,10 @@ def _nonempty_input_images(config, verb):
     return images, labels
 
 
-def _extract_matrix(images, config, bbox=True):
-    """``extraction.extract_matrix`` of ``images`` under ``config``, cropped
-    when ``bbox`` and the ``bbox`` key are both set; each flagged image
-    is logged, in index order."""
-    matrix, flagged = extract_matrix(images, riesz_config(config), bbox and config["bbox"])
+def _extract_matrix(images, config):
+    """``extraction.extract_matrix`` of ``images`` under ``config``, cropped when
+    its ``bbox`` key is set; each flagged image is logged, in index order."""
+    matrix, flagged = extract_matrix(images, riesz_config(config), config["bbox"])
     for index, reason in flagged.items():
         log.warning("image %d flagged: %s", index, reason)
     return matrix
@@ -399,9 +398,8 @@ def cmd_bench(
     alike.  25x17 is the shape of a scale-1 crop; 16 of them fit one
     engine group at K=3, M=4, so that row times the batched path.
 
-    ``features`` is the mean over the size's same-shape images, run
-    through ``extraction.extract_matrix`` without bbox cropping as
-    ``extract`` runs them (see there), after the filter caches are warmed.
+    ``features`` is the mean over the size's same-shape images, run through
+    ``extraction.extract_matrix`` uncropped, after the filter caches are warmed.
     """
     rng = np.random.default_rng(config["seed"])
     print("size,stage,seconds_per_image")
@@ -412,9 +410,9 @@ def cmd_bench(
             height, width, count = (*size, 4)[:3]
             name = f"{height}x{width}" + (f"*{count}" if len(size) == 3 else "")
         stack = rng.standard_normal((count, height, width))
-        _extract_matrix(stack[:1], config, bbox=False)  # warm the filter caches
+        extract_matrix(stack[:1], riesz_config(config))  # warm the filter caches
         start = time.perf_counter()
-        _extract_matrix(stack, config, bbox=False)
+        extract_matrix(stack, riesz_config(config))
         print(f"{name},features,{(time.perf_counter() - start) / len(stack):.6f}")
     centers = rng.standard_normal((10, 85))
     labels = np.arange(train_rows) % 10
@@ -443,10 +441,10 @@ def build_parser():
     riesz = tuple(_RIESZ)
     inputs = ("images", "labels", "image_dir", "limit")
     idx_or_dir = (("images", "labels"), ("image_dir",))
-    # name, handler, help, the schema keys it takes as flags, the keys it
-    # requires, and its input sources: alternatives of keys given
-    # together (see check_inputs); each flag is the key with '-' for '_',
-    # so its dest is the key
+    # name, handler, help, the schema keys it reads (its flags, and the
+    # config resolve_config gives it), the keys it requires, and its input
+    # sources: alternatives of keys given together (see check_inputs);
+    # each flag is the key with '-' for '_', so its dest is the key
     commands = (
         ("extract", cmd_extract, "write a feature CSV",
          (*riesz, *inputs, "bbox", "output"), ("output",), idx_or_dir),
@@ -463,7 +461,7 @@ def build_parser():
     )
     for name, handler, help_text, keys, requires, sources in commands:
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler, requires=requires, sources=sources)
+        p.set_defaults(handler=handler, keys=keys, requires=requires, sources=sources)
         p.add_argument("--config", help="flat 'key = value' configuration file")
         p.add_argument("--print-config", action="store_true")
         for key in keys:

@@ -2,8 +2,8 @@
 
 One layer convolves the input with M rotated complex base filters
 (first-order steered Hilbert response as imaginary part, second-order
-as real part), scales by the constant C, and takes the pointwise
-amplitude.  Layers are stacked to depth K; global mean pooling of every
+as real part), takes the pointwise amplitude and scales it by the
+constant C.  Layers are stacked to depth K; global mean pooling of every
 intermediate map yields the translation-invariant feature vector.
 
 One engine (``_level_chunks``) computes every level.  By
@@ -230,8 +230,8 @@ def _real_dft(width: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _steering(angles: int, scale: float, transposed: bool) -> np.ndarray:
-    """Read-only (M, 5, 2) weights, times ``scale``, that steer the basis.
+def _steering(angles: int, transposed: bool) -> np.ndarray:
+    """Read-only (M, 5, 2) weights that steer the basis.
 
     With c, s = cos, sin of the angle, the second-order response
     c^2 R11 + s^2 R22 + 2cs R12 goes to slot 0 and the first-order one
@@ -245,7 +245,6 @@ def _steering(angles: int, scale: float, transposed: bool) -> np.ndarray:
         c, s = math.cos(phi), math.sin(phi)
         weights[k, :3, 0] = c * c, s * s, 2 * c * s
         weights[k, 3:, 1] = c, s
-    weights *= scale
     weights.setflags(write=False)
     return weights
 
@@ -292,7 +291,7 @@ def group_size(height: int, width: int, angles: int) -> int:
 
 
 def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed=False):
-    """Maps of levels 1..K of the validated (n, H, W) stack f, in path order.
+    """Maps at C = 1 of levels 1..K of the validated (n, H, W) stack f, in path order.
 
     Level k holds n * M^(k-1) parent maps, image-major: image i's maps
     come before image i+1's, each image's in path order.  A stack of
@@ -305,19 +304,18 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed
     g = min(``group_size(H, W, M)``, n * M^(K-1)), so one group may span
     several images: one real forward transform along axis -1 over
     (g, H, W) into a half spectrum, one complex FFT along axis -2, one
-    multiply by the broadcast basis
-    bank into (g, 5, H, W//2+1), one in-place inverse FFT along axis -2
-    and one real inverse along axis -1 into a contiguous (g, 5, H, W)
-    buffer.  That gives R11, R22, R12, R1 and R2 of every parent: five
-    real inverse transforms per parent whatever M is.  One
-    matrix product of the transposed basis with the steering weights
-    then writes each angle's second-order response as real part and
-    first-order response as imaginary part of a (g, M, H*W) complex
-    buffer, so the amplitude is one ``np.abs``: ``np.hypot`` on two real
-    (8, 128, 128) arrays took 3.7 ms against 0.33 ms for ``np.abs`` on
-    the same data held as complex.  The weights carry the scale constant
-    C.  The angles are steered in chunks: all M of them, halved while
-    the (g, chunk, H*W) complex buffer exceeds ``_BATCH_BYTES``, so a
+    multiply by the broadcast basis bank into (g, 5, H, W//2+1), one
+    in-place inverse FFT along axis -2 and one real inverse along axis
+    -1 into a contiguous (g, 5, H, W) buffer.  That gives R11, R22, R12,
+    R1 and R2 of every parent: five real inverse transforms per parent
+    whatever M is.  One matrix product of the transposed basis with the
+    steering weights then writes each angle's second-order response as
+    real part and first-order response as imaginary part of a
+    (g, M, H*W) complex buffer, so the amplitude is one ``np.abs``:
+    ``np.hypot`` on two real (8, 128, 128) arrays took 3.7 ms against
+    0.33 ms for ``np.abs`` on the same data held as complex.  The angles
+    are steered in chunks: all M of them, halved while the
+    (g, chunk, H*W) complex buffer exceeds ``_BATCH_BYTES``, so a
     128x128 map with M=8 is steered two angles at a time through a
     0.5 MB buffer instead of 2.1 MB, and every group of g > 1 parents
     takes all M at once.  Each angle's (H*W, 5) @ (5, 2) product is its
@@ -359,7 +357,7 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed
         f = np.ascontiguousarray(f.swapaxes(1, 2))
     images, height, width = f.shape
     size = height * width
-    weights = _steering(angles, config.scale_constant, transposed)
+    weights = _steering(angles, transposed)
     bank, dft = _basis_bank(height, width), _real_dft(width)
     group = min(group_size(height, width, angles), images * angles ** (depth - 1))
     chunk = angles
@@ -413,7 +411,7 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed
 def layer_S(f: np.ndarray, config: RieszConfig):
     """One layer: C * amplitude of each rotated base response, inf or nan where it overflows."""
     (chunk,) = _level_chunks(as_image(f)[None], replace(config, depth=1))
-    return list(chunk)
+    return list(config.scale_constant * chunk)
 
 
 def extract_features(f: np.ndarray, config: RieszConfig, *, workspace=None) -> np.ndarray:
@@ -426,9 +424,10 @@ def extract_features(f: np.ndarray, config: RieszConfig, *, workspace=None) -> n
     When ``_transposes`` picks it (a height with a large prime factor
     and a smoother width), the engine runs on the transposed images and
     yields the transposes of their maps in path order; they agree with
-    the untransposed engine up to rounding.  Only the levels that feed
-    another are held; each chunk of the deepest level is pooled as soon
-    as it is computed.  A ``Workspace`` shared by consecutive calls
+    the untransposed engine up to rounding.  The maps are those of
+    C = 1; C^k multiplies the pooled depth-k means.  Only the levels that
+    feed another are held; each chunk of the deepest level is pooled as
+    soon as it is computed.  A ``Workspace`` shared by consecutive calls
     lends the engine's buffers from one call to the next while the
     stack shape repeats; none of them escapes, since only pooled values
     are returned, and the values are bit-identical to a call without
@@ -447,6 +446,9 @@ def extract_features(f: np.ndarray, config: RieszConfig, *, workspace=None) -> n
     ends = list(itertools.accumulate(images * config.angles**k for k in range(config.depth + 1)))
     blocks = [sums[start:end].reshape(images, -1) for start, end in zip([0, *ends], ends)]
     features = np.concatenate(blocks, axis=1) / (height * width)
+    # positive homogeneity: a depth-k map at C is C^k times the map at C = 1
+    depths = np.repeat(np.arange(config.depth + 1), [b.shape[1] for b in blocks])
+    features *= config.scale_constant**depths
     if single and not np.isfinite(features).all():
         raise NonFiniteImageError(NON_FINITE_FEATURES)
     return features[0] if single else features

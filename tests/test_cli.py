@@ -1,4 +1,3 @@
-import argparse
 import inspect
 import struct
 import threading
@@ -29,8 +28,9 @@ def _write_idx_pair(directory, images, labels, stem="set"):
     return ipath, lpath
 
 
-def _default_config(**overrides):
-    return dict(resolve_config(argparse.Namespace(config=None)), **overrides)
+def _default_config(command, **overrides):
+    """The config ``command`` resolves with no flags and no file."""
+    return dict(resolve_config(build_parser().parse_args([command])), **overrides)
 
 
 def _two_class_images(rng, per_class=12, size=16):
@@ -80,7 +80,6 @@ _SEED = (("--seed",), "seed", None, None, int)
 _RIESZ = {
     (("--depth",), "depth", None, None, int),
     (("--angles",), "angles", None, None, int),
-    (("--scale-constant",), "scale_constant", None, None, float),
 }
 _BBOX = (("--bbox",), "bbox", None, True, None)
 _LIMIT = (("--limit",), "limit", None, None, int)
@@ -150,9 +149,12 @@ def test_subcommand_option_table():
         assert table == _OPTION_TABLE[name], name
         declared = (parser.get_default("requires"), parser.get_default("sources"))
         assert declared == _INPUT_TABLE[name], name
-        # every declared key is one the command takes as a flag
+        # every declared key is one the command takes as a flag, and its
+        # keys are exactly its flags
         dests = {a.dest for a in parser._actions}
         assert {*declared[0], *(key for keys in declared[1] for key in keys)} <= dests, name
+        flags = dests - {"help", "config", "print_config", "inject_fault"}
+        assert set(parser.get_default("keys")) == flags, name
 
 
 def test_parser_is_built_once():
@@ -182,7 +184,7 @@ def test_reused_parser_drops_the_injected_fault(capsys):
 
 def test_reused_parser_drops_print_config(capsys):
     assert main(["train", "--print-config"]) == 2
-    assert "depth = " in capsys.readouterr().out
+    assert "seed = " in capsys.readouterr().out
     assert main(["train"]) == 2
     assert capsys.readouterr().out == ""
 
@@ -217,17 +219,20 @@ def test_unreadable_config_file_exits_2_naming_it(tmp_path, caplog, command, kin
 
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "riesz.cfg"
-    cfg.write_text("# comment\ndepth = 2\nangles = 8\nscale_constant = 0.5  # inline\n")
+    cfg.write_text("# comment\ndepth = 2\nangles = 8\nreg = 0.5  # inline\n")
     values = load_config_file(cfg)
-    assert values == {"depth": 2, "angles": 8, "scale_constant": 0.5}
+    assert values == {"depth": 2, "angles": 8, "reg": 0.5}
 
 
 @pytest.mark.parametrize("flag", [["--pooling", "max"], ["--presmooth-sigma", "1"], ["--pad", "3"],
-                                  ["--threshold", "0.5"], ["--enlarge", "0.4"], ["--bbox"]])
+                                  ["--threshold", "0.5"], ["--enlarge", "0.4"], ["--bbox"],
+                                  ["--scale-constant", "0.5"]])
 def test_removed_riesz_flags_exit_2(capsys, flag):
-    # the representation is set by depth, angles and scale constant
-    # alone, a crop by find_crops' defaults, and riesz bbox always crops
-    for command in ["bbox"] if flag == ["--bbox"] else ["extract", "eval", "bbox"]:
+    # the command line sets the representation by depth and angles
+    # alone (the scale constant stays 1), a crop by find_crops'
+    # defaults, and riesz bbox always crops
+    commands = {"--bbox": ["bbox"], "--scale-constant": ["extract", "eval", "bench"]}
+    for command in commands.get(flag[0], ["extract", "eval", "bbox"]):
         with pytest.raises(SystemExit) as exc:
             main([command, *flag])
         assert exc.value.code == 2
@@ -235,7 +240,7 @@ def test_removed_riesz_flags_exit_2(capsys, flag):
 
 
 @pytest.mark.parametrize("line", ["pooling = mean", "presmooth_sigma = 1.5", "pad = 3",
-                                  "threshold = 0.5", "enlarge = 0.4"])
+                                  "threshold = 0.5", "enlarge = 0.4", "scale_constant = 0.5"])
 def test_removed_riesz_keys_are_unknown(tmp_path, caplog, line):
     cfg = tmp_path / "riesz.cfg"
     cfg.write_text(line + "\n")
@@ -268,15 +273,33 @@ def test_config_file_bad_line(tmp_path):
 
 def test_print_config(tmp_path, capsys, caplog):
     cfg = tmp_path / "riesz.cfg"
-    cfg.write_text("depth = 2\n")
+    cfg.write_text("depth = 2\nepochs = 7\nseed = 3\n")
     # flag overrides file; the config is printed before train stops at
-    # its missing inputs
+    # its missing inputs, and holds train's keys alone: the file's depth
+    # is another command's key, parsed and ignored
     assert main(["train", "--config", str(cfg), "--print-config", "--seed", "5"]) == 2
-    out = capsys.readouterr().out
-    assert "depth = 2" in out
-    assert "seed = 5" in out
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["classifier = svm", "components = 20", "epochs = 7", "features = None",
+                   "output = None", "reg = 0.0001", "seed = 5"]
     (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert error == "config error: train requires 'features' and 'output'"
+
+
+def test_print_config_of_bbox_holds_only_its_keys(tmp_path, capsys):
+    # riesz bbox always crops: a file's bbox switch, seed and classifier
+    # are other commands' keys, which it neither prints nor reads
+    images = np.stack([synthetic_digit(32), synthetic_digit(32)])
+    ipath, lpath = _write_idx_pair(tmp_path, images, [0, 0])
+    cfg = tmp_path / "riesz.cfg"
+    cfg.write_text("bbox = 0\nseed = 4\nclassifier = pca\nlimit = 1\n")
+    out_dir = tmp_path / "crops"
+    argv = ["bbox", "--config", str(cfg), "--print-config", "--images", str(ipath),
+            "--labels", str(lpath), "--out-dir", str(out_dir)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "image_dir = None", f"images = {ipath}", f"labels = {lpath}", "limit = 1",
+        f"out_dir = {out_dir}"]
+    assert [p.name for p in out_dir.iterdir()] == ["crop_00000.pgm"]
 
 
 _IMAGE_SOURCES = "'images'+'labels' or 'image_dir'"
@@ -1078,13 +1101,9 @@ def test_eval_manifest_malformed(tmp_path):
 
 
 def test_bench_output(capsys):
-    from rieszrep.cli import cmd_bench, resolve_config
+    from rieszrep.cli import cmd_bench
 
-    class Args:
-        config = None
-
-    config = resolve_config(Args())
-    config["depth"] = 1
+    config = _default_config("bench", depth=1)
     # the scale-4 crop shape in both orientations and 16 scale-1 crops
     # close the default size list
     crops = inspect.signature(cmd_bench).parameters["sizes"].default[-3:]
@@ -1111,7 +1130,7 @@ def test_bench_features_row_runs_images_through_one_workspace_per_thread(capsys,
         return original(f, cfg, workspace=workspace)
 
     monkeypatch.setattr(extraction, "extract_features", spy)
-    config = _default_config(depth=1, bbox=True)  # bench times fixed sizes, never crops
+    config = _default_config("bench", depth=1, bbox=True)  # bench times fixed sizes, never crops
     assert cli.cmd_bench(config, sizes=(16,), train_rows=40) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].startswith("16,features,")

@@ -196,7 +196,7 @@ def test_parse_manifest(workdir, data):
             assert images and labels
 
 
-_CONFIG = b"# run\ndepth = 2\nangles = 8\nscale_constant = 0.5\nbbox = yes\nreg = 1e-3\n"
+_CONFIG = b"# run\ndepth = 2\nangles = 8\nepochs = 5\nbbox = yes\nreg = 1e-3\n"
 
 
 @SUITE

@@ -82,12 +82,17 @@ def test_layer_zero_image():
 
 
 def test_layer_homogeneous_in_C(rng):
-    f = rng.standard_normal((16, 16))
-    once = layer_S(f, RieszConfig(scale_constant=1.0))
-    twice = layer_S(f, RieszConfig(scale_constant=2.0))
-    for a, b in zip(once, twice):
-        assert_allclose(b, 2 * a, rtol=0, atol=1e-14)
-        assert np.all(a >= 0)
+    # the maps at C are C times those at C = 1, bit for bit
+    for shape in [(16, 16), (97, 70)]:
+        f = rng.standard_normal(shape)
+        for angles in (4, 8):
+            once = layer_S(f, RieszConfig(angles=angles, scale_constant=1.0))
+            for c in (0.7, 2.0, 3.0):
+                scaled = layer_S(f, RieszConfig(angles=angles, scale_constant=c))
+                assert len(scaled) == len(once) == angles
+                for a, b in zip(once, scaled):
+                    assert_array_equal(b, c * a)
+                    assert np.all(a >= 0)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 5), (3, 1), (5, 1)])
@@ -327,10 +332,10 @@ def test_transpose_routes_by_height_and_order_is_an_involution():
         order = _transposed_path_order(depth, angles)
         assert_array_equal(order[order], np.arange(feature_count(depth, angles)))
         # slot k of the transposed weights is slot (M/2 - k) mod M of the untransposed ones
-        weights = representation._steering(angles, 1.0, True)
+        weights = representation._steering(angles, True)
         assert not weights.flags.writeable
         slots = _transposed_path_order(1, angles)[1:] - 1
-        assert_array_equal(weights, representation._steering(angles, 1.0, False)[slots])
+        assert_array_equal(weights, representation._steering(angles, False)[slots])
 
 
 @pytest.mark.parametrize("name", ["K3M4", "K2M8", "C0.7", "C0.7-presmooth"])
@@ -553,11 +558,33 @@ def test_features_shift_invariance(rng):
 
 
 def test_features_homogeneity_in_C(rng):
-    f = rng.standard_normal((16, 16))
-    base = extract_features(f, RieszConfig(depth=2, scale_constant=1.0))
-    doubled = extract_features(f, RieszConfig(depth=2, scale_constant=2.0))
-    depths = np.array([len(p) for p in feature_paths(2, 4)])
-    assert_allclose(doubled, base * 2.0**depths, rtol=1e-10, atol=1e-14)
+    # the features at C are C^depth times those at C = 1, bit for bit: of
+    # one image, of a stack and of an image the engine runs transposed
+    images = [rng.standard_normal((16, 16)), rng.standard_normal((3, 25, 17)),
+              rng.standard_normal((97, 70))]
+    assert representation._transposes(97, 70)
+    for depth, angles in [(3, 4), (2, 8), (0, 4)]:
+        depths = np.array([len(p) for p in feature_paths(depth, angles)])
+        for f in images:
+            base = extract_features(f, RieszConfig(depth, angles, scale_constant=1.0))
+            for c in (0.7, 3.0):
+                scaled = extract_features(f, RieszConfig(depth, angles, scale_constant=c))
+                assert_array_equal(scaled, base * c**depths)
+    # the steering weights do not depend on C: no cache entry per value
+    f = rng.standard_normal((8, 8))
+    extract_features(f, RieszConfig(depth=1))
+    cached = representation._steering.cache_info().currsize
+    for c in np.linspace(0.5, 2.5, 20):
+        extract_features(f, RieszConfig(depth=1, scale_constant=c))
+    assert representation._steering.cache_info().currsize == cached
+    # the finiteness check reads the scaled row: at C = 1e200 the depth-2
+    # means overflow, though every map at C = 1 is finite
+    huge = RieszConfig(depth=2, scale_constant=1e200)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteImageError):
+            extract_features(f, huge)
+        rows = extract_features(np.stack([f, f]), huge)
+    assert np.isfinite(rows[:, :5]).all() and np.isinf(rows[:, 5:]).all()
 
 
 def _awkward_matrix(rng, rows, cols):
