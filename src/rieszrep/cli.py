@@ -28,7 +28,7 @@ import numpy as np
 from . import classify, verify
 from .extraction import extract_matrix
 from .image_core import NonFiniteImageError, load_gray_image, load_idx, save_gray_pgm
-from .preprocess import BlankImageError, crop_finder
+from .preprocess import BlankImageError, find_crops
 from .representation import (
     RieszConfig,
     feature_count,
@@ -105,12 +105,13 @@ def _text_lines(path):
 
 def load_config_file(path) -> dict:
     """The values of a flat ``key = value`` file; a file that cannot be
-    read or parsed raises ConfigError naming its path."""
+    read or parsed, or that sets a key twice, raises ConfigError naming
+    its path."""
     try:
         lines = list(_text_lines(path))
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror}") from exc
-    values = {}
+    values, set_on = {}, {}  # key -> its value, and the line that set it
     for lineno, line in lines:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
@@ -118,6 +119,9 @@ def load_config_file(path) -> dict:
         key, value = key.strip(), value.strip()
         if key not in _SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: {key} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         parser = _SCHEMA[key][0]
         try:
             values[key] = parser(value)
@@ -223,10 +227,8 @@ def cmd_bbox(config, args) -> int:
     images, _ = _nonempty_input_images(config, "crop")
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    crop_at = crop_finder(images)
-    for i in range(len(images)):
+    for i, found in enumerate(find_crops(images)):
         try:
-            found = crop_at(i)
             crop = found.cut()
         except (BlankImageError, NonFiniteImageError) as exc:
             log.warning("image %d skipped: %s", i, exc)

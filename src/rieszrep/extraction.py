@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .image_core import IdxImages, NonFiniteImageError, as_image
-from .preprocess import BlankImageError, crop_finder
+from .preprocess import BlankImageError, find_crops
 from .representation import (
     NON_FINITE_FEATURES, RieszConfig, Workspace, extract_features, feature_count, group_size
 )
@@ -40,44 +40,40 @@ def extract_matrix(images, config: RieszConfig, bbox=False):
     image that gives no row to its reason, in index order: a blank crop
     (no bounding box), or samples, a sample range, feature maps or means
     that are not finite.  A flagged row is all-NaN, and the run goes on
-    past it.  With ``bbox`` each image is first cropped by
-    ``preprocess.crop_finder``, at ``find_crops``' one setting.
+    past it.  With ``bbox`` each image is cropped, every crop found first
+    by one ``find_crops`` call.
 
-    The batches are planned first, from each image's shape as extracted,
-    known without converting a pixel: an ``IdxImages``'s byte shape or
-    crop boxes (all found in one pass over its bytes), any other image's
-    array shape or box (found on it alone).  Each shape's indices, in
-    order of first appearance, are cut into ``extract_features`` stacks
-    of ``group_size`` (one level-1 engine group), at most 64.  The
-    calling thread and, when there are two batches and ``_thread_count``
-    allows, one helper, each with its own ``Workspace``, take whole
-    batches from one shared iterator and cut or convert a batch's images
-    only then, so each holds at most one batch.  Rows are written by
-    index, each equal to its image's own ``extract_features``, so the
-    matrix is byte-identical whatever the thread count.  Any exception
-    but a flag's, ``KeyboardInterrupt`` included, stops the other worker
-    after its current batch and is raised here.
+    The batches are planned first, deciding every flag but the features'
+    own, from each image's shape as extracted: an ``IdxImages``'s byte
+    shape (its bytes are always finite) or crop box, any other image's
+    crop box or its shape as ``as_image`` converts it.  Each shape's
+    indices, in order of first appearance, are cut into
+    ``extract_features`` stacks of ``group_size`` (one level-1 engine
+    group), at most 64.  The calling thread and, when there are two
+    batches and ``_thread_count`` allows, one helper, each with its own
+    ``Workspace``, take whole batches from one shared iterator and cut
+    or convert a batch's images only then, so each holds at most one
+    batch.  Rows are written by index, each equal to its image's own
+    ``extract_features``, so the matrix is byte-identical whatever the
+    thread count.  An exception, ``KeyboardInterrupt`` included,
+    stops the other worker after its current batch and is raised here.
     """
     matrix = np.full((len(images), feature_count(config.depth, config.angles)), np.nan)
     flagged = {}
-    crop_at = crop_finder(images) if bbox else None
-    crops = {}  # index -> its preprocess.Crop
+    crops = find_crops(images) if bbox else None
 
     def shape_of(index):
         """The shape of image ``index`` as extracted; raises its flag."""
-        if crop_at:
-            found = crops[index] = crop_at(index)
+        if bbox:
+            found = crops[index]
             if found.box is None:
                 found.cut()  # raises why the image has no box
             return found.box.height, found.box.width
         if isinstance(images, IdxImages):
             return images.pixels.shape[1:]
-        shape = np.shape(images[index])
-        # as_image raises the ValueError of a shape that is no image
-        return shape if len(shape) == 2 and all(shape) else as_image(images[index]).shape
-
-    def take(index):
-        return crops[index].cut() if crop_at else as_image(images[index])
+        # raises for a nan or inf sample, and the ValueError of a shape
+        # that is no image
+        return as_image(images[index]).shape
 
     groups = {}  # shape -> its indices, in order of first appearance
     for index in range(len(images)):
@@ -98,19 +94,12 @@ def extract_matrix(images, config: RieszConfig, bbox=False):
     stop = False  # set when a worker raises
 
     def extract(batch, workspace):
-        """Fill a batch's finite rows from one stack; flag the others."""
-        taken = []
-        for index in batch:
-            try:
-                taken.append((index, take(index)))
-            except NonFiniteImageError as exc:
-                flagged[index] = str(exc)
-        if not taken:
-            return
+        """Fill a batch's rows from one stack; flag those not finite."""
+        pixels = [crops[index].cut() if bbox else as_image(images[index]) for index in batch]
         # a lone image goes as a view, not a copy
-        stack = taken[0][1][None] if len(taken) == 1 else np.stack([img for _, img in taken])
+        stack = pixels[0][None] if len(pixels) == 1 else np.stack(pixels)
         features = extract_features(stack, config, workspace=workspace)
-        for (index, _), row in zip(taken, features):
+        for index, row in zip(batch, features):
             if np.isfinite(row).all():
                 matrix[index] = row
             else:

@@ -7,15 +7,16 @@ built: with a threshold above 0 the padding is never foreground, so the
 tight box is found on the image alone and shifted by ``pad``, and the
 crop is zeros plus the part of the image the enlarged box overlaps.
 
-The boxes of a whole same-shape stack are found at once
-(``find_crops``), from each image's row and column maxima and its
-minimum.  (x - lo) / (hi - lo) never decreases as x grows, so a row or
-column has a pixel at or above the threshold exactly when its maximum
-does once normalized.  An IDX stack is reduced over its stored bytes:
-byte / 255 grows with the byte too, so the maxima and minima of the
-bytes are those of the images.  Only those reductions and, when a crop
-is cut, the pixels it keeps are made float64, the way ``IdxImages``
-makes them (``scale_idx_pixels``); no float64 copy of the stack is made.
+``find_crops``, the one crop search, finds the boxes of a same-shape
+stack at once (a list image by image), from each image's row and column
+maxima and its minimum, and flags a bad image in its ``Crop``.
+(x - lo) / (hi - lo) never decreases as x grows, so a row or column has
+a pixel at or above the threshold exactly when its maximum does once
+normalized.  An IDX stack is reduced over its stored bytes: byte / 255
+grows with the byte too, so the maxima and minima of the bytes are
+those of the images.  Only those reductions and, when a crop is cut,
+the pixels it keeps are made float64, the way ``IdxImages`` makes them
+(``scale_idx_pixels``); no float64 copy of the stack is made.
 ``bbox_compute`` is the one-image case.
 """
 
@@ -89,8 +90,8 @@ class Crop:
 
     ``samples`` is the image as stored, ``to_float`` makes its pixels
     float64 and ``lo`` and ``span`` normalize them.  A blank image (span
-    0) and one whose sample range overflows float64 (span inf) have no
-    boxes.
+    0), one with a nan or inf sample (span nan) and one whose sample
+    range overflows float64 (span inf) have no boxes; ``cut`` says why.
     """
 
     samples: np.ndarray
@@ -105,12 +106,14 @@ class Crop:
         """The enlarged box cut from the padded, normalized image.
 
         Raises BlankImageError for a blank image and NonFiniteImageError
-        for an overflowing one.
+        for a non-finite (``as_image``'s message) or overflowing one.
         """
         if self.span == 0:  # normalizes to zeros, below any threshold
             raise BlankImageError("no foreground pixels above threshold")
         if self.span == math.inf:
             raise NonFiniteImageError("sample range overflows float64")
+        if math.isnan(self.span):
+            as_image(self.samples)  # raises for the nan or inf sample
         box, pad = self.box, self.pad
         height, width = self.samples.shape
         # the box's overlap with the image, in image coordinates
@@ -123,30 +126,43 @@ class Crop:
         return crop
 
 
-def find_crops(images, pad: int = 50, threshold: float = 0.5, enlarge: float = 0.4) -> list[Crop]:
-    """The ``Crop`` of each image of a same-shape stack.
+def _float_samples(images, stack=False):
+    """``as_image(images, stack)``, keeping nan and inf for ``Crop`` to flag."""
+    try:
+        return as_image(images, stack)
+    except NonFiniteImageError:
+        return np.asarray(images, dtype=np.float64)
 
-    ``images`` is an ``IdxImages`` or an (n, H, W) stack of float images
-    (``as_image``, so a non-finite sample raises NonFiniteImageError).
-    The row maxima, column maxima and minima of the whole stack are one
-    reduction each, an ``IdxImages``'s over its bytes (see the module
-    docstring).  A flagged image's ``Crop`` raises from ``cut``.  Raises
-    ValueError for settings that ``check_crop_settings`` rejects.  The
-    defaults are the one setting the program crops with (``crop_finder``).
+
+def find_crops(images, pad: int = 50, threshold: float = 0.5, enlarge: float = 0.4) -> list[Crop]:
+    """The ``Crop`` of each image, in order.
+
+    An ``IdxImages`` or an (n, H, W) array is one stack, whose row
+    maxima, column maxima and minima are one reduction each (an
+    ``IdxImages``'s over its bytes); any other sequence's images, whose
+    shapes may differ, are each a stack of one.  A blank image, one with
+    a nan or inf sample and one whose sample range overflows float64 get
+    a boxless ``Crop`` whose ``cut`` raises.  Raises ValueError only for
+    settings that ``check_crop_settings`` rejects and for an input that
+    is not 2-D images.  The defaults are the one setting the program
+    crops with.
     """
     check_crop_settings(pad, threshold, enlarge)
     if isinstance(images, IdxImages):
         samples, to_float = images.pixels, scale_idx_pixels
+    elif isinstance(images, np.ndarray):
+        samples, to_float = _float_samples(images, stack=True), np.asarray
     else:
-        samples, to_float = as_image(images, stack=True), np.asarray
+        return [find_crops(_float_samples(image)[None], pad, threshold, enlarge)[0] for image in images]
     _, height, width = samples.shape
     col_max = to_float(samples.max(axis=1))
     row_max = to_float(samples.max(axis=2))
     lo = to_float(samples.min(axis=(1, 2)))
-    # the masks of a blank image (span 0) or an overflowing one (span
-    # inf) are never read
+    hi = col_max.max(axis=1)
+    # the masks of a boxless image (span 0, nan or inf) are never read
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        span = col_max.max(axis=1) - lo
+        # a nan or inf sample leaves the maximum or the minimum not finite
+        span = np.where(np.isfinite(hi) & np.isfinite(lo), hi - lo, np.nan)
         rows = (row_max - lo[:, None]) / span[:, None] >= threshold
         cols = (col_max - lo[:, None]) / span[:, None] >= threshold
     # each image's first foreground row and column, and its last as the
@@ -163,20 +179,6 @@ def find_crops(images, pad: int = 50, threshold: float = 0.5, enlarge: float = 0
     return crops
 
 
-def crop_finder(images) -> Callable[[int], Crop]:
-    """A function giving the ``Crop`` of ``images[index]`` at ``find_crops``'
-    default setting, the one every caller of the program crops with.
-
-    An ``IdxImages`` input's crops are all found here, in one pass over
-    its bytes (``find_crops``); any other image is cropped as a stack of
-    one when its index is asked for, and raises NonFiniteImageError then
-    if it holds a non-finite sample.
-    """
-    if isinstance(images, IdxImages):
-        return find_crops(images).__getitem__
-    return lambda index: find_crops(as_image(images[index])[None])[0]
-
-
 def bbox_compute(f: np.ndarray, pad: int = 50, threshold: float = 0.5, enlarge: float = 0.4):
     """Run the four-step bounding-box pipeline on one image.
 
@@ -186,9 +188,10 @@ def bbox_compute(f: np.ndarray, pad: int = 50, threshold: float = 0.5, enlarge: 
     which is never allocated (see the module docstring).  Pixels at or
     above the threshold count as foreground, so binary images keep
     their 1-pixels.  Raises ValueError for settings that
-    ``check_crop_settings`` rejects and BlankImageError when no pixel
-    is foreground.  The image is a stack of one to ``find_crops``.
+    ``check_crop_settings`` rejects, BlankImageError when no pixel is
+    foreground and NonFiniteImageError for a nan or inf sample or an
+    overflowing range.  The image is a list of one to ``find_crops``.
     """
-    crop = find_crops(as_image(f)[None], pad, threshold, enlarge)[0]
+    crop = find_crops([f], pad, threshold, enlarge)[0]
     return crop.cut(), crop.tight, crop.box
 

@@ -224,6 +224,20 @@ def test_config_file_parsing(tmp_path):
     assert values == {"depth": 2, "angles": 8, "reg": 0.5}
 
 
+def test_config_file_repeated_key_exits_2_naming_both_lines(tmp_path, capsys, caplog):
+    # the second value is refused, not silently taken, before the config
+    # is printed or train's missing feature file (exit 1) is read; a flag
+    # still overrides the file's one value (test_print_config)
+    cfg = tmp_path / "riesz.cfg"
+    cfg.write_text("seed = 1\n# a comment\nseed = 2\n")
+    argv = ["train", "--config", str(cfg), "--print-config",
+            "--features", str(tmp_path / "missing.csv"), "--output", str(tmp_path / "m.txt")]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+    (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error == f"config error: {cfg}:3: seed is already set on line 1"
+
+
 @pytest.mark.parametrize("flag", [["--pooling", "max"], ["--presmooth-sigma", "1"], ["--pad", "3"],
                                   ["--threshold", "0.5"], ["--enlarge", "0.4"], ["--bbox"],
                                   ["--scale-constant", "0.5"]])

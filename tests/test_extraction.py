@@ -49,7 +49,7 @@ def _list_input(tmp_path, rng):
     read them as matrix text and, with and without crops, their flags."""
     images = [rng.random((12, 10)) for _ in range(10)]
     images[1] = np.zeros((12, 10))
-    images[8][5, 5] = np.nan  # flagged when taken, before 4 and 7 are
+    images[8][5, 5] = np.nan  # flagged while planning, before 4 and 7 are
     images[4] = rng.random((12, 10)) * 1.7e308
     images[4][0, 0] = -1.7e308
     images[7] = np.full((12, 10), 1e308)
@@ -381,9 +381,12 @@ def test_extract_matrix_on_idx_bytes_matches_its_float_images(monkeypatch, rng, 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_extract_matrix_flags_the_overflowing_rows_of_a_stack(monkeypatch, rng, cpus):
-    # finite and overflowing images of three shapes: the 25x17 and 8x8
-    # ones go as stacks of 8, the 70x97 ones alone, each batch as one
-    # stack; a row is flagged exactly when its image's own call raises
+    # each batch goes as one stack, and a row is flagged exactly when its
+    # image's own call raises, with that call's reason.  Two inputs:
+    # finite and overflowing images of three shapes, the 25x17 and 8x8
+    # ones in stacks of 8 and the 70x97 ones alone; and forty 25x17
+    # images with a nan at 3 and an inf at 30, which are flagged while
+    # the batches are planned, so the other 38 fill two stacks of 19
     monkeypatch.setattr(extraction.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     original = extraction.extract_features
     stacks = []
@@ -394,27 +397,36 @@ def test_extract_matrix_flags_the_overflowing_rows_of_a_stack(monkeypatch, rng, 
 
     monkeypatch.setattr(extraction, "extract_features", spy)
     scales = [1.0, 1.7e308, 1e300, 1e307, 1.0, 1e306, 1.7e308, 1e300]
-    images = []
+    overflowing = []
     for i in range(24):
         shape = [(25, 17), (8, 8), (70, 97)][i % 3]
         img = rng.random(shape) * scales[i % len(scales)]
         if i % 2:  # a finite mean, while the maps may overflow
             img *= (-1.0) ** np.add.outer(*map(np.arange, shape))
-        images.append(img)
+        overflowing.append(img)
+    non_finite = [rng.random((25, 17)) for _ in range(40)]
+    non_finite[3][4, 5] = np.nan
+    non_finite[30][20, 1] = np.inf
     cfg = RieszConfig(depth=2, angles=4)
-    expected, flagged = [], []
-    for i, img in enumerate(images):
-        try:
-            with np.errstate(all="ignore"):
-                expected.append(original(img, cfg))
-        except NonFiniteImageError:
-            expected.append(np.full(21, np.nan))
-            flagged.append(i)
-    assert 0 < len(flagged) < len(images)
-    matrix, returned = extraction.extract_matrix(images, cfg)
-    assert matrix.tobytes() == np.array(expected).tobytes()
-    assert sorted(stacks) == [(1, 70, 97)] * 8 + [(8, 8, 8), (8, 25, 17)]
-    assert returned == dict.fromkeys(flagged, NON_FINITE_FEATURES)
+    for images, shapes, reason in (
+        (overflowing, [(1, 70, 97)] * 8 + [(8, 8, 8), (8, 25, 17)], NON_FINITE_FEATURES),
+        (non_finite, [(19, 25, 17)] * 2, NON_FINITE_SAMPLES),
+    ):
+        stacks.clear()
+        expected, flagged = [], {}
+        for i, img in enumerate(images):
+            try:
+                with np.errstate(all="ignore"):
+                    expected.append(original(img, cfg))
+            except NonFiniteImageError as exc:
+                expected.append(np.full(21, np.nan))
+                flagged[i] = str(exc)
+        assert 0 < len(flagged) < len(images) and set(flagged.values()) == {reason}
+        matrix, returned = extraction.extract_matrix(images, cfg)
+        assert matrix.tobytes() == np.array(expected).tobytes()
+        assert sorted(stacks) == shapes
+        assert returned == flagged
+    assert flagged == dict.fromkeys([3, 30], NON_FINITE_SAMPLES)
 
 
 @pytest.mark.parametrize("cpus, threads", [(None, 1), (1, 1), (2, 2), (8, 2)])

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rieszrep.image_core import IdxImages, NonFiniteImageError
+from rieszrep.image_core import IdxImages, NonFiniteImageError, as_image
 from rieszrep.preprocess import (
     BlankImageError,
     BoundingBox,
     bbox_compute,
-    crop_finder,
     enlarge_bbox,
     find_crops,
 )
@@ -127,7 +126,7 @@ def test_crop_equals_padded_frame_slice(image, pad, threshold, enlarge):
     assert np.array_equal(np.signbit(crop), np.signbit(expected))
     # a run over a list of images crops each at find_crops' defaults
     expected = padded_reference(image, pad=50, threshold=0.5, enlarge=0.4)[0]
-    assert np.array_equal(crop_finder([image])(0).cut(), expected)
+    assert np.array_equal(find_crops([image])[0].cut(), expected)
 
 
 @pytest.mark.parametrize("name", [n for n in _CROP_CASES if "-pad" in n])
@@ -243,8 +242,26 @@ def test_find_crops_flags_an_overflowing_range():
         bbox_compute(img)
 
 
-def test_find_crops_rejects_a_non_finite_float_stack():
-    stack = np.ones((2, 4, 4))
-    stack[1, 2, 2] = np.nan
-    with pytest.raises(NonFiniteImageError):
-        find_crops(stack)
+def test_find_crops_flags_each_non_finite_image(rng):
+    # a nan, +inf or -inf sample flags its own image alone, in a float
+    # stack and in a list, with as_image's reason; +inf beside -inf is a
+    # non-finite sample, not an overflowing range.  Each finite neighbour
+    # keeps the boxes and the crop of its own stack-of-one search
+    images = rng.random((7, 9, 7))
+    bad = {1: [np.nan], 3: [np.inf], 4: [-np.inf], 6: [np.inf, -np.inf]}
+    for i, values in bad.items():
+        images[i, [2, 5][: len(values)], 3] = values
+    with pytest.raises(NonFiniteImageError) as raised:
+        as_image(images[1])
+    for found in (find_crops(images), find_crops(list(images))):
+        assert len(found) == len(images)
+        for i, (crop, image) in enumerate(zip(found, images)):
+            if i in bad:
+                assert (crop.tight, crop.box) == (None, None)
+                with pytest.raises(NonFiniteImageError) as cut:
+                    crop.cut()
+                assert str(cut.value) == str(raised.value) == "image contains non-finite samples"
+                continue
+            (alone,) = find_crops(image[None])
+            assert (crop.tight, crop.box) == (alone.tight, alone.box) != (None, None)
+            assert crop.cut().tobytes() == alone.cut().tobytes()
