@@ -54,8 +54,9 @@ class BoundingBox:
 def enlarge_bbox(box: BoundingBox, enlarge: float, height: int, width: int) -> BoundingBox:
     """Scale each half-extent by (1 + enlarge) about the box center.
 
-    The enlarged box is rounded outward (floor/ceil) so it never loses
-    tight-box pixels, then clamped to the image bounds.
+    The box is rounded outward (floor/ceil), then clamped to the image
+    bounds.  It keeps every tight-box pixel only for enlarge >= 0; the
+    -1 < enlarge < 0 that ``check_crop_settings`` admits shrinks it.
     """
     # pixel-area extents: box spans [row0, row0 + h) etc.
     rc = box.row0 + box.height / 2.0

@@ -63,17 +63,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import riesz
 from .image_core import NonFiniteImageError, as_image
-from .riesz import first_order_multipliers
 
-# Entries of ``_basis_bank`` (the one per-shape filter cache; the
-# multipliers behind it are built per call) and of ``_real_dft`` (per
-# width).  Bounded because --bbox crops come in many shapes (24 among
-# 100 cropped digits, 57 among 80 at mixed scales).  Within one eval of
-# those 80 crops, 32 keeps every hit an unbounded cache gets (23 of 80).
-# A process that repeats that eval gets no more: the 57 shapes cycle the
-# cache, so every repeat rebuilds all 57 banks (23/57, 46/114 and 69/171
-# hits/misses after 1, 2 and 3 runs).
+# Entries of ``_basis_bank`` (the one per-shape filter cache) and of
+# ``_real_dft`` (per width).  Bounded because --bbox crops come in many
+# shapes (24 among 100 cropped digits, 57 among 80 at mixed scales).
+# Within one eval of those 80 crops, 32 keeps every hit an unbounded
+# cache gets (23 of 80).  A process that repeats that eval gets no more:
+# the 57 shapes cycle the cache, so every repeat rebuilds all 57 banks
+# (23/57, 46/114 and 69/171 hits/misses after 1, 2 and 3 runs).
 SHAPE_CACHE_SIZE = 32
 
 # widest axis ``_real_dft`` builds matrices for, and so the tallest
@@ -141,7 +140,7 @@ def _basis_bank(height: int, width: int) -> np.ndarray:
     an exactly Hermitian pair are exactly Hermitian in IEEE arithmetic,
     so the squares and the product are formed on the half spectrum only.
     """
-    pair = np.stack(first_order_multipliers(height, width))
+    pair = np.stack(riesz.first_order_multipliers(height, width))
     negated = np.roll(pair[:, ::-1, ::-1], 1, axis=(1, 2))
     if np.abs(pair - np.conj(negated)).max() > 1e-12:
         raise ValueError("first-order Riesz multipliers are not Hermitian")

@@ -30,8 +30,8 @@ from .image_core import as_image, fft2, freq_coords, ifft2
 def first_order_multipliers(height: int, width: int):
     """The pair (m1, m2) of first-order Riesz multipliers, built per call.
 
-    The feature engine reads them only through
-    ``representation._basis_bank``, its one per-shape filter cache.
+    Every multiplier here and the feature engine's basis bank look this
+    name up when called, so it is the one seam ``verify.check`` rebinds.
     """
     u1, u2 = freq_coords(height, width)
     mag = np.hypot(u1, u2)

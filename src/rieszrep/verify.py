@@ -11,14 +11,12 @@ Each property draws from its own generator, seeded with
 ``(seed, position in PROPERTIES)``, so one property measured alone
 (``check``) gives the same value as in a full ``run_all``.
 
-``FAULTS`` maps a fault name to a broken stand-in for
-``riesz.riesz_multiplier``, which ``check`` installs on the module for
-the length of one measurement: it reaches ``riesz_transform`` and its
-adjoint, not the steered transforms or the feature engine.  For the
-same measurement ``check`` also binds ``riesz.first_order_multipliers``
-to a fresh memo of the real function, so a measurement builds each
-shape's multipliers once; the feature engine, which imports its own
-binding, is not affected.
+``FAULTS`` maps a fault name to a transform of the first-order pair
+(m1, m2).  For one measurement ``check`` binds a fresh memo of the real
+pair, through the fault if one is named, with read-only arrays, on
+``riesz.first_order_multipliers``: the one seam that every Riesz
+multiplier and the engine's ``_basis_bank`` read.  It clears that cache
+on install and on restore, so no bank outlives the pair it came from.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import numpy as np
 
 from . import riesz
 from .image_core import fft2, freq_coords, ifft2
-from .representation import RieszConfig, extract_features, layer_S
+from .representation import RieszConfig, _basis_bank, extract_features, layer_S
 
 
 @dataclass(frozen=True)
@@ -51,16 +49,16 @@ def _random_image(rng, height=32, width=32, mean_free=False):
     return f
 
 
-_riesz_multiplier = riesz.riesz_multiplier  # the real one, past any stand-in
-_first_order_multipliers = riesz.first_order_multipliers  # likewise
+_first_order_multipliers = riesz.first_order_multipliers  # the real one, past any memo
 
 
-def _memoized_multipliers():
-    """A new memo of the real ``first_order_multipliers``, its pairs read-only."""
+def _memoized_multipliers(fault):
+    """A new memo of the real pair, through ``fault`` if given, its arrays read-only."""
 
     @functools.lru_cache(maxsize=None)
     def first_order_multipliers(height, width):
         pair = _first_order_multipliers(height, width)
+        pair = fault(*pair) if fault else pair
         for m in pair:
             m.flags.writeable = False
         return pair
@@ -68,11 +66,11 @@ def _memoized_multipliers():
     return first_order_multipliers
 
 
-def _dc_not_zeroed(order, height, width):
+def _dc_not_zeroed(m1, m2):
     # DC left at the raw formula value instead of 0 (division by |u|=1 stub)
-    m = _riesz_multiplier(order, height, width).copy()
-    m[0, 0] = 1.0
-    return m
+    m1, m2 = m1.copy(), m2.copy()
+    m1[0, 0] = m2[0, 0] = 1.0
+    return m1, m2
 
 
 FAULTS = {"dc-not-zeroed": _dc_not_zeroed}
@@ -226,13 +224,14 @@ def check(index: int, seed: int = 0, inject_fault: str | None = None):
         raise ValueError(f"unknown fault {inject_fault!r}")
     name, tolerance, measure = PROPERTIES[index]
     rng = np.random.default_rng([seed, index])
-    original = riesz.riesz_multiplier, riesz.first_order_multipliers
-    riesz.riesz_multiplier = FAULTS.get(inject_fault, original[0])
-    riesz.first_order_multipliers = _memoized_multipliers()
+    original = riesz.first_order_multipliers
+    riesz.first_order_multipliers = _memoized_multipliers(FAULTS.get(inject_fault))
+    _basis_bank.cache_clear()
     try:
         measured = float(max(measure(rng)))
     finally:
-        riesz.riesz_multiplier, riesz.first_order_multipliers = original
+        _basis_bank.cache_clear()
+        riesz.first_order_multipliers = original
     return PropertyResult(name, tolerance, measured)
 
 

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import rieszrep.representation as representation
+from rieszrep import riesz
 from rieszrep.image_core import NonFiniteImageError, fft2, freq_coords, ifft2
 from rieszrep.representation import (
     RieszConfig,
@@ -456,7 +457,7 @@ def test_non_hermitian_multiplier_rejected_at_bank_build(monkeypatch, rng):
         m1, m2 = first_order_multipliers(height, width)
         return 1j * m1, 1j * m2
 
-    monkeypatch.setattr(representation, "first_order_multipliers", rotated)
+    monkeypatch.setattr(riesz, "first_order_multipliers", rotated)
     representation._basis_bank.cache_clear()
     try:
         with pytest.raises(ValueError, match="not Hermitian"):

@@ -1,9 +1,10 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from rieszrep import riesz, verify
-from rieszrep.representation import RieszConfig
+from rieszrep.representation import RieszConfig, extract_features, layer_S
 
 
 def _index(name):
@@ -20,13 +21,10 @@ def test_fault_reaches_riesz_transform():
 
 
 def test_check_installs_fault_only_while_measuring(monkeypatch):
-    original = riesz.riesz_multiplier
-    original_pair = riesz.first_order_multipliers
-    seen = []
+    original = riesz.first_order_multipliers
     memos = []
 
     def spy(rng):
-        seen.append(riesz.riesz_multiplier)
         memos.append(riesz.first_order_multipliers)
         yield 0.0
 
@@ -36,17 +34,76 @@ def test_check_installs_fault_only_while_measuring(monkeypatch):
 
     monkeypatch.setattr(verify, "PROPERTIES", (("spy", 1.0, spy), ("failing", 1.0, failing)))
     assert verify.check(0, inject_fault="dc-not-zeroed").measured == 0.0
-    assert riesz.riesz_multiplier is original
+    assert riesz.first_order_multipliers is original
+    with pytest.raises(RuntimeError, match="measure failed"):
+        verify.check(1, inject_fault="dc-not-zeroed")
+    assert riesz.first_order_multipliers is original
+    assert verify.check(0).passed
+    # each measurement had its own memo; the faulty ones leave DC at 1
+    assert len({id(memo) for memo in memos}) == 3
+    assert original not in memos
+    for memo, dc in zip(memos, (1.0, 1.0, 0.0), strict=True):
+        assert [m[0, 0] for m in memo(6, 5)] == [dc, dc]
+
+
+def _consumer_bytes(f):
+    # the engine's two entry points and a steered operator, all built
+    # from the first-order pair
+    cfg = RieszConfig(depth=2, angles=4)
+    return (
+        extract_features(f, cfg).tobytes(),
+        np.stack(layer_S(f, cfg)).tobytes(),
+        riesz.hilbert_steered(f, 0.3).tobytes(),
+    )
+
+
+def _nonzero_mean_image():
+    return np.random.default_rng(7).standard_normal((17, 12)) + 0.5
+
+
+def test_fault_reaches_every_consumer(monkeypatch):
+    f = _nonzero_mean_image()
+    clean = _consumer_bytes(f)  # and the 17x12 bank is cached
+    during = []
+
+    def spy(rng):
+        during.extend(_consumer_bytes(f))
+        yield 0.0
+
+    monkeypatch.setattr(verify, "PROPERTIES", (("spy", 1.0, spy),))
+    verify.check(0, inject_fault="dc-not-zeroed")
+    for name, faulty, expected in zip(
+        ("extract_features", "layer_S", "hilbert_steered"), during, clean, strict=True
+    ):
+        assert faulty != expected, name
+
+
+def test_no_fault_outlives_its_measurement(monkeypatch):
+    f = _nonzero_mean_image()
+    clean = _consumer_bytes(f)
+    original, original_pair = riesz.riesz_multiplier, riesz.first_order_multipliers
+    rebound = []
+
+    def builds(rng):
+        rebound.append(riesz.riesz_multiplier is not original)
+        # the measurement builds, and reads, the faulty 17x12 bank
+        assert _consumer_bytes(f)[:2] != clean[:2]
+        yield 0.0
+
+    def failing(rng):
+        yield from builds(rng)
+        raise RuntimeError("measure failed")
+
+    monkeypatch.setattr(verify, "PROPERTIES", (("builds", 1.0, builds), ("failing", 1.0, failing)))
+    verify.check(0, inject_fault="dc-not-zeroed")
+    assert _consumer_bytes(f) == clean
     assert riesz.first_order_multipliers is original_pair
     with pytest.raises(RuntimeError, match="measure failed"):
         verify.check(1, inject_fault="dc-not-zeroed")
-    assert riesz.riesz_multiplier is original
+    assert _consumer_bytes(f) == clean
     assert riesz.first_order_multipliers is original_pair
-    assert verify.check(0).passed
-    assert seen == [verify.FAULTS["dc-not-zeroed"]] * 2 + [original]
-    # each measurement had its own memo of the real multipliers
-    assert len({id(memo) for memo in memos}) == 3
-    assert original_pair not in memos
+    assert riesz.riesz_multiplier is original
+    assert rebound == [False, False]
 
 
 def test_check_memoizes_read_only_multipliers(monkeypatch):
@@ -67,10 +124,10 @@ def test_check_memoizes_read_only_multipliers(monkeypatch):
 
 
 def test_unknown_fault_rejected():
-    original = riesz.riesz_multiplier
+    original = riesz.first_order_multipliers
     with pytest.raises(ValueError, match="unknown fault"):
         verify.check(0, inject_fault="no-such-fault")
-    assert riesz.riesz_multiplier is original
+    assert riesz.first_order_multipliers is original
 
 
 def test_layer_nonexpansive_catches_dropped_scale_constant(monkeypatch):
