@@ -82,10 +82,9 @@ def test_no_fault_outlives_its_measurement(monkeypatch):
     f = _nonzero_mean_image()
     clean = _consumer_bytes(f)
     original, original_pair = riesz.riesz_multiplier, riesz.first_order_multipliers
-    rebound = []
 
     def builds(rng):
-        rebound.append(riesz.riesz_multiplier is not original)
+        assert riesz.riesz_multiplier is original
         # the measurement builds, and reads, the faulty 17x12 bank
         assert _consumer_bytes(f)[:2] != clean[:2]
         yield 0.0
@@ -103,7 +102,6 @@ def test_no_fault_outlives_its_measurement(monkeypatch):
     assert _consumer_bytes(f) == clean
     assert riesz.first_order_multipliers is original_pair
     assert riesz.riesz_multiplier is original
-    assert rebound == [False, False]
 
 
 def test_check_memoizes_read_only_multipliers(monkeypatch):
