@@ -95,7 +95,12 @@ def extract_matrix(images, config: RieszConfig, bbox=False):
 
     def extract(batch, workspace):
         """Fill a batch's rows from one stack; flag those not finite."""
-        pixels = [crops[index].cut() if bbox else as_image(images[index]) for index in batch]
+        # planning checked every list image's shape and samples, so a
+        # batch only converts
+        pixels = [
+            crops[index].cut() if bbox else np.asarray(images[index], dtype=np.float64)
+            for index in batch
+        ]
         # a lone image goes as a view, not a copy
         stack = pixels[0][None] if len(pixels) == 1 else np.stack(pixels)
         features = extract_features(stack, config, workspace=workspace)

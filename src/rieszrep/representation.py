@@ -55,10 +55,12 @@ means are, so the pooled row is the one check.
 
 from __future__ import annotations
 
+import collections
 import csv
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,14 +68,16 @@ import numpy as np
 from . import riesz
 from .image_core import NonFiniteImageError, as_image
 
-# Entries of ``_basis_bank`` (the one per-shape filter cache) and of
-# ``_real_dft`` (per width).  Bounded because --bbox crops come in many
-# shapes (24 among 100 cropped digits, 57 among 80 at mixed scales).
-# Within one eval of those 80 crops, 32 keeps every hit an unbounded
-# cache gets (23 of 80).  A process that repeats that eval gets no more:
-# the 57 shapes cycle the cache, so every repeat rebuilds all 57 banks
-# (23/57, 46/114 and 69/171 hits/misses after 1, 2 and 3 runs).
-SHAPE_CACHE_SIZE = 32
+# Bytes of arrays the shape memo (``_basis_bank`` and ``_real_dft``)
+# keeps.  --bbox crops come in many shapes: the 57 of the 80
+# ``digits-bbox`` eval crops cycle any cache that fits a process, and a
+# 32-entry bound held about 9 MB of their banks.  2 MiB holds the 24
+# banks and 9 DFT pairs of the 100 ``digits-bbox`` training crops
+# (0.44 MB), so a repeated extract keeps hitting, or one 128x128 bank
+# (665 KB) and more.  1 MiB saved another 1.4 MB of peak memory, but
+# the banks it let go were handed back to the OS and faulted in again:
+# 2.4 times the page faults of an eval, which took 1-4% longer.
+SHAPE_CACHE_BYTES = 2 << 20
 
 # widest axis ``_real_dft`` builds matrices for, and so the tallest
 # image ``extract_features`` transposes (see ``_transposes``)
@@ -130,7 +134,73 @@ def parse_path_label(label: str):
     return tuple(int(t) for t in inner.split(","))
 
 
-@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
+class _ByteMemo:
+    """An LRU memo of the read-only arrays a function builds, bounded in bytes.
+
+    Used as a decorator, keyed by the function and its arguments, so one
+    memo serves several functions (``_basis_bank`` and ``_real_dft``).
+    After each build the least recently used entries go while the bytes
+    held exceed ``budget``, but the two used last always stay: one
+    engine call needs a bank and its width's DFT matrices, and a shape
+    whose pair alone exceeds the budget is then built once per run of
+    that shape, not once per call.  A result that holds no array
+    (``_real_dft``'s None) is returned, not kept.  The two extraction
+    workers share the memo: each builds outside the lock, and when both
+    build one key the first result stored is the one both return, its
+    bytes counted once.  ``cache_clear`` and ``cache_info`` (hits,
+    misses, entries, bytes held) are those of the whole memo.
+    """
+
+    Info = collections.namedtuple("Info", "hits misses entries bytes")
+
+    def __init__(self, budget):
+        self.budget = budget
+        self._lock = threading.Lock()
+        self._entries = collections.OrderedDict()  # key -> (value, bytes), oldest first
+        self.cache_clear()
+
+    def cache_clear(self):
+        with self._lock:
+            self._entries.clear()
+            self._bytes = self._hits = self._misses = 0
+
+    def cache_info(self):
+        with self._lock:
+            return self.Info(self._hits, self._misses, len(self._entries), self._bytes)
+
+    def __call__(self, function):
+        @functools.wraps(function)
+        def memoized(*args):
+            key = function, args
+            with self._lock:
+                if key in self._entries:
+                    self._hits += 1
+                    self._entries.move_to_end(key)
+                    return self._entries[key][0]
+                self._misses += 1
+            value = function(*args)
+            if value is None:
+                return value
+            size = sum(a.nbytes for a in value) if isinstance(value, tuple) else value.nbytes
+            with self._lock:
+                if key in self._entries:  # the other worker stored it first
+                    self._entries.move_to_end(key)
+                    return self._entries[key][0]
+                self._entries[key] = value, size
+                self._bytes += size
+                while self._bytes > self.budget and len(self._entries) > 2:
+                    _, (_, dropped) = self._entries.popitem(last=False)
+                    self._bytes -= dropped
+            return value
+
+        memoized.cache_clear, memoized.cache_info = self.cache_clear, self.cache_info
+        return memoized
+
+
+_shape_memo = _ByteMemo(SHAPE_CACHE_BYTES)
+
+
+@_shape_memo
 def _basis_bank(height: int, width: int) -> np.ndarray:
     """Read-only (5, H, W//2+1) half spectra of m1^2, m2^2, m1*m2, m1, m2.
 
@@ -182,7 +252,7 @@ def _transposes(height: int, width: int) -> bool:
     return height <= _DFT_MAX_WIDTH and largest > max(23, _largest_prime_factor(width))
 
 
-@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
+@_shape_memo
 def _real_dft(width: int):
     """Read-only real DFT matrices for the last axis, or None for pocketfft.
 
@@ -202,7 +272,8 @@ def _real_dft(width: int):
     at 251.  A 7-smooth W >= 64 stays with pocketfft, which wins from
     W=128 on (0.60 against 0.76 us), and so does W > 256, where the
     matrices grow as W^2 and the matrix loses again by W=1021 (38.5
-    against 26.5 us); below the cap a pair is at most about 1 MB.
+    against 26.5 us).  Below the cap a pair is at most 1.04 MB (W=255),
+    and below 64 at most 65 KB.
     """
     if width > _DFT_MAX_WIDTH or (width >= 64 and _largest_prime_factor(width) <= 7):
         return None

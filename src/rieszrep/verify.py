@@ -15,8 +15,9 @@ Each property draws from its own generator, seeded with
 (m1, m2).  For one measurement ``check`` binds a fresh memo of the real
 pair, through the fault if one is named, with read-only arrays, on
 ``riesz.first_order_multipliers``: the one seam that every Riesz
-multiplier and the engine's ``_basis_bank`` read.  It clears that cache
-on install and on restore, so no bank outlives the pair it came from.
+multiplier and the engine's ``_basis_bank`` read.  It clears the
+engine's shape memo (banks and DFT matrices) on install and on restore,
+so no bank outlives the pair it came from.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from numpy.testing import assert_array_equal
 import rieszrep
 import rieszrep.extraction as extraction
 from rieszrep.cli import main
-from rieszrep.image_core import IdxImages, NonFiniteImageError, load_idx
+from rieszrep.image_core import IdxImages, NonFiniteImageError, as_image, load_idx
 from rieszrep.preprocess import BlankImageError, Crop, bbox_compute
 from rieszrep.representation import (
     NON_FINITE_FEATURES, RieszConfig, extract_features, feature_count, group_size
@@ -84,6 +84,28 @@ def test_flags_are_returned_as_data(tmp_path, rng, monkeypatch, caplog, cpus, ma
         assert main(argv) == 0
         lines = [r.getMessage() for r in caplog.records if " flagged: " in r.getMessage()]
         assert lines == [f"image {i} flagged: {reason}" for i, reason in flagged.items()]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_list_images_are_checked_once(tmp_path, rng, monkeypatch, cpus):
+    # planning runs as_image on each list image; its batch only converts.
+    # Nested lists and integers convert as as_image converts them
+    monkeypatch.setattr(extraction.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    images, _, expected = _list_input(tmp_path, rng)
+    images += [rng.random((12, 10)).tolist(), rng.integers(0, 9, (12, 10))]
+    calls = []
+
+    def counted(a, stack=False):
+        calls.append(stack)
+        return as_image(a, stack)
+
+    monkeypatch.setattr(extraction, "as_image", counted)
+    matrix, flagged = extraction.extract_matrix(images, CFG)
+    assert calls == [False] * len(images)
+    assert flagged == expected["whole"]
+    for index in (10, 11):
+        want = extract_features(as_image(images[index]), CFG)
+        assert matrix[index].tobytes() == want.tobytes()
 
 
 def test_importing_extraction_leaves_the_cli_unimported():

@@ -1,6 +1,9 @@
 import csv
 import dataclasses
 import math
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -472,17 +475,117 @@ def test_depth_zero_builds_no_bank(rng):
     assert representation._basis_bank.cache_info().misses == before
 
 
-def test_shape_caches_are_bounded(rng):
-    # a height of 9 is never transposed, so every shape builds its own
-    # bank, and every width below 64 its own DFT matrices
-    cfg = RieszConfig(depth=1)
+@pytest.fixture
+def shape_memo():
+    """The engine's shape memo, emptied before and after the test."""
+    representation._basis_bank.cache_clear()
+    yield representation._basis_bank
+    representation._basis_bank.cache_clear()
+
+
+def test_shape_memo_is_bounded_in_bytes(rng, shape_memo):
+    # a height of 60 is never transposed, so every shape builds its own
+    # bank, and every width below 64 its own DFT matrices: 80 builds,
+    # 1.6 times the budget
+    cfg, budget = RieszConfig(depth=1), representation.SHAPE_CACHE_BYTES
+    first = shape_memo(60, 8)
     for i in range(40):
-        extract_features(rng.standard_normal((9, 8 + i)), cfg)
-    bank = representation._basis_bank(9, 47)
-    extract_features(rng.standard_normal((9, 47)), cfg)
-    assert representation._basis_bank(9, 47) is bank
-    assert representation._basis_bank.cache_info().currsize <= 32
-    assert representation._real_dft.cache_info().currsize <= 32
+        extract_features(rng.standard_normal((60, 8 + i)), cfg)
+        assert shape_memo.cache_info().bytes <= budget
+        assert shape_memo(60, 8) is first  # each hit makes it the newest
+    assert shape_memo.cache_info().misses == 80
+    assert shape_memo.cache_info().entries < 80
+    newest = shape_memo(60, 47)
+    extract_features(rng.standard_normal((60, 47)), cfg)
+    assert shape_memo(60, 47) is newest
+    # a bank above the budget is kept, with only the entry used before it
+    big = shape_memo(256, 256)
+    assert big.nbytes > budget
+    assert shape_memo.cache_info()[2:] == (2, big.nbytes + newest.nbytes)
+    extract_features(rng.standard_normal((256, 256)), cfg)  # pocketfft: no DFT entry
+    assert shape_memo(256, 256) is big
+    assert shape_memo.cache_info().misses == 82
+    # one engine call's bank and DFT matrices stay together, however large
+    pair = shape_memo(256, 255), representation._real_dft(255)
+    assert shape_memo.cache_info()[2:] == (2, pair[0].nbytes + sum(m.nbytes for m in pair[1]))
+    extract_features(rng.standard_normal((256, 255)), cfg)
+    assert shape_memo.cache_info().misses == 84
+    shape_memo.cache_clear()
+    assert shape_memo.cache_info() == (0, 0, 0, 0)
+
+
+def test_shape_memo_shared_by_two_threads(monkeypatch, shape_memo):
+    # both threads build the shared 12x10 bank at once, outside the lock:
+    # the first one stored is the one both get, its bytes counted once
+    expected = representation._basis_bank.__wrapped__(12, 10)
+    start, building = threading.Barrier(2), threading.Barrier(2)
+    real = riesz.first_order_multipliers
+
+    def slow(height, width):
+        if (height, width) == (12, 10):
+            building.wait(timeout=10)
+        return real(height, width)
+
+    monkeypatch.setattr(riesz, "first_order_multipliers", slow)
+    got = {}
+
+    def work(own):
+        start.wait(timeout=10)
+        got[own] = shape_memo(12, 10), shape_memo(*own)
+
+    threads = [threading.Thread(target=work, args=(own,)) for own in ((9, 7), (11, 13))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    (shared, _), (other, _) = got.values()
+    assert shared is other
+    assert_array_equal(shared, expected)
+    info = shape_memo.cache_info()
+    assert (info.misses, info.entries) == (4, 3)
+    held = [shape_memo(*shape) for shape in ((12, 10), (9, 7), (11, 13))]
+    assert info.bytes == sum(bank.nbytes for bank in held)
+
+
+def test_byte_memo_keeps_its_count_under_thread_stress():
+    # eight threads on a short switch interval share a fresh memo of
+    # cheap arrays that evicts on most builds: every lookup counts once,
+    # and the bytes it counts are the bytes of the arrays it holds
+    memo = representation._ByteMemo(4000)
+
+    @memo
+    def zeros(n):
+        time.sleep(0)  # lets the other threads run mid-build
+        return np.zeros(n)
+
+    sizes = list(range(50, 110, 5))
+    start, done = threading.Barrier(8), []
+
+    def work(seed):
+        order = np.random.default_rng(seed).integers(len(sizes), size=5000)
+        start.wait(timeout=10)
+        for i in order:
+            assert zeros(sizes[i]).shape == (sizes[i],)
+        done.append(seed)
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(done) == list(range(8))
+    info = memo.cache_info()
+    assert info.hits + info.misses == 8 * 5000
+    assert info.misses > len(sizes)
+    assert info.bytes == sum(value.nbytes for value, _ in memo._entries.values())
+    assert info.bytes <= memo.budget
 
 
 @pytest.mark.parametrize("kind", ["1e308", "normal*1e307"])

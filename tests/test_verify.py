@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rieszrep import riesz, verify
-from rieszrep.representation import RieszConfig, extract_features, layer_S
+from rieszrep.representation import RieszConfig, _basis_bank, extract_features, layer_S
 
 
 def _index(name):
@@ -87,6 +87,7 @@ def test_no_fault_outlives_its_measurement(monkeypatch):
         assert riesz.riesz_multiplier is original
         # the measurement builds, and reads, the faulty 17x12 bank
         assert _consumer_bytes(f)[:2] != clean[:2]
+        assert _basis_bank.cache_info().entries > 0
         yield 0.0
 
     def failing(rng):
@@ -95,10 +96,12 @@ def test_no_fault_outlives_its_measurement(monkeypatch):
 
     monkeypatch.setattr(verify, "PROPERTIES", (("builds", 1.0, builds), ("failing", 1.0, failing)))
     verify.check(0, inject_fault="dc-not-zeroed")
+    assert _basis_bank.cache_info().entries == 0
     assert _consumer_bytes(f) == clean
     assert riesz.first_order_multipliers is original_pair
     with pytest.raises(RuntimeError, match="measure failed"):
         verify.check(1, inject_fault="dc-not-zeroed")
+    assert _basis_bank.cache_info().entries == 0
     assert _consumer_bytes(f) == clean
     assert riesz.first_order_multipliers is original_pair
     assert riesz.riesz_multiplier is original
