@@ -325,9 +325,13 @@ class Workspace:
     One run over a list of images (``extraction.extract_matrix``) makes
     one per thread and passes it to every ``extract_features`` call that
     thread makes; it dies with the run, so no buffer outlives it or is
-    shared between threads.  It holds at most one entry, keyed by
-    everything the buffer shapes depend on (stack size, image shape, M,
-    K, and the group size and angle chunk, which ``_BATCH_BYTES`` sets).
+    shared between threads.  The buffers are two scratch buffers, each
+    shared by two arrays whose lifetimes never overlap, every level
+    below K whole, and one angle chunk of one group of level K: 2.63 MB
+    for a 128x128 image at K=2, M=8 (see ``_level_chunks``).  It holds
+    at most one entry, keyed by everything the buffer shapes depend on
+    (stack size, image shape, M, K, and the group size and angle chunk,
+    which ``_BATCH_BYTES`` sets).
     Buffers are kept only while the key repeats: a new key releases the
     kept buffers before the engine allocates its own, and the next call
     with the same key allocates again and keeps those.  With ``--bbox``
@@ -360,6 +364,13 @@ def group_size(height: int, width: int, angles: int) -> int:
     return max(1, _BATCH_BYTES // (16 * angles * height * width))
 
 
+def _shared(*views):
+    """C-contiguous arrays, one per (dtype, shape), that share one uninitialised buffer."""
+    sizes = [np.dtype(dtype).itemsize * math.prod(shape) for dtype, shape in views]
+    buffer = np.empty(max(sizes), dtype=np.uint8)
+    return [buffer[:n].view(dtype).reshape(shape) for n, (dtype, shape) in zip(sizes, views)]
+
+
 def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed=False):
     """Maps at C = 1 of levels 1..K of the validated (n, H, W) stack f, in path order.
 
@@ -388,11 +399,27 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed
     (g, chunk, H*W) complex buffer exceeds ``_BATCH_BYTES``, so a
     128x128 map with M=8 is steered two angles at a time through a
     0.5 MB buffer instead of 2.1 MB, and every group of g > 1 parents
-    takes all M at once.  Each angle's (H*W, 5) @ (5, 2) product is its
-    own GEMM whatever the chunk, so the maps are bit-identical.  Yields
-    one (g*M, H, W) chunk per group, valid until the next one: the
-    deepest level's chunks share one group buffer.  The maps are not
-    checked for overflow (see the module docstring).
+    takes all M at once (a chunk below M means one parent per group).
+    The last chunk is short where the chunk does not divide M: 96x96
+    with M=28 steers 3 angles at a time, then 1.  Each angle's
+    (H*W, 5) @ (5, 2) product is its own GEMM whatever the chunk, so
+    the maps are bit-identical.  Yields the (g*chunk, H, W) maps of each
+    chunk right after their ``np.abs``, in path order.  Levels below K
+    are kept whole, as the next level transforms them; level K holds
+    only one group's current chunk, (g, chunk, H, W), so each of its
+    chunks is valid until the next one.  The maps are not checked for
+    overflow (see the module docstring).
+
+    The four scratch arrays share two buffers (``_shared``).  A group
+    runs the forward transform into ``spec``, the bank multiply into
+    ``basis_spec``, the inverse transform into ``basis``, the steering
+    product into ``steered`` and ``np.abs`` into its level.  ``spec`` is
+    last read by the multiply, before ``basis`` is first written, and
+    ``basis_spec`` last read by the inverse transform, before
+    ``steered`` is first written: each pair shares one buffer, and no
+    ``out=`` overlaps an operand that is still live.  Per thread, a
+    128x128 image at K=2, M=8 keeps 2,631,680 bytes of buffers, and a
+    105x80 crop at K=3, M=4 2.16 MB.
 
     The two real transforms are ``np.fft.rfft`` and ``np.fft.irfft``
     unless ``_real_dft`` has matrices for the width (below 64, or up to
@@ -435,25 +462,28 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed
         chunk //= 2
 
     def allocate():
-        # level k < K holds its n * M^(k-1) parents' children; level K one group's
-        sizes = [images * angles ** (k - 1) for k in range(1, depth)] + [group]
-        return (
-            np.empty((group, height, width // 2 + 1), dtype=np.complex128),
-            np.empty((group, *bank.shape), dtype=np.complex128),
-            np.empty((group, 5, height, width)),
-            np.empty(group * chunk * size, dtype=np.complex128),
-            [np.empty((n, angles, height, width)) for n in sizes],
+        # spec and basis share one buffer, basis_spec and steered the other;
+        # level k < K holds its n * M^(k-1) parents' children, level K one
+        # group's current angle chunk
+        spec, basis = _shared(
+            (np.complex128, (group, height, width // 2 + 1)), (np.float64, (group, 5, height, width))
         )
+        basis_spec, steered = _shared(
+            (np.complex128, (group, *bank.shape)), (np.complex128, (group * chunk * size,))
+        )
+        parents = [images * angles ** (k - 1) for k in range(1, depth)]
+        levels = [np.empty((n, angles, height, width)) for n in parents]
+        return spec, basis_spec, basis, steered, [*levels, np.empty((group, chunk, height, width))]
 
     key = (images, height, width, angles, depth, group, chunk)
     buffers = (workspace or Workspace()).buffers(key, allocate)
     spec, basis_spec, basis, steered, levels = buffers
     level = f
     for k, nxt in enumerate(levels, 1):
+        amplitudes = nxt.reshape(len(nxt), -1, size)
         for start in range(0, len(level), group):
             parents = level[start : start + group]
             n = len(parents)
-            out = nxt[:n] if k == depth else nxt[start : start + n]
             s, b, r = spec[:n], basis_spec[:n], basis[:n]
             if dft is None:
                 np.fft.rfft(parents, axis=-1, out=s)
@@ -467,21 +497,25 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed
             else:
                 np.matmul(b.view(np.float64), dft[1], out=r)
             components = r.reshape(n, 1, 5, -1).swapaxes(-1, -2)
-            amplitudes = out.reshape(n, angles, -1)
             for k0 in range(0, angles, chunk):
                 w = weights[k0 : k0 + chunk]
                 c = steered[: n * len(w) * size].reshape(n, len(w), -1)
                 # (n, 1, H*W, 5) @ (a, 5, 2) -> (n, a, H*W, 2) = real, imag
                 np.matmul(components, w, out=c.view(np.float64).reshape(n, len(w), -1, 2))
-                np.abs(c, out=amplitudes[:, k0 : k0 + chunk])
-            yield out.reshape(-1, height, width)
+                if k == depth:  # level K holds only this chunk of this group
+                    out = amplitudes[:n, : len(w)]
+                else:
+                    out = amplitudes[start : start + n, k0 : k0 + len(w)]
+                np.abs(c, out=out)
+                yield out.reshape(-1, height, width)
         level = nxt.reshape(-1, height, width)
 
 
 def layer_S(f: np.ndarray, config: RieszConfig):
     """One layer: C * amplitude of each rotated base response, inf or nan where it overflows."""
-    (chunk,) = _level_chunks(as_image(f)[None], replace(config, depth=1))
-    return list(config.scale_constant * chunk)
+    chunks = _level_chunks(as_image(f)[None], replace(config, depth=1))
+    # each chunk is scaled into a new array before the engine overwrites it
+    return [m for chunk in chunks for m in config.scale_constant * chunk]
 
 
 def extract_features(f: np.ndarray, config: RieszConfig, *, workspace=None) -> np.ndarray:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import math
 import sys
 import threading
@@ -234,6 +235,50 @@ def test_angle_chunks_give_bit_identical_maps(monkeypatch, rng, depth, angles, s
         assert maps.tobytes() == results[angles].tobytes()
 
 
+def _chunk_sizes_and_digest(chunks):
+    """Map counts of the engine's chunks, and SHA-256 of their maps in yield order."""
+    sizes, digest = [], hashlib.sha256()
+    for c in chunks:
+        sizes.append(len(c))
+        digest.update(c.tobytes())
+    return sizes, digest.hexdigest()
+
+
+def test_short_final_angle_chunk_gives_bit_identical_maps(monkeypatch, rng):
+    # 96x96 with M=28 is steered 3 angles at a time at the default budget,
+    # so each parent's last chunk holds the one angle left over
+    cfg = RieszConfig(depth=2, angles=28)
+    f = rng.standard_normal((96, 96))
+    parents = 1 + cfg.angles
+    workspace = Workspace()
+    sizes, chunked = _chunk_sizes_and_digest(representation._level_chunks(f[None], cfg, workspace))
+    assert workspace._key[-2:] == (1, 3)
+    assert sizes == ([3] * 9 + [1]) * parents
+    row = extract_features(f, cfg)
+    # a budget of one parent's M maps steers all M angles at once
+    monkeypatch.setattr(representation, "_BATCH_BYTES", 16 * cfg.angles * f.size)
+    workspace = Workspace()
+    sizes, whole = _chunk_sizes_and_digest(representation._level_chunks(f[None], cfg, workspace))
+    assert workspace._key[-2:] == (1, cfg.angles)
+    assert sizes == [cfg.angles] * parents
+    assert whole == chunked
+    assert extract_features(f, cfg).tobytes() == row.tobytes()
+
+
+def test_layer_collects_every_angle_chunk_of_a_large_map(rng):
+    # a 128x128 map with M=8 is steered 2 angles at a time: 4 chunks
+    cfg = RieszConfig(depth=1, angles=8, scale_constant=1.7)
+    f = rng.standard_normal((128, 128))
+    assert [len(c) for c in representation._level_chunks(f[None], cfg)] == [2] * 4
+    expected = [
+        1.7 * np.abs(hilbert2_steered(f, phi) + 1j * hilbert_steered(f, phi))
+        for phi in np.arange(cfg.angles) * np.pi / cfg.angles
+    ]
+    got = layer_S(f, cfg)
+    assert len(got) == cfg.angles
+    assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(f).max())
+
+
 def _maps_by_level(chunks, images, depth, angles):
     """(n, M^k, H, W) maps of levels 1..K from the engine's chunks of an n-image stack."""
     maps = np.concatenate([c.copy() for c in chunks])
@@ -438,6 +483,34 @@ def test_workspace_buffers_prefilled_with_nan(rng):
     for buffer in (spec, basis_spec, basis, steered, *levels):
         buffer.fill(np.nan)
     assert_array_equal(extract_features(g, cfg, workspace=workspace), extract_features(g, cfg))
+
+
+def test_workspace_keeps_scratch_within_its_lifetime_bound(rng):
+    # spec and basis share one buffer, basis_spec and steered the other;
+    # level 1 is kept whole and level K as one group's angle chunk
+    cfg = RieszConfig(depth=2, angles=8)
+    height, width = 128, 128
+    f = rng.standard_normal((height, width))
+    workspace = Workspace()
+    extract_features(f, cfg, workspace=workspace)
+    extract_features(f, cfg, workspace=workspace)
+    group, chunk = workspace._key[-2:]
+    assert (group, chunk) == (1, 2)
+    spec = 16 * group * height * (width // 2 + 1)
+    basis = 8 * group * 5 * height * width
+    basis_spec = 16 * group * 5 * height * (width // 2 + 1)
+    steered = 16 * group * chunk * height * width
+    level1 = 8 * cfg.angles * height * width
+    deepest = 8 * group * chunk * height * width
+    bound = max(spec, basis) + max(basis_spec, steered) + level1 + deepest
+    assert bound == 2_631_680
+    *scratch, levels = workspace._buffers
+    bases = {}
+    for array in (*scratch, *levels):
+        while array.base is not None:
+            array = array.base
+        bases[id(array)] = array
+    assert sum(a.nbytes for a in bases.values()) <= bound
 
 
 def test_workspace_follows_batch_budget_changes(monkeypatch, rng):
