@@ -28,11 +28,28 @@ import numpy as np
 
 MODEL_FORMAT_VERSION = "riesz-model v1"
 
+# rows gathered from X per staging step of ``svm_fit``: a bounded
+# temporary, whatever the sample count
+_STAGING_ROWS = 256
+
 
 def _as_matrix(X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or 0 in X.shape:
         raise ValueError(f"expected a non-empty 2d feature matrix, got {X.shape}")
+    return X
+
+
+def _finite_matrix(X) -> np.ndarray:
+    """``_as_matrix(X)`` for fitting; a nan or inf sample raises, naming its row.
+
+    ``max`` and ``min`` propagate nan and inf and allocate nothing, so
+    the row is looked for only when there is one.
+    """
+    X = _as_matrix(X)
+    if not (np.isfinite(X.max()) and np.isfinite(X.min())):
+        row = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
+        raise ValueError(f"feature row {row} holds nan or inf")
     return X
 
 
@@ -64,8 +81,9 @@ class MaxAbsNormalizer:
 
 def maxabs_fit(X) -> MaxAbsNormalizer:
     """Per-coordinate max absolute value over the training set; zeros map to 1."""
-    X = _as_matrix(X)
-    scales = np.abs(X).max(axis=0)
+    X = _finite_matrix(X)
+    # the largest of max and -min is the largest |x|, without an |X| copy
+    scales = np.maximum(X.max(axis=0), -X.min(axis=0))
     scales[scales == 0] = 1.0
     return MaxAbsNormalizer(scales=scales)
 
@@ -79,7 +97,7 @@ class PcaClassModel:
 
 def pca_fit(X, y, components: int) -> PcaClassModel:
     """Per-class mean and top-d principal directions via thin SVD."""
-    X = _as_matrix(X)
+    X = _finite_matrix(X)
     y = _as_labels(y, X.shape[0])
     if components < 1:
         raise ValueError("component count must be >= 1")
@@ -149,8 +167,13 @@ def svm_fit(
     is then set to eta_t and A += u (outer) r with u = s * violated, so
     v gains u*x and b gains eta_t*u, the bias step of plain Pegasos.  The
     returned weights are eta_T * v.
+
+    Each epoch gathers its rows from ``X`` a block at a time and divides
+    them by the normalizer's scales straight into the staged rows, the
+    division ``MaxAbsNormalizer.apply`` makes, so besides ``X`` the fit
+    holds one working copy of the data: the staged rows.
     """
-    X = _as_matrix(X)
+    X = _finite_matrix(X)
     y = _as_labels(y, X.shape[0])
     reg = float(reg)
     if not (np.isfinite(reg) and reg >= 0):
@@ -160,9 +183,11 @@ def svm_fit(
     class_count = int(y.max()) + 1
     if class_count < 2:
         raise ValueError("need at least 2 classes")
-    if normalizer is not None:
-        X = normalizer.apply(X)
     n, dim = X.shape
+    if normalizer is not None and normalizer.scales.shape[0] != dim:
+        raise ValueError("feature dimension mismatch")
+    # x / 1.0 is x exactly, so an unnormalized fit stages the same bits
+    scales = 1.0 if normalizer is None else normalizer.scales
     signs = np.where(y[:, None] == np.arange(class_count)[None, :], 1.0, -1.0)
     A = np.zeros((class_count, dim + 1))
     # the outer product u (outer) r runs as a (classes, 1) @ (1, dim+1)
@@ -183,9 +208,13 @@ def svm_fit(
         order = rng.permutation(n)
         steps = np.arange(t + 1, t + n + 1, dtype=np.float64)
         thresholds = reg * (steps - 1.0) + 1.0
-        rows[:, :dim] = X[order]
+        for start in range(0, n, _STAGING_ROWS):
+            block = order[start : start + _STAGING_ROWS]
+            np.divide(X[block], scales, out=rows[start : start + len(block), :dim])
         rows[:, dim] = thresholds
-        staged_signs[:] = signs[order]
+        # order is a permutation, so "clip" never clips; unlike the
+        # default "raise" it takes into staged_signs with no buffer
+        np.take(signs, order, axis=0, out=staged_signs, mode="clip")
         etas = (1.0 / (reg * steps + 1.0)).tolist()
         for (r, r_row, s), threshold, eta in zip(views, thresholds.tolist(), etas):
             np.multiply(s, s * A.dot(r) < threshold, out=u)

@@ -264,10 +264,14 @@ def _train_model(matrix, labels, config):
 
 
 def _finite_rows(matrix, labels):
-    """The rows of ``matrix`` (and their labels) that hold no NaN or inf."""
+    """The rows of ``matrix`` (and their labels) that hold no NaN or inf.
+
+    When every row is finite, the very arrays given are returned, not copies.
+    """
     keep = np.isfinite(matrix).all(axis=1)
-    if not keep.all():
-        log.warning("dropping %d non-finite rows", int((~keep).sum()))
+    if keep.all():
+        return matrix, labels
+    log.warning("dropping %d non-finite rows", int((~keep).sum()))
     return matrix[keep], labels[keep]
 
 

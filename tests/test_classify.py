@@ -1,4 +1,7 @@
+import tracemalloc
+
 import numpy as np
+import numpy.random  # noqa: F401  (imported before any tracemalloc window opens)
 import pytest
 from numpy.testing import assert_allclose
 
@@ -42,6 +45,23 @@ def test_maxabs_cancels_coordinate_rescaling(rng):
     a = maxabs_fit(X).apply(X)
     b = maxabs_fit(X * scales).apply(X * scales)
     assert_allclose(a, b, atol=1e-12)
+
+
+def test_maxabs_scales_equal_abs_max():
+    # columns: signed zeros, negative zeros, all zero, negative-dominant,
+    # a tie between +m and -m, positive-dominant and subnormal; a column
+    # holding nan or inf is refused, see
+    # test_fit_rejects_non_finite_features_naming_the_first_row
+    X = np.array(
+        [
+            [0.0, -0.0, 0.0, 1.5, 4.0, 6.0, -1e-310],
+            [-0.0, -0.0, 0.0, -7.25, -4.0, -2.0, 2e-310],
+            [0.0, -0.0, 0.0, 3.0, 2.0, 5.0, -3e-310],
+        ]
+    )
+    expected = np.abs(X).max(axis=0)
+    expected[expected == 0] = 1.0
+    assert maxabs_fit(X).scales.tobytes() == expected.tobytes()
 
 
 def test_maxabs_dimension_mismatch():
@@ -253,6 +273,94 @@ def test_svm_fit_frozen_trajectory(case):
     assert np.array_equal(model.biases, biases)
     err = np.abs(model.weights - weights).max()
     assert err <= 1e-12 * np.abs(weights).max()
+
+
+def _svm_fit_staging_whole(X, y, reg, epochs, seed, normalizer):
+    """``svm_fit`` with whole-matrix staging: the whole matrix normalized,
+    then one full-size ``X[order]`` gather per epoch.  A frozen reference
+    for the block staging; the step is ``svm_fit``'s."""
+    if normalizer is not None:
+        X = normalizer.apply(X)
+    n, dim = X.shape
+    class_count = int(y.max()) + 1
+    signs = np.where(y[:, None] == np.arange(class_count)[None, :], 1.0, -1.0)
+    A = np.zeros((class_count, dim + 1))
+    staged = np.empty((n, 1, dim + 1))
+    rows = staged[:, 0]
+    staged_signs = np.empty_like(signs)
+    views = list(zip(rows, staged, staged_signs))
+    u_col = np.empty((class_count, 1))
+    u = u_col[:, 0]
+    outer = np.empty_like(A)
+    rng = np.random.default_rng(seed)
+    t = 0
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        steps = np.arange(t + 1, t + n + 1, dtype=np.float64)
+        thresholds = reg * (steps - 1.0) + 1.0
+        rows[:, :dim] = X[order]
+        rows[:, dim] = thresholds
+        staged_signs[:] = signs[order]
+        etas = (1.0 / (reg * steps + 1.0)).tolist()
+        for (r, r_row, s), threshold, eta in zip(views, thresholds.tolist(), etas):
+            np.multiply(s, s * A.dot(r) < threshold, out=u)
+            r[dim] = eta
+            np.dot(u_col, r_row, out=outer)
+            A += outer
+        t += n
+    return A[:, :dim] * (1.0 / (reg * t + 1.0)), A[:, dim].copy()
+
+
+@pytest.mark.parametrize("normalized", [False, True], ids=["raw", "maxabs"])
+def test_svm_fit_block_staging_equals_whole_matrix_staging(normalized):
+    # 700 rows: two full blocks of 256 and a partial last one
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((700, 9)) * rng.uniform(0.01, 40, size=9)
+    y = rng.integers(0, 3, size=700)
+    normalizer = maxabs_fit(X) if normalized else None
+    weights, biases = _svm_fit_staging_whole(X, y, 0.01, 3, 4, normalizer)
+    model = svm_fit(X, y, reg=0.01, epochs=3, seed=4, normalizer=normalizer)
+    assert model.weights.tobytes() == weights.tobytes()
+    assert model.biases.tobytes() == biases.tobytes()
+
+
+def test_svm_fit_holds_one_working_copy_of_the_features():
+    # tracemalloc sees numpy's buffers; X itself is made before tracing
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((4000, 85))
+    y = np.arange(4000) % 10
+    tracemalloc.start()
+    try:
+        svm_fit(X, y, reg=0.01, epochs=2, normalizer=maxabs_fit(X))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the staged rows are one copy (plus a column); the per-step views
+    # and per-epoch schedules take most of the rest
+    assert peak <= 2.5 * X.nbytes
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("fit", ["maxabs", "pca", "svm"])
+def test_fit_rejects_non_finite_features_naming_the_first_row(fit, value):
+    # a nan scale, all-nan SVM weights and a LinAlgError in the SVD are
+    # what the fits made of such a matrix before they refused it
+    X = _FROZEN_X.copy()
+    X[17, 2] = value
+    X[23, 0] = value
+    y = np.arange(30) % 3
+    with pytest.raises(ValueError, match="feature row 17 holds nan or inf"):
+        if fit == "maxabs":
+            maxabs_fit(X)
+        elif fit == "pca":
+            pca_fit(X, y, 1)
+        else:
+            svm_fit(X, y)
+
+
+def test_svm_fit_rejects_a_normalizer_of_another_width():
+    with pytest.raises(ValueError, match="feature dimension mismatch"):
+        svm_fit(_FROZEN_X, np.arange(30) % 3, normalizer=MaxAbsNormalizer(scales=np.ones(3)))
 
 
 @pytest.mark.parametrize(

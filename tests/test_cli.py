@@ -868,6 +868,19 @@ def test_train_drops_non_finite_rows(tmp_path, rng, caplog):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_finite_rows_returns_finite_inputs_themselves(rng, caplog):
+    from rieszrep.cli import _finite_rows
+
+    matrix, labels = rng.standard_normal((6, 3)), np.arange(6) % 2
+    kept_matrix, kept_labels = _finite_rows(matrix, labels)
+    assert kept_matrix is matrix and kept_labels is labels
+    assert "dropping" not in caplog.text
+    matrix[4, 1] = -np.inf
+    kept_matrix, kept_labels = _finite_rows(matrix, labels)
+    assert_array_equal(kept_matrix, np.delete(matrix, 4, axis=0))
+    assert_array_equal(kept_labels, [0, 1, 0, 1, 1])
+
+
 def test_eval_drops_non_finite_rows(tmp_path, rng, capsys, caplog):
     matrix = np.array([[2.0, 0.1, 0.0], [-2.0, 0.0, 0.1], [1.5, 0.2, 0.1], [-1.5, 0.1, 0.2]])
     labels = [1, 0, 1, 0]
