@@ -146,6 +146,16 @@ class SvmModel:
     normalizer: MaxAbsNormalizer | None = None
 
 
+def _check_svm_settings(reg, epochs, seed):
+    """Raise ValueError for SVM settings that ``svm_fit`` cannot run."""
+    if not (np.isfinite(reg) and reg >= 0):
+        raise ValueError(f"reg must be finite and >= 0, got {reg}")
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def svm_fit(
     X,
     y,
@@ -176,10 +186,7 @@ def svm_fit(
     X = _finite_matrix(X)
     y = _as_labels(y, X.shape[0])
     reg = float(reg)
-    if not (np.isfinite(reg) and reg >= 0):
-        raise ValueError(f"reg must be finite and >= 0, got {reg}")
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    _check_svm_settings(reg, epochs, seed)
     class_count = int(y.max()) + 1
     if class_count < 2:
         raise ValueError("need at least 2 classes")
@@ -306,7 +313,7 @@ def load_model(path):
     A truncated or malformed file, or one with a non-blank line after
     the model, raises ``ValueError`` naming the path and the first line
     that is missing, cannot be parsed or is not expected, such as a
-    non-finite value.  Arrays grow row by row as they are read, so a
+    non-finite value or a setting the fits refuse.  Arrays grow row by row as they are read, so a
     header's sizes allocate nothing the file does not hold.
     """
     # a byte that is not ASCII becomes U+FFFD, which no line accepts
@@ -346,11 +353,13 @@ def load_model(path):
             raise ValueError("class count and dim must be >= 1")
         if kind == "pca":
             components = int(fields("components *")[0])
+            if components < 1:
+                raise ValueError("component count must be >= 1")
             means, bases = [], []
             for c in range(classes):
                 retained = int(fields(f"class {c} retained *")[0])
-                if retained < 0:
-                    raise ValueError("retained count must be >= 0")
+                if not 0 <= retained <= components:
+                    raise ValueError("retained count must be >= 0 and <= the component count")
                 means.append(row(dim))
                 # save_model writes each basis column as a row
                 bases.append(rows(retained, dim).T.copy())
@@ -358,6 +367,7 @@ def load_model(path):
         elif kind == "svm":
             reg, epochs, seed = fields("hyper reg * epochs * seed *")
             reg, epochs, seed = float(reg), int(epochs), int(seed)
+            _check_svm_settings(reg, epochs, seed)
             (flag,) = fields("normalized *")
             if flag not in ("0", "1"):
                 raise ValueError("expected 'normalized 0' or 'normalized 1'")

@@ -238,11 +238,11 @@ def load_gray_image(path) -> np.ndarray:
     return values.reshape(rows, cols)
 
 
-def save_gray_pgm(path, img: np.ndarray, maxval: int = 255):
-    """Write an image in [0, 1] as an ASCII (P2) graymap."""
+def save_gray_pgm(path, img: np.ndarray):
+    """Write an image in [0, 1] as an ASCII (P2) graymap with maxval 255."""
     img = as_image(img)
-    quantized = np.clip(np.rint(img * maxval), 0, maxval).astype(int)
+    quantized = np.clip(np.rint(img * 255), 0, 255).astype(int)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"P2\n{img.shape[1]} {img.shape[0]}\n{maxval}\n")
+        fh.write(f"P2\n{img.shape[1]} {img.shape[0]}\n255\n")
         for row in quantized:
             fh.write(" ".join(str(v) for v in row) + "\n")

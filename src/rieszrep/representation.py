@@ -60,6 +60,7 @@ import csv
 import functools
 import itertools
 import math
+import numbers
 import threading
 from dataclasses import dataclass, replace
 
@@ -98,6 +99,9 @@ class RieszConfig:
     scale_constant: float = 1.0
 
     def __post_init__(self):
+        for name in ("depth", "angles"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.depth < 0:
             raise ValueError("depth must be >= 0")
         if self.angles < 1 or self.angles % 4 != 0:

@@ -628,7 +628,7 @@ _SVM_BODY = "hyper reg 0.1 epochs 1 seed 0\nnormalized 0\n1 2 3\n4 5 6\n0 0\n"
          "bad line 8 '0 0': expected 3 values, found 2"),
         ("riesz-model v1\nkind pca\nclasses 999999999995 dim 999999999995\ncomponents 1\n"
          "class 0 retained 1\n0 1\n", "bad line 6 '0 1': expected 999999999995 values, found 2"),
-        ("riesz-model v1\nkind pca\nclasses 1 dim 2\ncomponents 1\n"
+        ("riesz-model v1\nkind pca\nclasses 1 dim 2\ncomponents 999999999995\n"
          "class 0 retained 999999999995\n0 1\n1 0\n", "truncated, line 8 is missing"),
         ("riesz-model v1\nkind pca\nclasses 1 dim 2\ncomponents 1\nclass 0 retained -1\n0 1\n",
          "bad line 5 'class 0 retained -1': retained count must be >= 0"),
@@ -646,6 +646,38 @@ _SVM_BODY = "hyper reg 0.1 epochs 1 seed 0\nnormalized 0\n1 2 3\n4 5 6\n0 0\n"
 def test_load_model_allocates_only_what_the_file_holds(tmp_path, text, reason):
     path = tmp_path / "model.txt"
     path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_model(path)
+    assert str(info.value).startswith(f"{path}: {reason}")
+
+
+_PCA_BODY = "class 0 retained 1\n0 1\n1 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("kind svm\nclasses 2 dim 3\n" + _SVM_BODY.replace("reg 0.1", "reg nan"),
+         "bad line 4 'hyper reg nan epochs 1 seed 0': reg must be finite and >= 0"),
+        ("kind svm\nclasses 2 dim 3\n" + _SVM_BODY.replace("reg 0.1", "reg inf"),
+         "bad line 4 'hyper reg inf epochs 1 seed 0': reg must be finite and >= 0"),
+        ("kind svm\nclasses 2 dim 3\n" + _SVM_BODY.replace("reg 0.1", "reg -0.5"),
+         "bad line 4 'hyper reg -0.5 epochs 1 seed 0': reg must be finite and >= 0"),
+        ("kind svm\nclasses 2 dim 3\n" + _SVM_BODY.replace("epochs 1", "epochs -5"),
+         "bad line 4 'hyper reg 0.1 epochs -5 seed 0': epochs must be >= 1"),
+        ("kind svm\nclasses 2 dim 3\n" + _SVM_BODY.replace("seed 0", "seed -1"),
+         "bad line 4 'hyper reg 0.1 epochs 1 seed -1': seed must be >= 0"),
+        ("kind pca\nclasses 1 dim 2\ncomponents -7\n" + _PCA_BODY,
+         "bad line 4 'components -7': component count must be >= 1"),
+        ("kind pca\nclasses 1 dim 2\ncomponents 1\n" + _PCA_BODY.replace("retained 1", "retained 2"),
+         "bad line 5 'class 0 retained 2': retained count must be >= 0 and <= the component count"),
+    ],
+    ids=["reg-nan", "reg-inf", "reg-negative", "epochs-negative", "seed-negative",
+         "components-negative", "retained-above-components"],
+)
+def test_load_model_refuses_settings_the_fits_refuse(tmp_path, text, reason):
+    path = tmp_path / "model.txt"
+    path.write_text("riesz-model v1\n" + text)
     with pytest.raises(ValueError) as info:
         load_model(path)
     assert str(info.value).startswith(f"{path}: {reason}")

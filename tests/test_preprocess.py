@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -7,6 +5,8 @@ from hypothesis import strategies as st
 
 from rieszrep.image_core import IdxImages, NonFiniteImageError, as_image
 from rieszrep.preprocess import (
+    PAD,
+    THRESHOLD,
     BlankImageError,
     BoundingBox,
     bbox_compute,
@@ -25,7 +25,7 @@ def test_blank_image_raises():
 def test_single_foreground_pixel():
     img = np.zeros((21, 21))
     img[10, 10] = 1.0
-    crop, tight, box = bbox_compute(img, pad=5)
+    crop, tight, box = bbox_compute(img)
     assert (tight.height, tight.width) == (1, 1)
     assert crop.shape == (box.height, box.width)
     assert crop.max() == 1.0
@@ -34,7 +34,7 @@ def test_single_foreground_pixel():
 def test_tight_box_of_rectangle():
     img = np.zeros((40, 40))
     img[10:20, 5:15] = 1.0
-    _, tight, box = bbox_compute(img, pad=50)
+    _, tight, box = bbox_compute(img)
     assert (tight.height, tight.width) == (10, 10)
     # enlarged box contains the tight box
     assert box.row0 <= tight.row0 and box.row1 >= tight.row1
@@ -44,7 +44,7 @@ def test_tight_box_of_rectangle():
 def test_threshold_keeps_binary_ones():
     img = np.zeros((10, 10))
     img[4, 4] = 1.0
-    _, tight, _ = bbox_compute(img, pad=2, threshold=1.0)
+    _, tight, _ = bbox_compute(img)
     assert (tight.height, tight.width) == (1, 1)
 
 
@@ -73,67 +73,65 @@ def test_bbox_near_idempotent():
     assert abs(again.shape[1] - crop.shape[1]) <= 2
 
 
-def padded_reference(f, pad, threshold, enlarge):
+def padded_reference(f):
     """The crop and boxes found on an explicitly zero-padded frame."""
     lo, hi = f.min(), f.max()
-    padded = np.pad((f - lo) / (hi - lo), pad)
-    mask = padded >= threshold
+    padded = np.pad((f - lo) / (hi - lo), PAD)
+    mask = padded >= THRESHOLD
     rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
     tight = BoundingBox(rows[0], cols[0], rows[-1] - rows[0] + 1, cols[-1] - cols[0] + 1)
-    box = enlarge_bbox(tight, enlarge, *padded.shape)
+    box = enlarge_bbox(tight, *padded.shape)
     return padded[box.row0 : box.row1, box.col0 : box.col1], tight, box
 
 
-def _border_image(shape, rows, cols):
-    img = np.zeros(shape)
-    img[rows, cols] = 1.0
-    img[shape[0] // 2, shape[1] // 2] = 0.7
-    return img
+def _border_image(side, margin):
+    """Foreground ``margin`` pixels in from one border of a 300-px tall
+    (top, bottom) or wide (left, right) image, or from all four of a
+    300x300 one.  A single-border image has a 0.7 pixel 20 px from the
+    opposite border, so its tight box spans more than the 250 px past
+    which enlarging it reaches beyond the zero frame on that side alone."""
+    if side == "all":
+        img = np.zeros((300, 300))
+        img[margin : 300 - margin, margin : 300 - margin] = 1.0
+        img[150, 150] = 0.7
+        return img
+    img = np.zeros((300, 11))
+    img[margin, 3:6] = 1.0
+    img[280, 5] = 0.7
+    return {"top": img, "bottom": img[::-1], "left": img.T, "right": img.T[:, ::-1]}[side]
 
 
 _rng = np.random.default_rng(5)
 _CROP_CASES = {
-    # foreground on each border, so the box is clamped at that side of the frame
-    **{
-        f"{side}-pad{pad}": (_border_image((13, 11), *index), pad, 0.5, 0.4)
-        for pad in (0, 1)
-        for side, index in (
-            ("top", (0, slice(3, 6))),
-            ("bottom", (-1, slice(3, 6))),
-            ("left", (slice(4, 8), 0)),
-            ("right", (slice(4, 8), -1)),
-            ("all", (slice(None), slice(None))),
-        )
-    },
-    "single-pixel": (_border_image((9, 9), 4, 4), 3, 0.5, 0.4),
-    "non-square": (_rng.random((17, 40)) * (_rng.random((17, 40)) > 0.8), 6, 0.5, 0.4),
-    "enlarge-shrink": (_rng.random((20, 23)), 4, 0.5, -0.5),
-    "enlarge-2": (_rng.random((20, 23)) - 2, 4, 0.5, 2.0),
-    "threshold-1": (_rng.random((15, 12)), 2, 1.0, 0.4),
-    "negative-input": (-np.abs(_rng.standard_normal((12, 14))), 3, 0.3, 1.0),
+    # "<side>-pad<k>": the foreground lies k zero pixels in from that side,
+    # and the enlarged box is clamped at that side of the frame
+    **{f"{side}-pad{margin}": _border_image(side, margin)
+       for margin in (0, 1) for side in ("top", "bottom", "left", "right", "all")},
+    "single-pixel": np.pad([[0.7]], 4),
+    "non-square": _rng.random((17, 40)) * (_rng.random((17, 40)) > 0.8),
+    "negative-input": -np.abs(_rng.standard_normal((12, 14))),
 }
 
 
-@pytest.mark.parametrize("image, pad, threshold, enlarge", _CROP_CASES.values(), ids=_CROP_CASES)
-def test_crop_equals_padded_frame_slice(image, pad, threshold, enlarge):
-    expected, expected_tight, expected_box = padded_reference(image, pad, threshold, enlarge)
-    crop, tight, box = bbox_compute(image, pad=pad, threshold=threshold, enlarge=enlarge)
+@pytest.mark.parametrize("image", _CROP_CASES.values(), ids=_CROP_CASES)
+def test_crop_equals_padded_frame_slice(image):
+    expected, expected_tight, expected_box = padded_reference(image)
+    crop, tight, box = bbox_compute(image)
     assert (tight, box) == (expected_tight, expected_box)
     assert crop.dtype == expected.dtype == np.float64
     assert crop.shape == expected.shape
     # equal values, and the padding zeros are +0.0 as np.pad writes them
     assert np.array_equal(crop, expected)
     assert np.array_equal(np.signbit(crop), np.signbit(expected))
-    # a run over a list of images crops each at find_crops' defaults
-    expected = padded_reference(image, pad=50, threshold=0.5, enlarge=0.4)[0]
-    assert np.array_equal(find_crops([image])[0].cut(), expected)
+    # a run over a stack of one crops the same
+    assert np.array_equal(find_crops(image[None])[0].cut(), expected)
 
 
 @pytest.mark.parametrize("name", [n for n in _CROP_CASES if "-pad" in n])
 def test_border_cases_clamp_the_box_at_the_frame(name):
-    image, pad, threshold, enlarge = _CROP_CASES[name]
-    _, _, box = bbox_compute(image, pad=pad, threshold=threshold, enlarge=enlarge)
-    frame = (image.shape[0] + 2 * pad, image.shape[1] + 2 * pad)
+    image = _CROP_CASES[name]
+    _, _, box = bbox_compute(image)
+    frame = (image.shape[0] + 2 * PAD, image.shape[1] + 2 * PAD)
     reached = {
         "top": box.row0 == 0,
         "bottom": box.row1 == frame[0],
@@ -141,18 +139,12 @@ def test_border_cases_clamp_the_box_at_the_frame(name):
         "right": box.col1 == frame[1],
     }
     side = name.split("-")[0]
-    assert all(reached.values()) if side == "all" else reached[side]
+    assert {s for s, hit in reached.items() if hit} == (set(reached) if side == "all" else {side})
+    if side == "all":
+        assert box == BoundingBox(0, 0, 400, 400)
 
 
-@pytest.mark.parametrize("threshold", [math.nan, 0.0, -0.5, 1.0000001, 2.0])
-def test_threshold_out_of_range_raises(threshold):
-    img = np.zeros((10, 10))
-    img[4, 4] = 1.0
-    with pytest.raises(ValueError, match="threshold must be in"):
-        bbox_compute(img, threshold=threshold)
-
-
-def per_image_reference(f, pad, threshold, enlarge):
+def per_image_reference(f):
     """The crop and boxes of one float image, searched image by image: on
     its own float64 column maxima, then on the row maxima between its
     first and last foreground column."""
@@ -162,14 +154,14 @@ def per_image_reference(f, pad, threshold, enlarge):
     if hi == lo:
         raise BlankImageError("no foreground pixels above threshold")
     span = hi - lo
-    cols = np.flatnonzero((col_max - lo) / span >= threshold)
+    cols = np.flatnonzero((col_max - lo) / span >= THRESHOLD)
     row_max = f[:, cols[0] : cols[-1] + 1].max(axis=1)
-    rows = np.flatnonzero((row_max - lo) / span >= threshold)
+    rows = np.flatnonzero((row_max - lo) / span >= THRESHOLD)
     tight = BoundingBox(
-        int(rows[0]) + pad, int(cols[0]) + pad, int(rows[-1] - rows[0] + 1), int(cols[-1] - cols[0] + 1)
+        int(rows[0]) + PAD, int(cols[0]) + PAD, int(rows[-1] - rows[0] + 1), int(cols[-1] - cols[0] + 1)
     )
-    box = enlarge_bbox(tight, enlarge, height + 2 * pad, width + 2 * pad)
-    frame = np.pad((f - lo) / span, pad)
+    box = enlarge_bbox(tight, height + 2 * PAD, width + 2 * PAD)
+    frame = np.pad((f - lo) / span, PAD)
     return frame[box.row0 : box.row1, box.col0 : box.col1], tight, box
 
 
@@ -201,23 +193,18 @@ def uint8_stack(draw):
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(
-    stack=uint8_stack(),
-    pad=st.sampled_from([0, 1, 3]),
-    threshold=st.sampled_from([1.0, 0.5, 0.3]),
-    enlarge=st.sampled_from([-0.5, 0.0, 0.4, 2.0]),
-)
-def test_stack_search_equals_per_image_crop(stack, pad, threshold, enlarge):
+@given(stack=uint8_stack())
+def test_stack_search_equals_per_image_crop(stack):
     # each image of an IDX stack, found from the stack's bytes, has the
     # boxes and the crop, byte for byte and sign bit included, that its
     # own float image gives alone; so does a float stack of the same
     images = IdxImages(stack)
     floats = np.stack([images[i] for i in range(len(images))])
-    for found in (find_crops(images, pad, threshold, enlarge), find_crops(floats, pad, threshold, enlarge)):
+    for found in (find_crops(images), find_crops(floats)):
         assert len(found) == len(stack)
         for crop, img in zip(found, floats):
             try:
-                expected, tight, box = per_image_reference(img, pad, threshold, enlarge)
+                expected, tight, box = per_image_reference(img)
             except BlankImageError:
                 assert (crop.tight, crop.box) == (None, None)
                 with pytest.raises(BlankImageError, match="no foreground pixels above threshold"):

@@ -39,6 +39,12 @@ def test_config_validation():
     for value in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite and positive"):
             RieszConfig(scale_constant=value)
+    # a float depth or angle count would fail deep inside numpy when
+    # features are extracted; a numpy integer is integral
+    for key in ("depth", "angles"):
+        with pytest.raises(ValueError, match=f"{key} must be an integer, got 4.0"):
+            RieszConfig(**{key: 4.0})
+        assert RieszConfig(**{key: np.int64(8)}) == RieszConfig(**{key: 8})
 
 
 def test_config_holds_only_the_papers_parameters():
