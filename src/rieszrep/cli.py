@@ -165,8 +165,9 @@ def riesz_config(config) -> RieszConfig:
 
 def check_inputs(config, args):
     """Raise ConfigError unless ``config`` gives every key of ``args.requires``
-    and, of the ``args.sources`` alternatives, one whole and no key of another.
-    ``main`` calls this before the handler, so no input file is read first."""
+    and, of the ``args.sources`` alternatives, one whole and no key of another,
+    and gives ``labels`` only with ``images``.  ``main`` calls this before the
+    handler, so no input file is read first."""
     if not all(config[key] for key in args.requires):
         raise ConfigError(f"{args.command} requires " + " and ".join(f"'{k}'" for k in args.requires))
     for first, second in itertools.combinations(args.sources, 2):
@@ -176,15 +177,20 @@ def check_inputs(config, args):
     if args.sources and not any(all(config[key] for key in keys) for keys in args.sources):
         sources = " or ".join("+".join(f"'{k}'" for k in keys) for keys in args.sources)
         raise ConfigError(f"{args.command} requires {sources}")
+    # bbox takes IDX images without labels; a directory never has them
+    if config.get("labels") and config.get("image_dir"):
+        raise ConfigError("'labels' and 'image_dir' cannot both be given; choose one input source")
 
 
 def load_input_images(config):
-    """Images and labels from the IDX pair, else images from the directory;
-    ``check_inputs`` (or a manifest shard's pair) has made sure one is given."""
+    """Images and labels from the IDX file and its labels, else images from the
+    directory; ``check_inputs`` (or a manifest shard's pair) has made sure
+    one is given.  Labels are None where no labels file is given."""
     limit = config["limit"]
     if config["images"]:
-        images, labels = load_idx(data_path(config["images"]), data_path(config["labels"]))
-        return images[:limit], labels[:limit]
+        labels_path = data_path(config["labels"]) if config["labels"] else None
+        images, labels = load_idx(data_path(config["images"]), labels_path)
+        return images[:limit], None if labels is None else labels[:limit]
     directory = data_path(config["image_dir"])
     files = sorted(p for p in directory.iterdir() if p.suffix.lower() in (".pgm", ".pnm", ".txt"))
     if not files:
@@ -455,7 +461,7 @@ def build_parser():
         ("extract", cmd_extract, "write a feature CSV",
          (*riesz, *inputs, "bbox", "output"), ("output",), idx_or_dir),
         ("bbox", cmd_bbox, "write cropped graymaps",
-         (*inputs, "out_dir"), ("out_dir",), idx_or_dir),
+         (*inputs, "out_dir"), ("out_dir",), (("images",), ("image_dir",))),
         ("train", cmd_train, "train a classifier from a feature CSV",
          ("features", "classifier", "components", "reg", "epochs", "seed", "output"),
          ("features", "output"), ()),

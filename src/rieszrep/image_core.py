@@ -132,12 +132,13 @@ class IdxImages(Sequence):
         return scale_idx_pixels(self.pixels[index])
 
 
-def load_idx(images_path, labels_path):
-    """Load a big-endian IDX image/label file pair as (images, labels).
+def load_idx(images_path, labels_path=None):
+    """Load a big-endian IDX image file, and its label file if given, as (images, labels).
 
     ``images`` is an ``IdxImages`` sequence of N (H, W) float64 images,
     pixel bytes mapped to [0, 1] by dividing by 255 when each image is
-    taken; ``labels`` is an int64 array of length N.
+    taken; ``labels`` is an int64 array of length N, or None without a
+    labels path.
     """
     with open(images_path, "rb") as fh:
         magic, count, height, width = struct.unpack(
@@ -153,6 +154,9 @@ def load_idx(images_path, labels_path):
         payload = _read_exact(
             fh, count * height * width, images_path, "IDX image payload"
         )
+    images = IdxImages(np.frombuffer(payload, dtype=np.uint8).reshape(count, height, width))
+    if labels_path is None:
+        return images, None
     with open(labels_path, "rb") as fh:
         magic, label_count = struct.unpack(
             ">ii", _read_exact(fh, 8, labels_path, "IDX label header")
@@ -167,7 +171,6 @@ def load_idx(images_path, labels_path):
                 f"{labels_path}: label count {label_count} does not match image count {count}"
             )
         label_bytes = _read_exact(fh, label_count, labels_path, "IDX label payload")
-    images = IdxImages(np.frombuffer(payload, dtype=np.uint8).reshape(count, height, width))
     labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
     return images, labels
 

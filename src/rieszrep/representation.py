@@ -29,9 +29,9 @@ calls per image), a stack of 16 such crops 19 groups (4.75 calls per
 image), while a 128x128 image with M=8 goes one parent per group.
 Every image's maps are bit-identical whatever the stack.  The complex
 (height) axis always goes through numpy's FFT.  The real (width) axis
-does too for a 7-smooth width of 64 or more; any
-other width up to 256 is transformed by products with a cached real
-DFT matrix (``_real_dft``): pocketfft takes 4-9x longer on a prime
+goes through one seam, ``_width_transforms``: numpy's real FFT, or
+products with a cached real DFT matrix (``_real_dft``) for the widths
+``_matrix_length`` picks, where pocketfft takes 4-9x longer on a prime
 length than on a neighbouring smooth one, and a bounding-box crop has
 whatever size the digit gives it.  So that an awkward height gets the
 matrix too, ``extract_features`` runs the engine on the transposed
@@ -69,8 +69,8 @@ import numpy as np
 from . import riesz
 from .image_core import NonFiniteImageError, as_image
 
-# Bytes of arrays the shape memo (``_basis_bank`` and ``_real_dft``)
-# keeps.  --bbox crops come in many shapes: the 57 of the 80
+# Bytes of arrays the shape memo (``_basis_bank``, ``_real_dft`` and
+# ``_steering``) keeps.  --bbox crops come in many shapes: the 57 of the 80
 # ``digits-bbox`` eval crops cycle any cache that fits a process, and a
 # 32-entry bound held about 9 MB of their banks.  2 MiB holds the 24
 # banks and 9 DFT pairs of the 100 ``digits-bbox`` training crops
@@ -79,10 +79,6 @@ from .image_core import NonFiniteImageError, as_image
 # the banks it let go were handed back to the OS and faulted in again:
 # 2.4 times the page faults of an eval, which took 1-4% longer.
 SHAPE_CACHE_BYTES = 2 << 20
-
-# widest axis ``_real_dft`` builds matrices for, and so the tallest
-# image ``extract_features`` transposes (see ``_transposes``)
-_DFT_MAX_WIDTH = 256
 
 # the reason an image's row is refused (``as_image`` refuses nan or inf samples)
 NON_FINITE_FEATURES = "feature maps or their means are not finite"
@@ -142,17 +138,19 @@ class _ByteMemo:
     """An LRU memo of the read-only arrays a function builds, bounded in bytes.
 
     Used as a decorator, keyed by the function and its arguments, so one
-    memo serves several functions (``_basis_bank`` and ``_real_dft``).
-    After each build the least recently used entries go while the bytes
-    held exceed ``budget``, but the two used last always stay: one
-    engine call needs a bank and its width's DFT matrices, and a shape
-    whose pair alone exceeds the budget is then built once per run of
-    that shape, not once per call.  A result that holds no array
-    (``_real_dft``'s None) is returned, not kept.  The two extraction
-    workers share the memo: each builds outside the lock, and when both
-    build one key the first result stored is the one both return, its
-    bytes counted once.  ``cache_clear`` and ``cache_info`` (hits,
-    misses, entries, bytes held) are those of the whole memo.
+    memo serves every function that builds an array the engine reads:
+    ``_steering``, ``_basis_bank`` and ``_real_dft`` (the matrices behind
+    the width seam, ``_width_transforms``), and the first-order pair
+    that ``verify.check`` installs.  After each build the least recently
+    used entries go while the bytes held exceed ``budget``, but the
+    three used last always stay: one engine call needs its steering
+    weights, a bank and its width's DFT matrices, and a shape whose
+    arrays alone exceed the budget are then built once per run of that
+    shape, not once per call.  The two extraction workers share the
+    memo: each builds outside the lock, and when both build one key the
+    first result stored is the one both return, its bytes counted once.
+    ``cache_clear`` and ``cache_info`` (hits, misses, entries, bytes
+    held) are those of the whole memo.
     """
 
     Info = collections.namedtuple("Info", "hits misses entries bytes")
@@ -183,8 +181,6 @@ class _ByteMemo:
                     return self._entries[key][0]
                 self._misses += 1
             value = function(*args)
-            if value is None:
-                return value
             size = sum(a.nbytes for a in value) if isinstance(value, tuple) else value.nbytes
             with self._lock:
                 if key in self._entries:  # the other worker stored it first
@@ -192,7 +188,7 @@ class _ByteMemo:
                     return self._entries[key][0]
                 self._entries[key] = value, size
                 self._bytes += size
-                while self._bytes > self.budget and len(self._entries) > 2:
+                while self._bytes > self.budget and len(self._entries) > 3:
                     _, (_, dropped) = self._entries.popitem(last=False)
                     self._bytes -= dropped
             return value
@@ -234,53 +230,57 @@ def _largest_prime_factor(n: int) -> int:
     return max(largest, n)
 
 
+def _matrix_length(n: int) -> bool:
+    """Whether the width seam transforms an axis of length n by DFT matrices.
+
+    pocketfft runs a slow generic pass for each prime factor above 5 of
+    the length; one matrix product costs about n multiply-adds per
+    output whatever n factors into.  So the matrix is used for every
+    n < 64, where it always won, and for 64 <= n <= 256 with a prime
+    factor above 7.  Forward, per row, on a 2-vCPU x86 host with numpy
+    2.4.6 and OpenBLAS: 0.24 against 2.7 us at n=67, 2.0 against 8.6 us
+    at 251.  A 7-smooth n >= 64 stays with pocketfft, which wins from
+    n=128 on (0.60 against 0.76 us), and so does n > 256, where the
+    matrices grow as n^2 and the matrix loses again by n=1021 (38.5
+    against 26.5 us).  Below the cap a pair is at most 1.04 MB (n=255),
+    and below 64 at most 65 KB.
+    """
+    return n < 64 or (n <= 256 and _largest_prime_factor(n) > 7)
+
+
 def _transposes(height: int, width: int) -> bool:
     """Whether ``extract_features`` runs the engine on the transposed image.
 
     The height always goes through numpy's complex FFT, which takes
     several times longer on a length with a large prime factor; a width
-    up to ``_DFT_MAX_WIDTH`` with a prime factor above 7 goes through
-    ``_real_dft`` matrices, which cost the same whatever the length
-    factors into.  So a height of at most ``_DFT_MAX_WIDTH`` whose
-    largest prime factor is above 23 and above the width's is moved to
-    the width axis.  Median CPU time per image at K=3, M=4 on a shared
-    2-vCPU x86 host with numpy 2.4.6: 97x70 took 41.8 ms and 17.1 ms as
-    70x97; 47x33, 53x38, 94x63 and 103x76 gained x1.4-1.8, and heights
-    from 193 to 251 x1.1-1.5.  Shapes the rule leaves alone lost when
-    transposed: 95x67 (height 5*19) x0.53, 104x82 x0.75, 95x26 x0.85.
-    When both axes have a large prime factor the two orientations are
-    within about 25% of each other either way (97x67 x1.07, 103x71
-    x0.85).
+    that ``_matrix_length`` routes goes through ``_real_dft`` matrices,
+    which cost the same whatever the length factors into.  So a height
+    the matrices would take whose largest prime factor is above 23 and
+    above the width's is moved to the width axis.  Median CPU time per
+    image at K=3, M=4 on a shared 2-vCPU x86 host with numpy 2.4.6:
+    97x70 took 41.8 ms and 17.1 ms as 70x97; 47x33, 53x38, 94x63 and
+    103x76 gained x1.4-1.8, and heights from 193 to 251 x1.1-1.5.
+    Shapes the rule leaves alone lost when transposed: 95x67 (height
+    5*19) x0.53, 104x82 x0.75, 95x26 x0.85.  When both axes have a large
+    prime factor the two orientations are within about 25% of each
+    other either way (97x67 x1.07, 103x71 x0.85).
     """
     largest = _largest_prime_factor(height)
-    return height <= _DFT_MAX_WIDTH and largest > max(23, _largest_prime_factor(width))
+    return largest > max(23, _largest_prime_factor(width)) and _matrix_length(height)
 
 
 @_shape_memo
 def _real_dft(width: int):
-    """Read-only real DFT matrices for the last axis, or None for pocketfft.
+    """Read-only real DFT matrices (forward, inverse) for the last axis.
 
-    Returns (forward, inverse) with h = W//2+1: forward is (W, 2h), so
-    ``x @ forward`` holds ``np.fft.rfft(x)`` as interleaved re/im
-    columns; inverse is (2h, W), so ``spec.view(float64) @ inverse`` is
-    ``np.fft.irfft(spec, n=W)``.  The inverse weights bins 1..(W-1)//2
-    by 2 and DC and (for even W) Nyquist by 1, and ignores their
-    imaginary parts, as ``irfft`` does.
-
-    pocketfft runs a slow generic pass for each prime factor above 5 of
-    the length; one matrix product costs about W multiply-adds per
-    output whatever W factors into.  So the matrix is used for every
-    W < 64, where it always won, and for 64 <= W <= 256 with a prime
-    factor above 7.  Forward, per row, on a 2-vCPU x86 host with numpy
-    2.4.6 and OpenBLAS: 0.24 against 2.7 us at W=67, 2.0 against 8.6 us
-    at 251.  A 7-smooth W >= 64 stays with pocketfft, which wins from
-    W=128 on (0.60 against 0.76 us), and so does W > 256, where the
-    matrices grow as W^2 and the matrix loses again by W=1021 (38.5
-    against 26.5 us).  Below the cap a pair is at most 1.04 MB (W=255),
-    and below 64 at most 65 KB.
+    With h = W//2+1, forward is (W, 2h), so ``x @ forward`` holds
+    ``np.fft.rfft(x)`` as interleaved re/im columns; inverse is (2h, W),
+    so ``spec.view(float64) @ inverse`` is ``np.fft.irfft(spec, n=W)``.
+    The inverse weights bins 1..(W-1)//2 by 2 and DC and (for even W)
+    Nyquist by 1, and ignores their imaginary parts, as ``irfft`` does.
+    ``_width_transforms`` multiplies by them on the widths
+    ``_matrix_length`` picks.
     """
-    if width > _DFT_MAX_WIDTH or (width >= 64 and _largest_prime_factor(width) <= 7):
-        return None
     half, even = width // 2 + 1, width % 2 == 0
     # twiddles indexed by (j*k) mod W keep every angle below 2*pi; the
     # DC and Nyquist twiddles are exactly 1 and -1, so the imaginary
@@ -303,7 +303,30 @@ def _real_dft(width: int):
     return forward, inverse
 
 
-@functools.lru_cache(maxsize=None)
+def _width_transforms(width: int):
+    """The real transforms of the last axis, (forward, inverse), each called as ``f(x, out)``.
+
+    forward writes the half spectrum ``np.fft.rfft(x)`` of a float64
+    array into the complex128 ``out``; inverse writes
+    ``np.fft.irfft(spec, n=width)`` of a complex128 half spectrum into the
+    float64 ``out``.  Both are numpy's FFT, or, on the widths
+    ``_matrix_length`` picks, one ``np.matmul`` by a ``_real_dft``
+    matrix that reads and writes the complex arrays as interleaved re/im
+    floats, so ``out`` and the half spectrum must be C-contiguous.
+    """
+    if not _matrix_length(width):
+        return (
+            lambda x, out: np.fft.rfft(x, axis=-1, out=out),
+            lambda spec, out: np.fft.irfft(spec, n=width, axis=-1, out=out),
+        )
+    forward, inverse = _real_dft(width)
+    return (
+        lambda x, out: np.matmul(x, forward, out=out.view(np.float64)),
+        lambda spec, out: np.matmul(spec.view(np.float64), inverse, out=out),
+    )
+
+
+@_shape_memo
 def _steering(angles: int, transposed: bool) -> np.ndarray:
     """Read-only (M, 5, 2) weights that steer the basis.
 
@@ -425,11 +448,12 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed
     128x128 image at K=2, M=8 keeps 2,631,680 bytes of buffers, and a
     105x80 crop at K=3, M=4 2.16 MB.
 
-    The two real transforms are ``np.fft.rfft`` and ``np.fft.irfft``
-    unless ``_real_dft`` has matrices for the width (below 64, or up to
-    256 with a prime factor above 7; see there why).  Then each is one
-    ``np.matmul`` of the (g, H, W) or (g, 5, H, 2h) stack by the matrix,
-    reading and writing the complex buffers as interleaved re/im floats.
+    The group loop calls the two real transforms the width seam
+    (``_width_transforms``) returns, whichever they are: ``np.fft.rfft``
+    and ``np.fft.irfft``, or, on the widths ``_matrix_length`` picks
+    (see there why), one ``np.matmul`` of the (g, H, W) or
+    (g, 5, H, 2h) stack by a ``_real_dft`` matrix, reading and writing
+    the complex buffers as interleaved re/im floats.  For the matrices
     numpy makes one GEMM per (H, .) slice, so every product has the same
     shape whatever g is and the maps stay bit-identical across group
     sizes, and so across stack sizes: each image's maps equal those of
@@ -459,7 +483,7 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed
     images, height, width = f.shape
     size = height * width
     weights = _steering(angles, transposed)
-    bank, dft = _basis_bank(height, width), _real_dft(width)
+    bank, (forward, inverse) = _basis_bank(height, width), _width_transforms(width)
     group = min(group_size(height, width, angles), images * angles ** (depth - 1))
     chunk = angles
     while chunk > 1 and 16 * group * chunk * size > _BATCH_BYTES:
@@ -489,17 +513,11 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed
             parents = level[start : start + group]
             n = len(parents)
             s, b, r = spec[:n], basis_spec[:n], basis[:n]
-            if dft is None:
-                np.fft.rfft(parents, axis=-1, out=s)
-            else:
-                np.matmul(parents, dft[0], out=s.view(np.float64))
+            forward(parents, s)
             np.fft.fft(s, axis=-2, out=s)
             np.multiply(bank, s[:, None], out=b)
             np.fft.ifft(b, axis=-2, out=b)
-            if dft is None:
-                np.fft.irfft(b, n=width, axis=-1, out=r)
-            else:
-                np.matmul(b.view(np.float64), dft[1], out=r)
+            inverse(b, r)
             components = r.reshape(n, 1, 5, -1).swapaxes(-1, -2)
             for k0 in range(0, angles, chunk):
                 w = weights[k0 : k0 + chunk]

@@ -12,24 +12,29 @@ Each property draws from its own generator, seeded with
 (``check``) gives the same value as in a full ``run_all``.
 
 ``FAULTS`` maps a fault name to a transform of the first-order pair
-(m1, m2).  For one measurement ``check`` binds a fresh memo of the real
-pair, through the fault if one is named, with read-only arrays, on
+(m1, m2).  For one measurement ``check`` binds a fresh function of the
+real pair, through the fault if one is named, with read-only arrays,
+memoized in the engine's shape memo, on
 ``riesz.first_order_multipliers``: the one seam that every Riesz
-multiplier and the engine's ``_basis_bank`` read.  It clears the
-engine's shape memo (banks and DFT matrices) on install and on restore,
-so no bank outlives the pair it came from.
+multiplier and the engine's ``_basis_bank`` read.  It clears the shape
+memo (pairs, banks, DFT matrices and steering weights) on install and
+on restore, so no bank outlives the pair it came from.
+
+``dft-round-trip`` and ``dft-parseval`` measure the 2d transform the
+engine runs: its width seam (``_width_transforms``) and numpy's FFT
+along the height, on widths the seam multiplies by DFT matrices and on
+widths it leaves to pocketfft.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import riesz
-from .image_core import fft2, freq_coords, ifft2
-from .representation import RieszConfig, _basis_bank, extract_features, layer_S
+from .image_core import freq_coords
+from .representation import RieszConfig, _shape_memo, _width_transforms, extract_features, layer_S
 
 
 @dataclass(frozen=True)
@@ -54,9 +59,10 @@ _first_order_multipliers = riesz.first_order_multipliers  # the real one, past a
 
 
 def _memoized_multipliers(fault):
-    """A new memo of the real pair, through ``fault`` if given, its arrays read-only."""
+    """A new function of the real pair, through ``fault`` if given, its arrays
+    read-only, memoized in the shape memo under its own key."""
 
-    @functools.lru_cache(maxsize=None)
+    @_shape_memo
     def first_order_multipliers(height, width):
         pair = _first_order_multipliers(height, width)
         pair = fault(*pair) if fault else pair
@@ -79,17 +85,36 @@ FAULTS = {"dc-not-zeroed": _dc_not_zeroed}
 # shifts for the translation properties, wrapping past the 32x32 grid
 _SHIFTS = ((1, 0), (5, 9), (7, 13), (31, 31))
 
+# (height, width): widths the seam multiplies by DFT matrices (17, 66,
+# 67 and 251), then widths it leaves to pocketfft (105 and 128)
+_DFT_SHAPES = ((8, 17), (31, 66), (16, 67), (9, 251), (33, 105), (64, 128))
+
+
+def _engine_spectrum(f):
+    """The engine's half spectrum of f: the width seam, then the height FFT."""
+    spec = np.empty((f.shape[0], f.shape[1] // 2 + 1), dtype=np.complex128)
+    _width_transforms(f.shape[1])[0](f, spec)
+    return np.fft.fft(spec, axis=0, out=spec)
+
 
 def _dft_round_trip(rng):
-    for h, w in ((8, 8), (31, 17), (64, 64)):
+    for h, w in _DFT_SHAPES:
         f = _random_image(rng, h, w)
-        yield np.linalg.norm(ifft2(fft2(f)) - f) / np.linalg.norm(f)
+        back = np.empty_like(f)
+        _width_transforms(w)[1](np.fft.ifft(_engine_spectrum(f), axis=0), back)
+        yield np.linalg.norm(back - f) / np.linalg.norm(f)
 
 
 def _dft_parseval(rng):
-    f = _random_image(rng, 33, 16)
-    spec = fft2(f)
-    yield abs(np.sum(f**2) - np.sum(np.abs(spec) ** 2) / f.size) / np.sum(f**2)
+    for h, w in _DFT_SHAPES:
+        f = _random_image(rng, h, w)
+        # the half spectrum stands for every bin but DC and Nyquist twice
+        twice = np.full(w // 2 + 1, 2.0)
+        twice[0] = 1.0
+        if w % 2 == 0:
+            twice[-1] = 1.0
+        energy = np.sum(np.abs(_engine_spectrum(f)) ** 2 * twice) / f.size
+        yield abs(np.sum(f**2) - energy) / np.sum(f**2)
 
 
 def _energy_identity(rng):
@@ -227,11 +252,11 @@ def check(index: int, seed: int = 0, inject_fault: str | None = None):
     rng = np.random.default_rng([seed, index])
     original = riesz.first_order_multipliers
     riesz.first_order_multipliers = _memoized_multipliers(FAULTS.get(inject_fault))
-    _basis_bank.cache_clear()
+    _shape_memo.cache_clear()
     try:
         measured = float(max(measure(rng)))
     finally:
-        _basis_bank.cache_clear()
+        _shape_memo.cache_clear()
         riesz.first_order_multipliers = original
     return PropertyResult(name, tolerance, measured)
 

@@ -122,7 +122,7 @@ _IDX_OR_DIR = (("images", "labels"), ("image_dir",))
 # each handler runs
 _INPUT_TABLE = {
     "extract": (("output",), _IDX_OR_DIR),
-    "bbox": (("out_dir",), _IDX_OR_DIR),
+    "bbox": (("out_dir",), (("images",), ("image_dir",))),
     "train": (("features", "output"), ()),
     "eval": (("model",), (("features",), ("manifest",))),
     "verify": ((), ()),
@@ -317,6 +317,7 @@ def test_print_config_of_bbox_holds_only_its_keys(tmp_path, capsys):
 
 
 _IMAGE_SOURCES = "'images'+'labels' or 'image_dir'"
+_BBOX_SOURCES = "'images' or 'image_dir'"
 
 
 @pytest.mark.parametrize(
@@ -331,11 +332,11 @@ _IMAGE_SOURCES = "'images'+'labels' or 'image_dir'"
          f"extract requires {_IMAGE_SOURCES}"),
         (["extract", "--output", "out"], "images = i.idx", f"extract requires {_IMAGE_SOURCES}"),
         (["bbox", "--images", "i.idx", "--labels", "l.idx"], None, "bbox requires 'out_dir'"),
-        (["bbox", "--out-dir", "out"], None, f"bbox requires {_IMAGE_SOURCES}"),
-        (["bbox", "--images", "i.idx", "--out-dir", "out"], None,
-         f"bbox requires {_IMAGE_SOURCES}"),
+        (["bbox", "--out-dir", "out"], None, f"bbox requires {_BBOX_SOURCES}"),
+        # bbox takes IDX images without labels: only the output is missing
+        (["bbox", "--images", "i.idx"], None, "bbox requires 'out_dir'"),
         (["bbox", "--labels", "l.idx", "--out-dir", "out"], None,
-         f"bbox requires {_IMAGE_SOURCES}"),
+         f"bbox requires {_BBOX_SOURCES}"),
         (["train", "--features", "f.csv"], None, "train requires 'features' and 'output'"),
         (["train", "--output", "out"], None, "train requires 'features' and 'output'"),
         (["train"], "features = f.csv", "train requires 'features' and 'output'"),
@@ -762,6 +763,22 @@ def test_bbox_command(tmp_path, rng):
     assert written == ["crop_00000.pgm", "crop_00002.pgm"]  # blank skipped
     crop = load_gray_image(out_dir / "crop_00000.pgm")
     assert crop.max() > 0.5
+
+
+def test_bbox_crops_idx_images_without_labels(tmp_path):
+    # the labels file is checked against the images when given, and
+    # otherwise not needed: both runs write the same graymaps
+    images = np.stack([synthetic_digit(32), np.zeros((32, 32)), synthetic_digit(40)[4:36, 4:36]])
+    ipath, lpath = _write_idx_pair(tmp_path, images, [0, 1, 2])
+    runs = {"labelled": ["--labels", str(lpath)], "unlabelled": []}
+    for name, labels in runs.items():
+        argv = ["bbox", "--images", str(ipath), *labels, "--out-dir", str(tmp_path / name)]
+        assert main(argv) == 0
+    crops = [sorted((tmp_path / name).iterdir()) for name in runs]
+    assert [p.name for p in crops[0]] == ["crop_00000.pgm", "crop_00002.pgm"]
+    assert [p.name for p in crops[1]] == [p.name for p in crops[0]]
+    for labelled, unlabelled in zip(*crops):
+        assert labelled.read_bytes() == unlabelled.read_bytes()
 
 
 def test_bbox_command_skips_non_finite_image(tmp_path, caplog):

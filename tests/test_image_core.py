@@ -174,6 +174,9 @@ def test_load_idx_count_mismatch(tmp_path):
     ipath, lpath = _write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1, 2])
     with pytest.raises(FormatError, match="count"):
         load_idx(ipath, lpath)
+    # without a labels path there is no count to check
+    images, labels = load_idx(ipath)
+    assert labels is None and len(images) == 2
 
 
 @pytest.mark.parametrize("dims", [(-1, 2, 2), (1, -2, 2), (1, 2, -2), (1, 0, 5), (1, 5, 0)])

@@ -345,23 +345,29 @@ def test_real_dft_matrices_match_numpy_and_route_by_width(rng):
     # the inverse gets non-Hermitian half spectra with large imaginary
     # DC and Nyquist parts: irfft ignores them, and so must the matrix
     for width in range(1, 301):
-        pair = representation._real_dft(width)
-        assert (pair is None) == (width > 256 or (width >= 64 and _largest_prime_factor(width) <= 7))
-        if pair is None:
-            continue
-        forward, inverse = pair
-        assert not forward.flags.writeable and not inverse.flags.writeable
+        routed = representation._matrix_length(width)
+        assert routed == (width < 64 or (width <= 256 and _largest_prime_factor(width) > 7))
+        if routed:
+            assert not any(m.flags.writeable for m in representation._real_dft(width))
+        forward, inverse = representation._width_transforms(width)
         x = rng.standard_normal((3, width))
         expected = np.fft.rfft(x)
-        got = (x @ forward).view(np.complex128)
-        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        got = np.empty_like(expected)
+        forward(x, got)
         spec = rng.standard_normal((3, width // 2 + 1, 2))
         spec[:, 0, 1] *= 1e8
         if width % 2 == 0:
             spec[:, -1, 1] *= 1e8
-        expected = np.fft.irfft(spec.view(np.complex128)[..., 0], n=width)
-        got = spec.reshape(3, -1) @ inverse
-        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        spec = spec.view(np.complex128)[..., 0]
+        expected_back = np.fft.irfft(spec, n=width)
+        back = np.empty_like(expected_back)
+        inverse(spec, back)
+        if routed:
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+            assert np.abs(back - expected_back).max() <= 1e-13 * np.abs(expected_back).max()
+        else:
+            assert got.tobytes() == expected.tobytes()
+            assert back.tobytes() == expected_back.tobytes()
 
 
 def _transposed_path_order(depth, angles):
@@ -377,9 +383,11 @@ def _transposed_path_order(depth, angles):
 
 
 def test_transpose_routes_by_height_and_order_is_an_involution():
+    # the rule as it stood with its own cap, before it read _matrix_length
+    largest = [0] + [_largest_prime_factor(n) for n in range(1, 301)]
     for height in range(1, 301):
-        for width in (1, 9, 23, 29, 46, 64, 67, 70, 97, 256):
-            awkward = _largest_prime_factor(height) > max(23, _largest_prime_factor(width))
+        for width in range(1, 301):
+            awkward = largest[height] > max(23, largest[width])
             assert representation._transposes(height, width) == (height <= 256 and awkward)
     # angle k of f.T is angle (M/2 - k) mod M of f: [0] <-> [2], [1] and [3] stay
     assert list(_transposed_path_order(1, 4)) == [0, 3, 2, 1, 4]
@@ -565,30 +573,34 @@ def shape_memo():
 def test_shape_memo_is_bounded_in_bytes(rng, shape_memo):
     # a height of 60 is never transposed, so every shape builds its own
     # bank, and every width below 64 its own DFT matrices: 80 builds,
-    # 1.6 times the budget
+    # 1.6 times the budget, and one of the M=4 steering weights
     cfg, budget = RieszConfig(depth=1), representation.SHAPE_CACHE_BYTES
     first = shape_memo(60, 8)
     for i in range(40):
         extract_features(rng.standard_normal((60, 8 + i)), cfg)
         assert shape_memo.cache_info().bytes <= budget
         assert shape_memo(60, 8) is first  # each hit makes it the newest
-    assert shape_memo.cache_info().misses == 80
-    assert shape_memo.cache_info().entries < 80
-    newest = shape_memo(60, 47)
+    assert shape_memo.cache_info().misses == 81
+    assert shape_memo.cache_info().entries < 81
+    newest, matrices = shape_memo(60, 47), representation._real_dft(47)
     extract_features(rng.standard_normal((60, 47)), cfg)
     assert shape_memo(60, 47) is newest
-    # a bank above the budget is kept, with only the entry used before it
+    # a bank above the budget is kept, with only the two entries used before it
     big = shape_memo(256, 256)
     assert big.nbytes > budget
-    assert shape_memo.cache_info()[2:] == (2, big.nbytes + newest.nbytes)
+    held = big.nbytes + newest.nbytes + sum(m.nbytes for m in matrices)
+    assert shape_memo.cache_info()[2:] == (3, held)
     extract_features(rng.standard_normal((256, 256)), cfg)  # pocketfft: no DFT entry
     assert shape_memo(256, 256) is big
-    assert shape_memo.cache_info().misses == 82
-    # one engine call's bank and DFT matrices stay together, however large
+    assert shape_memo.cache_info().misses == 83  # the big bank and the steering again
+    # one engine call's steering, bank and DFT matrices stay together,
+    # however large: the second call of a shape builds nothing
     pair = shape_memo(256, 255), representation._real_dft(255)
-    assert shape_memo.cache_info()[2:] == (2, pair[0].nbytes + sum(m.nbytes for m in pair[1]))
-    extract_features(rng.standard_normal((256, 255)), cfg)
-    assert shape_memo.cache_info().misses == 84
+    held = big.nbytes + pair[0].nbytes + sum(m.nbytes for m in pair[1])
+    assert shape_memo.cache_info()[2:] == (3, held)
+    for _ in range(2):
+        extract_features(rng.standard_normal((256, 255)), cfg)
+        assert shape_memo.cache_info().misses == 86
     shape_memo.cache_clear()
     assert shape_memo.cache_info() == (0, 0, 0, 0)
 
@@ -753,13 +765,13 @@ def test_features_homogeneity_in_C(rng):
             for c in (0.7, 3.0):
                 scaled = extract_features(f, RieszConfig(depth, angles, scale_constant=c))
                 assert_array_equal(scaled, base * c**depths)
-    # the steering weights do not depend on C: no cache entry per value
+    # the steering weights and the bank do not depend on C: no memo entry per value
     f = rng.standard_normal((8, 8))
     extract_features(f, RieszConfig(depth=1))
-    cached = representation._steering.cache_info().currsize
+    misses = representation._shape_memo.cache_info().misses
     for c in np.linspace(0.5, 2.5, 20):
         extract_features(f, RieszConfig(depth=1, scale_constant=c))
-    assert representation._steering.cache_info().currsize == cached
+    assert representation._shape_memo.cache_info().misses == misses
     # the finiteness check reads the scaled row: at C = 1e200 the depth-2
     # means overflow, though every map at C = 1 is finite
     huge = RieszConfig(depth=2, scale_constant=1e200)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rieszrep import riesz, verify
+from rieszrep import representation, riesz, verify
 from rieszrep.representation import RieszConfig, _basis_bank, extract_features, layer_S
 
 
@@ -142,3 +142,54 @@ def test_layer_nonexpansive_catches_dropped_scale_constant(monkeypatch):
     result = verify.check(index)
     assert not result.passed
     assert result.measured == pytest.approx(7 * 4 / 8 - 1.0)
+
+
+def _nyquist_dropped(matrix, calls):
+    """``_real_dft`` with the Nyquist bin dropped from one matrix on even
+    widths, noting every width it is called with in ``calls``."""
+    real = representation._real_dft
+
+    def patched(width):
+        calls.append(width)
+        forward, inverse = real(width)
+        if width % 2 == 0:
+            # the real part of bin W/2 is column W of the forward matrix and
+            # row W of the inverse; its imaginary part is already all zero
+            if matrix == "forward":
+                forward = forward.copy()
+                forward[:, width] = 0.0
+            else:
+                inverse = inverse.copy()
+                inverse[width] = 0.0
+        return forward, inverse
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "matrix, failing",
+    [("inverse", {"dft-round-trip"}), ("forward", {"dft-round-trip", "dft-parseval"})],
+)
+def test_dft_properties_measure_the_width_seam(monkeypatch, matrix, failing):
+    calls = []
+    monkeypatch.setattr(representation, "_real_dft", _nyquist_dropped(matrix, calls))
+
+    def measure(seed, indices):
+        """The names of the properties that fail, and of those that read the matrices."""
+        failed, read = set(), set()
+        for index in indices:
+            before = len(calls)
+            result = verify.check(index, seed)
+            if not result.passed:
+                failed.add(result.name)
+            if len(calls) > before:
+                read.add(result.name)
+        return failed, read
+
+    failed, read = measure(0, range(len(verify.PROPERTIES)))
+    assert failed == failing
+    assert read == {"dft-round-trip", "dft-parseval", "shift-invariant-features", "layer-nonexpansive"}
+    # a property measures the same shapes on every seed, so the others
+    # never reach the patched matrices
+    for seed in range(1, 10):
+        assert measure(seed, map(_index, read))[0] == failing, seed
