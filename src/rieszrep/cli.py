@@ -192,7 +192,9 @@ def load_input_images(config):
         images, labels = load_idx(data_path(config["images"]), labels_path)
         return images[:limit], None if labels is None else labels[:limit]
     directory = data_path(config["image_dir"])
-    files = sorted(p for p in directory.iterdir() if p.suffix.lower() in (".pgm", ".pnm", ".txt"))
+    suffixes = (".pgm", ".pnm", ".txt")
+    # a subdirectory named like an image is no image
+    files = sorted(p for p in directory.iterdir() if p.suffix.lower() in suffixes and p.is_file())
     if not files:
         raise ConfigError(f"no graymap or matrix files in {directory}")
     # files past the limit are never read

@@ -15,17 +15,15 @@ import numpy as np
 
 from .image_core import IdxImages, NonFiniteImageError, as_image
 from .preprocess import BlankImageError, find_crops
-from .representation import (
-    NON_FINITE_FEATURES, RieszConfig, Workspace, extract_features, feature_count, group_size
-)
+from .representation import NON_FINITE_FEATURES, RieszConfig, extract_features, feature_count, group_size
 
 
 def _thread_count() -> int:
     """Threads ``extract_matrix`` runs: the CPUs this process may use, at most 2.
 
-    Capped at two because the peak memory of two workspaces is what was
-    measured to stay within budget.  Where the affinity mask cannot be
-    read (macOS, Windows), every CPU counts.
+    Capped at two because the peak memory of two concurrent engine
+    calls is what was measured to stay within budget.  Where the
+    affinity mask cannot be read (macOS, Windows), every CPU counts.
     """
     if hasattr(os, "sched_getaffinity"):
         return min(2, len(os.sched_getaffinity(0)))
@@ -50,13 +48,13 @@ def extract_matrix(images, config: RieszConfig, bbox=False):
     indices, in order of first appearance, are cut into
     ``extract_features`` stacks of ``group_size`` (one level-1 engine
     group), at most 64.  The calling thread and, when there are two
-    batches and ``_thread_count`` allows, one helper, each with its own
-    ``Workspace``, take whole batches from one shared iterator and cut
-    or convert a batch's images only then, so each holds at most one
-    batch.  Rows are written by index, each equal to its image's own
-    ``extract_features``, so the matrix is byte-identical whatever the
-    thread count.  An exception, ``KeyboardInterrupt`` included,
-    stops the other worker after its current batch and is raised here.
+    batches and ``_thread_count`` allows, one helper, take whole batches
+    from one shared iterator and cut or convert a batch's images only
+    then, so each holds at most one batch.  Rows are written by index,
+    each equal to its image's own ``extract_features``, so the matrix is
+    byte-identical whatever the thread count.  An exception,
+    ``KeyboardInterrupt`` included, stops the other worker after its
+    current batch and is raised here.
     """
     matrix = np.full((len(images), feature_count(config.depth, config.angles)), np.nan)
     flagged = {}
@@ -93,7 +91,7 @@ def extract_matrix(images, config: RieszConfig, bbox=False):
     planned = iter(batches)
     stop = False  # set when a worker raises
 
-    def extract(batch, workspace):
+    def extract(batch):
         """Fill a batch's rows from one stack; flag those not finite."""
         # planning checked every list image's shape and samples, so a
         # batch only converts
@@ -103,7 +101,7 @@ def extract_matrix(images, config: RieszConfig, bbox=False):
         ]
         # a lone image goes as a view, not a copy
         stack = pixels[0][None] if len(pixels) == 1 else np.stack(pixels)
-        features = extract_features(stack, config, workspace=workspace)
+        features = extract_features(stack, config)
         for index, row in zip(batch, features):
             if np.isfinite(row).all():
                 matrix[index] = row
@@ -112,7 +110,6 @@ def extract_matrix(images, config: RieszConfig, bbox=False):
 
     def work():
         nonlocal stop
-        workspace = Workspace()
         try:
             # an overflowing image is flagged once, above, not also by
             # numpy's floating-point warnings
@@ -120,7 +117,7 @@ def extract_matrix(images, config: RieszConfig, bbox=False):
                 for batch in planned:
                     if stop:
                         return
-                    extract(batch, workspace)
+                    extract(batch)
         except BaseException:
             stop = True
             raise

@@ -346,42 +346,6 @@ def _steering(angles: int, transposed: bool) -> np.ndarray:
     return weights
 
 
-class Workspace:
-    """Engine buffers lent from one call to the next of the same stack shape.
-
-    One run over a list of images (``extraction.extract_matrix``) makes
-    one per thread and passes it to every ``extract_features`` call that
-    thread makes; it dies with the run, so no buffer outlives it or is
-    shared between threads.  The buffers are two scratch buffers, each
-    shared by two arrays whose lifetimes never overlap, every level
-    below K whole, and one angle chunk of one group of level K: 2.63 MB
-    for a 128x128 image at K=2, M=8 (see ``_level_chunks``).  It holds
-    at most one entry, keyed by everything the buffer shapes depend on
-    (stack size, image shape, M, K, and the group size and angle chunk,
-    which ``_BATCH_BYTES`` sets).
-    Buffers are kept only while the key repeats: a new key releases the
-    kept buffers before the engine allocates its own, and the next call
-    with the same key allocates again and keeps those.  With ``--bbox``
-    nearly every crop has its own shape, and buffers kept across shape
-    changes fragmented the heap (+6% peak RSS on ``digits-bbox``);
-    same-shape runs (IDX input without ``--bbox``) fault their buffers
-    in once, not once per image.
-    """
-
-    def __init__(self):
-        self._key = None
-        self._buffers = None
-
-    def buffers(self, key, allocate):
-        """The kept buffers when ``key`` repeats, else ``allocate()``."""
-        if key != self._key:
-            self._key, self._buffers = key, None
-            return allocate()
-        if self._buffers is None:
-            self._buffers = allocate()
-        return self._buffers
-
-
 def group_size(height: int, width: int, angles: int) -> int:
     """Parent maps the engine transforms per group, before the level caps it.
 
@@ -398,7 +362,7 @@ def _shared(*views):
     return [buffer[:n].view(dtype).reshape(shape) for n, (dtype, shape) in zip(sizes, views)]
 
 
-def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed=False):
+def _level_chunks(f: np.ndarray, config: RieszConfig, transposed=False):
     """Maps at C = 1 of levels 1..K of the validated (n, H, W) stack f, in path order.
 
     Level k holds n * M^(k-1) parent maps, image-major: image i's maps
@@ -444,9 +408,9 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed
     last read by the multiply, before ``basis`` is first written, and
     ``basis_spec`` last read by the inverse transform, before
     ``steered`` is first written: each pair shares one buffer, and no
-    ``out=`` overlaps an operand that is still live.  Per thread, a
-    128x128 image at K=2, M=8 keeps 2,631,680 bytes of buffers, and a
-    105x80 crop at K=3, M=4 2.16 MB.
+    ``out=`` overlaps an operand that is still live.  One call on a
+    128x128 image at K=2, M=8 allocates 2,631,680 bytes of buffers, and
+    on a 105x80 crop at K=3, M=4 2.16 MB.
 
     The group loop calls the two real transforms the width seam
     (``_width_transforms``) returns, whichever they are: ``np.fft.rfft``
@@ -469,11 +433,9 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed
     whose (M, H, W) complex buffer exceeds 256 KiB (128x128, or 98x63
     with M=8) give g = 1.
 
-    The scratch buffers and the level arrays come from ``workspace``
-    (see ``Workspace``; a fresh one when none is given), keyed by
-    (n, H, W, M, K, g, chunk); every element the engine reads it has
-    written for this stack first, so leftovers of an earlier stack
-    never reach the output.
+    Every call allocates its buffers and level arrays uninitialised and
+    keeps none of them; every element the engine reads it has written
+    first.
     """
     depth, angles = config.depth, config.angles
     if depth == 0:
@@ -489,23 +451,18 @@ def _level_chunks(f: np.ndarray, config: RieszConfig, workspace=None, transposed
     while chunk > 1 and 16 * group * chunk * size > _BATCH_BYTES:
         chunk //= 2
 
-    def allocate():
-        # spec and basis share one buffer, basis_spec and steered the other;
-        # level k < K holds its n * M^(k-1) parents' children, level K one
-        # group's current angle chunk
-        spec, basis = _shared(
-            (np.complex128, (group, height, width // 2 + 1)), (np.float64, (group, 5, height, width))
-        )
-        basis_spec, steered = _shared(
-            (np.complex128, (group, *bank.shape)), (np.complex128, (group * chunk * size,))
-        )
-        parents = [images * angles ** (k - 1) for k in range(1, depth)]
-        levels = [np.empty((n, angles, height, width)) for n in parents]
-        return spec, basis_spec, basis, steered, [*levels, np.empty((group, chunk, height, width))]
-
-    key = (images, height, width, angles, depth, group, chunk)
-    buffers = (workspace or Workspace()).buffers(key, allocate)
-    spec, basis_spec, basis, steered, levels = buffers
+    # spec and basis share one buffer, basis_spec and steered the other;
+    # level k < K holds its n * M^(k-1) parents' children, level K one
+    # group's current angle chunk
+    spec, basis = _shared(
+        (np.complex128, (group, height, width // 2 + 1)), (np.float64, (group, 5, height, width))
+    )
+    basis_spec, steered = _shared(
+        (np.complex128, (group, *bank.shape)), (np.complex128, (group * chunk * size,))
+    )
+    parents = [images * angles ** (k - 1) for k in range(1, depth)]
+    levels = [np.empty((n, angles, height, width)) for n in parents]
+    levels.append(np.empty((group, chunk, height, width)))
     level = f
     for k, nxt in enumerate(levels, 1):
         amplitudes = nxt.reshape(len(nxt), -1, size)
@@ -540,7 +497,7 @@ def layer_S(f: np.ndarray, config: RieszConfig):
     return [m for chunk in chunks for m in config.scale_constant * chunk]
 
 
-def extract_features(f: np.ndarray, config: RieszConfig, *, workspace=None) -> np.ndarray:
+def extract_features(f: np.ndarray, config: RieszConfig) -> np.ndarray:
     """Mean-pooled feature vector over all paths, in the fixed path order.
 
     ``f`` is one 2d image, giving an (F,) vector, or an (n, H, W) stack
@@ -553,17 +510,14 @@ def extract_features(f: np.ndarray, config: RieszConfig, *, workspace=None) -> n
     the untransposed engine up to rounding.  The maps are those of
     C = 1; C^k multiplies the pooled depth-k means.  Only the levels that
     feed another are held; each chunk of the deepest level is pooled as
-    soon as it is computed.  A ``Workspace`` shared by consecutive calls
-    lends the engine's buffers from one call to the next while the
-    stack shape repeats; none of them escapes, since only pooled values
-    are returned, and the values are bit-identical to a call without
-    one.  A stack returns all its rows, finite or not; a 2d image whose
+    soon as it is computed, and no buffer of the engine outlives the
+    call.  A stack returns all its rows, finite or not; a 2d image whose
     vector is not finite raises ``NonFiniteImageError``.
     """
     single = np.ndim(f) == 2
     stack = as_image(f)[None] if single else as_image(f, stack=True)
     images, height, width = stack.shape
-    maps = _level_chunks(stack, config, workspace, transposed=_transposes(height, width))
+    maps = _level_chunks(stack, config, transposed=_transposes(height, width))
     chunks = itertools.chain([stack], maps)
     # each chunk is summed before the engine computes the next; the sums
     # and the one division are what np.mean does, so the means are the same

@@ -171,8 +171,8 @@ def test_extract_matrix_holds_at_most_one_batch_per_worker(monkeypatch, rng, cpu
     monkeypatch.setattr(Crop, "cut", counted(Crop.cut))
     original = extraction.extract_features
 
-    def spy(f, cfg, *, workspace=None):
-        features = original(f, cfg, workspace=workspace)
+    def spy(f, cfg):
+        features = original(f, cfg)
         with lock:
             stacks.append(len(f))
             count["done"] += len(f)
@@ -203,9 +203,9 @@ def test_extract_matrix_starts_the_helper_only_for_two_batches(monkeypatch, rng,
     original = extraction.extract_features
     threads = []
 
-    def spy(f, cfg, *, workspace=None):
+    def spy(f, cfg):
         threads.append(threading.active_count())
-        return original(f, cfg, workspace=workspace)
+        return original(f, cfg)
 
     monkeypatch.setattr(extraction, "extract_features", spy)
     assert group_size(25, 17, 4) == 19
@@ -266,9 +266,9 @@ def test_extract_matrix_takes_each_index_once_under_fast_switching(monkeypatch):
     original = extraction.extract_features
     seen = []
 
-    def spy(f, cfg, *, workspace=None):
+    def spy(f, cfg):
         seen.extend(int(image[0, 0]) for image in np.reshape(f, (-1, *np.shape(f)[-2:])))
-        return original(f, cfg, workspace=workspace)
+        return original(f, cfg)
 
     monkeypatch.setattr(extraction, "extract_features", spy)
     images = [np.full((6, 5 + i % 3), float(i)) for i in range(300)]
@@ -295,7 +295,7 @@ def _check_a_raise_stops_the_other_worker(monkeypatch, rng, raiser, exc):
     raised = threading.Event()
     starts = {}
 
-    def spy(f, cfg, *, workspace=None):
+    def spy(f, cfg):
         ident = threading.get_ident()
         starts[ident] = starts.get(ident, 0) + 1
         if starts[ident] == 1:
@@ -304,7 +304,7 @@ def _check_a_raise_stops_the_other_worker(monkeypatch, rng, raiser, exc):
         if on_caller == (raiser == "caller"):
             raised.set()
             raise exc
-        features = original(f, cfg, workspace=workspace)
+        features = original(f, cfg)
         assert raised.wait(30)
         time.sleep(0.1)
         return features
@@ -341,9 +341,9 @@ def test_extract_matrix_batches_match_single_images(monkeypatch, rng, cpus, dept
     original = extraction.extract_features
     stacks = []
 
-    def spy(f, cfg, *, workspace=None):
+    def spy(f, cfg):
         stacks.append(len(f) if np.ndim(f) == 3 else 1)
-        return original(f, cfg, workspace=workspace)
+        return original(f, cfg)
 
     monkeypatch.setattr(extraction, "extract_features", spy)
 
@@ -413,9 +413,9 @@ def test_extract_matrix_flags_the_overflowing_rows_of_a_stack(monkeypatch, rng, 
     original = extraction.extract_features
     stacks = []
 
-    def spy(f, cfg, *, workspace=None):
+    def spy(f, cfg):
         stacks.append(np.shape(f))
-        return original(f, cfg, workspace=workspace)
+        return original(f, cfg)
 
     monkeypatch.setattr(extraction, "extract_features", spy)
     scales = [1.0, 1.7e308, 1e300, 1e307, 1.0, 1e306, 1.7e308, 1e300]

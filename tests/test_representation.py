@@ -16,7 +16,6 @@ from rieszrep import riesz
 from rieszrep.image_core import NonFiniteImageError, fft2, freq_coords, ifft2
 from rieszrep.representation import (
     RieszConfig,
-    Workspace,
     extract_features,
     feature_count,
     feature_paths,
@@ -232,10 +231,10 @@ def test_angle_chunks_give_bit_identical_maps(monkeypatch, rng, depth, angles, s
     results = {}
     for chunk in (1, 2, angles):
         monkeypatch.setattr(representation, "_BATCH_BYTES", 16 * chunk * f.size)
-        workspace = Workspace()
-        chunks = representation._level_chunks(f[None], cfg, workspace, transposed)
-        results[chunk] = np.concatenate([c.copy() for c in chunks])
-        assert workspace._key[-2:] == (1, chunk)
+        chunks = [c.copy() for c in representation._level_chunks(f[None], cfg, transposed)]
+        sizes, _ = _chunk_sizes_and_digest(chunks)
+        assert sizes == [chunk] * ((feature_count(depth, angles) - 1) // chunk)
+        results[chunk] = np.concatenate(chunks)
     assert results[1].shape == (feature_count(depth, angles) - 1, *shape[:: -1 if transposed else 1])
     for maps in results.values():
         assert maps.tobytes() == results[angles].tobytes()
@@ -256,16 +255,12 @@ def test_short_final_angle_chunk_gives_bit_identical_maps(monkeypatch, rng):
     cfg = RieszConfig(depth=2, angles=28)
     f = rng.standard_normal((96, 96))
     parents = 1 + cfg.angles
-    workspace = Workspace()
-    sizes, chunked = _chunk_sizes_and_digest(representation._level_chunks(f[None], cfg, workspace))
-    assert workspace._key[-2:] == (1, 3)
+    sizes, chunked = _chunk_sizes_and_digest(representation._level_chunks(f[None], cfg))
     assert sizes == ([3] * 9 + [1]) * parents
     row = extract_features(f, cfg)
     # a budget of one parent's M maps steers all M angles at once
     monkeypatch.setattr(representation, "_BATCH_BYTES", 16 * cfg.angles * f.size)
-    workspace = Workspace()
-    sizes, whole = _chunk_sizes_and_digest(representation._level_chunks(f[None], cfg, workspace))
-    assert workspace._key[-2:] == (1, cfg.angles)
+    sizes, whole = _chunk_sizes_and_digest(representation._level_chunks(f[None], cfg))
     assert sizes == [cfg.angles] * parents
     assert whole == chunked
     assert extract_features(f, cfg).tobytes() == row.tobytes()
@@ -307,9 +302,10 @@ def test_stack_maps_equal_single_image_maps(monkeypatch, rng, budget, depth, ang
         monkeypatch.setattr(representation, "_BATCH_BYTES", 3 * angles * stack[0].size * 16)
     transposed = representation._transposes(*shape)
     assert transposed == (shape == (53, 34))
-    workspace = Workspace()
-    got = _maps_by_level(representation._level_chunks(stack, cfg, workspace, transposed), 3, depth, angles)
-    assert workspace._key[0] == 3
+    chunks = [c.copy() for c in representation._level_chunks(stack, cfg, transposed)]
+    sizes, _ = _chunk_sizes_and_digest(chunks)
+    assert sum(sizes) == 3 * (feature_count(depth, angles) - 1)
+    got = _maps_by_level(chunks, 3, depth, angles)
     for i, f in enumerate(stack):
         chunks = representation._level_chunks(f[None], cfg, transposed=transposed)
         for level, alone in zip(got, _maps_by_level(chunks, 1, depth, angles)):
@@ -446,70 +442,58 @@ def test_engine_outputs_do_not_alias_reused_buffers(monkeypatch, rng):
         layer[2][:] = -1.0
         for a, b in zip(layer_S(f, cfg), saved_layer):
             assert_array_equal(a, b)
-        # the second same-shape call keeps the buffers, the third reuses them
-        workspace = Workspace()
-        features = [extract_features(x, cfg, workspace=workspace) for x in (f, g, f)]
-        saved_features = [v.copy() for v in features]
-        extract_features(g, cfg, workspace=workspace)
-        assert workspace._buffers is not None
-        for a, b in zip(features, saved_features):
-            assert_array_equal(a, b)
 
 
-_SEQUENCE_CONFIGS = {
-    "K3M4": RieszConfig(depth=3, angles=4),
-    "K2M8": RieszConfig(depth=2, angles=8),
-    "C0.7": RieszConfig(depth=2, angles=4, scale_constant=0.7),
-    "C0.7-presmooth": RieszConfig(depth=2, angles=4, scale_constant=0.7),
-    "K1": RieszConfig(depth=1),
-}
+class _RecordingNumpy:
+    """numpy as ``representation`` sees it, with ``empty`` recording each array it returns.
+
+    With ``nan`` every byte of a new array is 0xff, which makes each
+    float64 and complex128 element NaN, so an element the engine reads
+    before writing it reaches its maps as NaN.
+    """
+
+    def __init__(self, nan=False):
+        self.arrays, self._nan = [], nan
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, dtype=float):
+        array = np.empty(shape, dtype)
+        if self._nan:
+            array.view(np.uint8).fill(0xFF)
+        self.arrays.append(array)
+        return array
 
 
-@pytest.mark.parametrize("name", list(_SEQUENCE_CONFIGS))
-def test_workspace_sequence_matches_independent_calls(rng, name):
-    # shapes A A A B A A B B, the second A overflowing: buffers are kept
-    # from the second consecutive image of a shape until the shape changes
-    cfg = _SEQUENCE_CONFIGS[name]
-    shapes = [(24, 20), (24, 20), (24, 20), (17, 31), (24, 20), (24, 20), (17, 31), (17, 31)]
-    images = [_test_image(rng, shape, name) for shape in shapes]
-    images[1] = np.full(shapes[1], 1e308)
-    workspace = Workspace()
-    kept = []
-    for i, f in enumerate(images):
-        if i == 1:
-            with np.errstate(all="ignore"), pytest.raises(NonFiniteImageError):
-                extract_features(f, cfg, workspace=workspace)
-        else:
-            got = extract_features(f, cfg, workspace=workspace)
-            assert_array_equal(got, extract_features(f, cfg))
-        kept.append(workspace._buffers)
-    assert [b is not None for b in kept] == [False, True, True, False, False, True, False, True]
-    assert kept[2] is kept[1]
+@pytest.mark.parametrize(
+    "shape, depth, angles",
+    [((19, 22), 3, 4), ((128, 128), 2, 8), ((53, 34), 3, 4)],
+    ids=["grouped", "angle-chunks", "transposed"],
+)
+def test_engine_buffers_prefilled_with_nan_give_the_same_maps(monkeypatch, rng, shape, depth, angles):
+    # every scratch buffer and level array starts as NaN: an element read
+    # before it is written would reach a map or a mean
+    cfg = RieszConfig(depth=depth, angles=angles)
+    f = rng.standard_normal(shape)
+    features, layer = extract_features(f, cfg), layer_S(f, cfg)
+    patched = _RecordingNumpy(nan=True)
+    monkeypatch.setattr(representation, "np", patched)
+    assert extract_features(f, cfg).tobytes() == features.tobytes()
+    assert np.array(layer_S(f, cfg)).tobytes() == np.array(layer).tobytes()
+    # two shared scratch buffers and K level arrays per extract, three per layer
+    assert len(patched.arrays) == (2 + depth) + 3
 
 
-def test_workspace_buffers_prefilled_with_nan(rng):
-    cfg = RieszConfig(depth=3, angles=4)
-    f, g = rng.standard_normal((2, 19, 22))
-    workspace = Workspace()
-    extract_features(f, cfg, workspace=workspace)
-    extract_features(f, cfg, workspace=workspace)
-    spec, basis_spec, basis, steered, levels = workspace._buffers
-    for buffer in (spec, basis_spec, basis, steered, *levels):
-        buffer.fill(np.nan)
-    assert_array_equal(extract_features(g, cfg, workspace=workspace), extract_features(g, cfg))
-
-
-def test_workspace_keeps_scratch_within_its_lifetime_bound(rng):
+def test_engine_call_keeps_scratch_within_its_lifetime_bound(monkeypatch, rng):
     # spec and basis share one buffer, basis_spec and steered the other;
     # level 1 is kept whole and level K as one group's angle chunk
     cfg = RieszConfig(depth=2, angles=8)
     height, width = 128, 128
     f = rng.standard_normal((height, width))
-    workspace = Workspace()
-    extract_features(f, cfg, workspace=workspace)
-    extract_features(f, cfg, workspace=workspace)
-    group, chunk = workspace._key[-2:]
-    assert (group, chunk) == (1, 2)
+    sizes, _ = _chunk_sizes_and_digest(representation._level_chunks(f[None], cfg))
+    group, chunk = 1, 2
+    assert sizes == [group * chunk] * ((cfg.angles + cfg.angles**2) // chunk)
     spec = 16 * group * height * (width // 2 + 1)
     basis = 8 * group * 5 * height * width
     basis_spec = 16 * group * 5 * height * (width // 2 + 1)
@@ -518,26 +502,11 @@ def test_workspace_keeps_scratch_within_its_lifetime_bound(rng):
     deepest = 8 * group * chunk * height * width
     bound = max(spec, basis) + max(basis_spec, steered) + level1 + deepest
     assert bound == 2_631_680
-    *scratch, levels = workspace._buffers
-    bases = {}
-    for array in (*scratch, *levels):
-        while array.base is not None:
-            array = array.base
-        bases[id(array)] = array
-    assert sum(a.nbytes for a in bases.values()) <= bound
-
-
-def test_workspace_follows_batch_budget_changes(monkeypatch, rng):
-    # the group size is part of the key: buffers kept for one parent per
-    # group must not be lent to a call that groups a whole level
-    cfg = RieszConfig(depth=3, angles=4)
-    images = rng.standard_normal((8, 16, 12))
-    three_banks = 3 * cfg.angles * 16 * 12 * 16
-    budgets = (1, 1, 1 << 40, 1 << 40, 1 << 40, three_banks, three_banks, 1)
-    workspace = Workspace()
-    for f, budget in zip(images, budgets):
-        monkeypatch.setattr(representation, "_BATCH_BYTES", budget)
-        assert_array_equal(extract_features(f, cfg, workspace=workspace), extract_features(f, cfg))
+    recording = _RecordingNumpy()
+    monkeypatch.setattr(representation, "np", recording)
+    extract_features(f, cfg)
+    assert len(recording.arrays) == 4
+    assert sum(a.nbytes for a in recording.arrays) <= bound
 
 
 def test_non_hermitian_multiplier_rejected_at_bank_build(monkeypatch, rng):
